@@ -262,37 +262,37 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, manifold=False, profile=False):
-        if manifold:
-            p.add_argument("--manifold", required=False,
-                           help="spec string like sphere:n=2,r=1.0 or JSON")
-        if profile:
-            p.add_argument("--profile", required=True,
-                           help="Betti profile JSON (path or inline)")
-        p.add_argument("--t-max", dest="t_max", type=float, default=10.0)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--step", type=float, default=1e-3)
+    def common(p):
         p.add_argument("--out", default=None, help="output path prefix")
         p.add_argument("--format", choices=["json", "csv", "text"], default="text")
 
+    def manifold(p, integrates=True):
+        common(p)
+        p.add_argument("--manifold", required=False,
+                       help="spec string like sphere:n=2,r=1.0 or JSON")
+        p.add_argument("manifold_pos", nargs="?", default=None)
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0)
+        if integrates:
+            p.add_argument("--t-max", dest="t_max", type=float, default=10.0)
+            p.add_argument("--step", type=float, default=1e-3)
+
     p = sub.add_parser("bound", help="curvature extremes and entropy bounds")
-    common(p, manifold=True)
-    p.add_argument("manifold_pos", nargs="?", default=None)
+    manifold(p, integrates=False)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("estimate", help="growth rate of the mean expansion")
-    common(p, manifold=True)
-    p.add_argument("manifold_pos", nargs="?", default=None)
+    manifold(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("count", help="ball-averaged geodesic arc counting")
-    common(p, manifold=True)
-    p.add_argument("manifold_pos", nargs="?", default=None)
+    manifold(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("certify", help="Einstein-metric obstruction tests")
-    common(p, profile=True)
+    common(p)
+    p.add_argument("--profile", required=True,
+                   help="Betti profile JSON (path or inline)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("gromov", help="universal-constant comparison table")

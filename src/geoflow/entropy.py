@@ -107,14 +107,11 @@ def mane_series(model: ManifoldModel, t_grid, samples, seed=0, step=1e-3):
             failure_census={"failed": n_failed, "total": len(states)},
         )
     ok = ~res.failed
-    values = np.empty(len(t_grid))
-    stderr = np.empty(len(t_grid))
     B = int(ok.sum())
-    for gi in range(len(t_grid)):
-        ex = np.array([expansion(res.phi[gi, b]) for b in np.nonzero(ok)[0]])
-        mean = float(np.mean(ex))
-        values[gi] = math.log(mean)
-        stderr[gi] = float(np.std(ex) / math.sqrt(B) / mean) if B > 1 else 0.0
+    ex = expansion(res.phi[:, ok])
+    mean = np.mean(ex, axis=1)
+    values = np.log(mean)
+    stderr = np.std(ex, axis=1) / math.sqrt(B) / mean
     return GrowthSeries(
         times=t_grid,
         values=values,

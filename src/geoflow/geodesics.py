@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import charts as _charts
-from .errors import IntegrationError, NumericsError
-from .manifolds import ManifoldModel, TangentState
+from .errors import IntegrationError
+from .manifolds import ManifoldModel, TangentState, gram_schmidt
 
 log = logging.getLogger(__name__)
 
@@ -184,18 +184,9 @@ def _reorthonormalize(model, chart_ids, X, V, E, Phi):
     k = model.dim - 1
     worst = 0.0
     for cid, idx in _group_indices(chart_ids):
-        x, v, e = X[idx], V[idx], E[idx]
-        g = model.chart(cid).metric(x)
-        vn = v / np.sqrt(np.einsum("bi,bij,bj->b", v, g, v))[..., None]
-        newE = np.empty_like(e)
-        for a in range(k):
-            w = e[:, a, :]
-            w = w - np.einsum("bi,bij,bj->b", w, g, vn)[..., None] * vn
-            for b in range(a):
-                prev = newE[:, b, :]
-                w = w - np.einsum("bi,bij,bj->b", w, g, prev)[..., None] * prev
-            w = w / np.sqrt(np.einsum("bi,bij,bj->b", w, g, w))[..., None]
-            newE[:, a, :] = w
+        e = E[idx]
+        g = model.chart(cid).metric(X[idx])
+        newE = gram_schmidt(g, V[idx], e)
         M = np.einsum("bai,bij,bcj->bac", newE, g, e)
         drift = np.nanmax(np.abs(M - np.eye(k))) if M.size else 0.0
         worst = max(worst, float(drift))
@@ -262,6 +253,10 @@ def propagate(
     failed = np.zeros(B, dtype=bool)
     frame_drift = np.zeros(B)
     multi_chart = len(model.charts) > 1
+    if multi_chart:
+        # a state starting near a chart boundary, heading out, can cross it
+        # before the first periodic check; frames_init stays in the caller's chart
+        chart_ids, X, V, E, failed = _switch_charts(model, chart_ids, X, V, E, failed, jacobi)
 
     t = 0.0
     nsteps = 0
@@ -397,51 +392,21 @@ def exp_ball_jacobian(model, x, v, rho, step=1e-3, chart_id=0):
 # -- expansion of a linear map -------------------------------------------------------
 
 
-def singular_values_jacobi(m, max_sweeps=60, tol=1e-14):
-    """Singular values by one-sided Jacobi iteration, descending.
-
-    The matrices in this package are at most 2(n-1) square, so robustness is
-    the only design pressure; a handful of sweeps reaches machine precision.
-    """
-    A = np.array(m, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    d = A.shape[0]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                ap = A[:, p]
-                aq = A[:, q]
-                app = float(ap @ ap)
-                aqq = float(aq @ aq)
-                apq = float(ap @ aq)
-                if app * aqq == 0.0 or abs(apq) <= tol * np.sqrt(app * aqq):
-                    continue
-                off = max(off, abs(apq) / np.sqrt(app * aqq))
-                zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta)) if zeta != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                A[:, p], A[:, q] = c * ap - s * aq, s * ap + c * aq
-        if off < tol:
-            break
-    sv = np.sqrt(np.sum(A * A, axis=0))
-    sv.sort()
-    return sv[::-1]
-
-
 def expansion(m):
     """Largest absolute determinant of the map restricted to any subspace.
 
     Equals the maximal product of leading singular values: the product of all
     singular values >= 1 when there is one, otherwise the top singular value
-    alone (the supremum over one-dimensional subspaces).
+    alone (the supremum over one-dimensional subspaces).  Takes one square
+    matrix, giving a float, or a stack (..., d, d), giving an array (...).
     """
-    sv = singular_values_jacobi(m)
-    return float(np.max(np.cumprod(sv)))
+    A = np.asarray(m, dtype=float)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
+    ex = np.max(np.cumprod(np.linalg.svd(A, compute_uv=False), axis=-1), axis=-1)
+    return float(ex) if A.ndim == 2 else ex
 
 
 def trajectory_csv(model, theta, t_end, step, path, samples=200):

@@ -11,6 +11,7 @@ extremes, and seeded sampling of the unit sphere bundle.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,47 @@ class CurvatureSpectrum:
         return float(np.sum(self.eigenvalues))
 
 
+@dataclass(frozen=True)
+class CurvatureFactor:
+    """One factor of a model's closed-form curvature.
+
+    ``coords`` selects the factor's chart coordinates and ``dim`` is its
+    dimension.  Every plane tangent to the factor at chart point x has
+    sectional curvature ``curvature(chart, x)``; planes spanned by vectors of
+    two different factors are flat.  ``k_min`` and ``k_max`` are the closed-form
+    extremes of ``curvature`` over the factor.
+    """
+
+    coords: slice
+    dim: int
+    curvature: Callable
+    k_min: float
+    k_max: float
+
+
+def _constant_factor(coords, dim, K):
+    return CurvatureFactor(coords, dim, lambda chart, x: K, K, K)
+
+
+def _g_inner(a, g, b):
+    return np.einsum("...i,...ij,...j->...", a, g, b)
+
+
+def gram_schmidt(g, v, vectors):
+    """Orthonormalize ``vectors`` (..., m, n) under the metric g, in order,
+    within the g-orthogonal complement of v."""
+    vn = v / np.sqrt(_g_inner(v, g, v))[..., None]
+    out = np.empty(vectors.shape)
+    for k in range(vectors.shape[-2]):
+        w = vectors[..., k, :]
+        w = w - _g_inner(w, g, vn)[..., None] * vn
+        for j in range(k):
+            ej = out[..., j, :]
+            w = w - _g_inner(w, g, ej)[..., None] * ej
+        out[..., k, :] = w / np.sqrt(_g_inner(w, g, w))[..., None]
+    return out
+
+
 @dataclass
 class ManifoldModel:
     kind: str
@@ -59,10 +101,10 @@ class ManifoldModel:
     params: dict = field(default_factory=dict)
     homogeneous: bool = False
     isotropic: bool = False
-    analytic_curvature: bool = False
     spec_string: str = ""
-    # closed-form curvature payload, interpreted per kind
-    _curv: dict = field(default_factory=dict)
+    # closed-form curvature, one entry per factor; empty when it comes from
+    # finite differences of the Christoffel symbols
+    factors: tuple = ()
     # chart-0 coordinates of a generic base point
     base_x: np.ndarray | None = None
 
@@ -130,68 +172,36 @@ class ManifoldModel:
         order = np.argsort(scores, axis=-1)  # ascending: least aligned first
         kept = order[..., : n - 1]
         cand = np.take_along_axis(eye, kept[..., None], axis=-2)
-        frame = np.empty(batch + (n - 1, n))
-        vn = v / np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))[..., None]
-        for k in range(n - 1):
-            w = cand[..., k, :]
-            w = w - np.einsum("...i,...ij,...j->...", w, g, vn)[..., None] * vn
-            for j in range(k):
-                ej = frame[..., j, :]
-                w = w - np.einsum("...i,...ij,...j->...", w, g, ej)[..., None] * ej
-            nrm = np.sqrt(np.einsum("...i,...ij,...j->...", w, g, w))
-            frame[..., k, :] = w / nrm[..., None]
-        return frame
+        return gram_schmidt(g, v, cand)
 
     # -- curvature ------------------------------------------------------------------
 
-    def curvature_frame_matrix(self, x, v, frame, chart_id=0, force_fd=False, g=None):
+    def curvature_frame_matrix(self, x, v, frame, chart_id=0, force_fd=False):
         """Matrix K_ij = <R(E_i, v)v, E_j> of the Jacobi operator in a frame.
 
         Uses the model closed form when available, otherwise (or when forced)
-        finite differences of the Christoffel symbols.  ``g`` may pass in a
-        metric already evaluated at ``x``.
+        finite differences of the Christoffel symbols.  The frame must be
+        g-orthonormal and orthogonal to the unit vector v.
         """
-        if self.analytic_curvature and not force_fd:
-            return self._analytic_K(x, v, frame, chart_id, g)
-        return self._fd_K(x, v, frame, chart_id)
-
-    def _analytic_K(self, x, v, frame, chart_id, g=None):
-        kindof = self._curv["form"]
-        k = self.dim - 1
-        batch = np.asarray(x, dtype=float).shape[:-1]
-        if kindof == "constant":
-            K0 = self._curv["K"]
-            out = np.zeros(batch + (k, k))
-            idx = np.arange(k)
-            out[..., idx, idx] = K0
-            return out
-        if kindof == "gauss":
-            p = self.chart(chart_id).embed(x)
-            K0 = self._gauss_curvature(p)
-            return K0[..., None, None] * np.eye(1)
-        if kindof == "product":
-            return self._product_K(x, v, frame, chart_id, g)
-        raise NumericsError(f"no analytic curvature for kind {self.kind}")
-
-    def _gauss_curvature(self, p):
-        a, b, c = self._curv["semi_axes"]
-        f = p[..., 0] ** 2 / a**4 + p[..., 1] ** 2 / b**4 + p[..., 2] ** 2 / c**4
-        return 1.0 / ((a * b * c) ** 2 * f**2)
-
-    def _product_K(self, x, v, frame, chart_id, g=None):
+        if not self.factors or force_fd:
+            return self._fd_K(x, v, frame, chart_id)
         ch = self.chart(chart_id)
-        s = ch.split
-        K1, K2 = self._curv["factor_K"]
-        if g is None:
-            g = ch.metric(x)
+        if len(self.factors) == 1:
+            # R(E_i, v)v = K (E_i - <E_i, v> v) = K E_i on such a frame
+            k = self.dim - 1
+            out = np.zeros(np.shape(x)[:-1] + (k, k))
+            idx = np.arange(k)
+            out[..., idx, idx] = np.asarray(self.factors[0].curvature(ch, x))[..., None]
+            return out
+        g = ch.metric(x)
         out = 0.0
-        for sl, Kf in (((slice(None, s)), K1), ((slice(s, None)), K2)):
-            gf = g[..., sl, sl]
-            vf = np.asarray(v, dtype=float)[..., sl]
-            Ef = np.asarray(frame, dtype=float)[..., sl]
-            vv = np.einsum("...i,...ij,...j->...", vf, gf, vf)
+        for f in self.factors:
+            sl = f.coords
+            gf, vf, Ef = g[..., sl, sl], v[..., sl], frame[..., sl]
+            vv = _g_inner(vf, gf, vf)
             Ev = np.einsum("...ki,...ij,...j->...k", Ef, gf, vf)
             EE = np.einsum("...ki,...ij,...lj->...kl", Ef, gf, Ef)
+            Kf = np.asarray(f.curvature(ch, x))[..., None, None]
             out = out + Kf * (vv[..., None, None] * EE - Ev[..., :, None] * Ev[..., None, :])
         return out
 
@@ -224,47 +234,23 @@ class ManifoldModel:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         w = np.asarray(w, dtype=float)
-        g = self.chart(chart_id).metric(x)
-        if self.analytic_curvature and not force_fd:
-            Ruw = self._apply_R(x, u, w, chart_id)
+        ch = self.chart(chart_id)
+        g = ch.metric(x)
+        if self.factors and not force_fd:
+            # R(u, w)w = sum_f K_f (<w, w>_f u_f - <u, w>_f w_f)
+            Ruw = np.zeros_like(u)
+            for f in self.factors:
+                sl = f.coords
+                gf, uf, wf = g[..., sl, sl], u[..., sl], w[..., sl]
+                Kf = np.asarray(f.curvature(ch, x))[..., None]
+                Ruw[..., sl] = Kf * (_g_inner(wf, gf, wf)[..., None] * uf
+                                     - _g_inner(uf, gf, wf)[..., None] * wf)
         else:
-            R = _charts.riemann(self.chart(chart_id), x)
+            R = _charts.riemann(ch, x)
             Ruw = np.einsum("...labc,...a,...b,...c->...l", R, u, w, w)
-        num = np.einsum("...i,...ij,...j->...", u, g, Ruw)
-        uu = np.einsum("...i,...ij,...j->...", u, g, u)
-        ww = np.einsum("...i,...ij,...j->...", w, g, w)
-        uw = np.einsum("...i,...ij,...j->...", u, g, w)
-        den = uu * ww - uw**2
+        num = _g_inner(u, g, Ruw)
+        den = _g_inner(u, g, u) * _g_inner(w, g, w) - _g_inner(u, g, w) ** 2
         return num / den
-
-    def _apply_R(self, x, u, w, chart_id):
-        """Closed-form R(u, w)w for the analytic kinds."""
-        form = self._curv["form"]
-        g = self.chart(chart_id).metric(x)
-        if form == "constant":
-            K0 = self._curv["K"]
-            ww = np.einsum("...i,...ij,...j->...", w, g, w)
-            uw = np.einsum("...i,...ij,...j->...", u, g, w)
-            return K0 * (ww[..., None] * u - uw[..., None] * w)
-        if form == "gauss":
-            p = self.chart(chart_id).embed(x)
-            K0 = self._gauss_curvature(p)
-            ww = np.einsum("...i,...ij,...j->...", w, g, w)
-            uw = np.einsum("...i,...ij,...j->...", u, g, w)
-            return K0[..., None] * (ww[..., None] * u - uw[..., None] * w)
-        if form == "product":
-            ch = self.chart(chart_id)
-            s = ch.split
-            K1, K2 = self._curv["factor_K"]
-            out = np.zeros_like(np.asarray(u, dtype=float))
-            for sl, Kf in ((slice(None, s), K1), (slice(s, None), K2)):
-                gf = g[..., sl, sl]
-                uf, wf = u[..., sl], w[..., sl]
-                ww = np.einsum("...i,...ij,...j->...", wf, gf, wf)
-                uw = np.einsum("...i,...ij,...j->...", uf, gf, wf)
-                out[..., sl] = Kf * (ww[..., None] * uf - uw[..., None] * wf)
-            return out
-        raise NumericsError(f"no analytic curvature for kind {self.kind}")
 
     def _check_unit(self, theta, tol=1e-8):
         nrm = self.norm(theta.x, theta.v, theta.chart_id)
@@ -276,7 +262,7 @@ class ManifoldModel:
     def extremal_curvatures(self, sample_count=200, seed=0, force_sampling=False):
         """(K_max, K_min, min_ricci).
 
-        Closed forms for the analytic kinds; otherwise sampled 2-planes and
+        Closed forms from the curvature factors; otherwise sampled 2-planes and
         directions refined by shrinking-step coordinate ascent, with the
         returned extremes inflated by a 1e-3 relative safety factor so K_max
         stays an upper bound (and K_min / min_ricci lower bounds) at the
@@ -284,27 +270,14 @@ class ManifoldModel:
         """
         if sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if self.analytic_curvature and not force_sampling:
-            return self._exact_extremes()
+        if self.factors and not force_sampling:
+            fs = self.factors
+            k_min = min(f.k_min for f in fs)
+            if len(fs) > 1:
+                # a plane spanned by vectors from two factors is flat
+                k_min = min(k_min, 0.0)
+            return max(f.k_max for f in fs), k_min, min((f.dim - 1) * f.k_min for f in fs)
         return self._sampled_extremes(sample_count, seed)
-
-    def _exact_extremes(self):
-        n = self.dim
-        form = self._curv["form"]
-        if form == "constant":
-            K0 = self._curv["K"]
-            return K0, K0, (n - 1) * K0
-        if form == "gauss":
-            a, b, c = self._curv["semi_axes"]
-            hi, lo = max(a, b, c), min(a, b, c)
-            return hi**4 / (a * b * c) ** 2, lo**4 / (a * b * c) ** 2, lo**4 / (a * b * c) ** 2
-        if form == "product":
-            K1, K2 = self._curv["factor_K"]
-            p, q = self._curv["factor_dims"]
-            kmax = max(K1, K2)
-            kmin = 0.0 if (p >= 2 and q >= 2) else min(K1, K2)
-            return kmax, kmin, min((p - 1) * K1, (q - 1) * K2)
-        raise NumericsError(f"no exact extremes for kind {self.kind}")
 
     def _sampled_extremes(self, sample_count, seed):
         rng = np.random.default_rng(seed)
@@ -452,7 +425,7 @@ class ManifoldModel:
         elif self.kind == "hyperbolic":
             box = np.array([[1e-3, 3.0]] + [[1e-3, np.pi - 1e-3]] * (self.dim - 2) + [[0.0, _TWO_PI]])
         elif self.kind == "sphereprod":
-            p = self._curv["factor_dims"][0]
+            p = self.factors[0].dim
             box = np.array(
                 [[1e-3, np.pi - 1e-3]] * (p - 1) + [[0.0, _TWO_PI]]
                 + [[1e-3, np.pi - 1e-3]] * (self.dim - p - 1) + [[0.0, _TWO_PI]]
@@ -499,9 +472,8 @@ def sphere(n=2, radius=1.0):
         params={"n": n, "r": radius},
         homogeneous=True,
         isotropic=True,
-        analytic_curvature=True,
         spec_string=f"sphere:n={n},r={radius}",
-        _curv={"form": "constant", "K": 1.0 / radius**2},
+        factors=(_constant_factor(slice(0, n), n, 1.0 / radius**2),),
         base_x=np.array([np.pi / 2] * (n - 1) + [0.0]),
     )
     return model
@@ -516,9 +488,8 @@ def flat_torus(n=2, period=_TWO_PI):
         params={"n": n, "l": float(period)},
         homogeneous=True,
         isotropic=True,
-        analytic_curvature=True,
         spec_string=f"torus:n={n}",
-        _curv={"form": "constant", "K": 0.0},
+        factors=(_constant_factor(slice(0, n), n, 0.0),),
         base_x=np.zeros(n),
     )
     return model
@@ -546,15 +517,22 @@ def hyperbolic(n=2, c=1.0):
         params={"n": n, "c": c},
         homogeneous=True,
         isotropic=True,
-        analytic_curvature=True,
         spec_string=f"hyperbolic:n={n},c={c}",
-        _curv={"form": "constant", "K": -c},
+        factors=(_constant_factor(slice(0, n), n, -c),),
         base_x=np.array([1.0] + [np.pi / 2] * (n - 2) + [0.0]),
     )
     return model
 
 
 def ellipsoid(a=1.0, b=1.0, c=2.0):
+    sa, sb, sc = float(a), float(b), float(c)
+    abc2 = (sa * sb * sc) ** 2
+
+    def gauss(chart, x):
+        p = chart.embed(x)
+        f = p[..., 0] ** 2 / sa**4 + p[..., 1] ** 2 / sb**4 + p[..., 2] ** 2 / sc**4
+        return 1.0 / (abc2 * f**2)
+
     chs = [
         _charts.EllipsoidChart([a, b, c], axes=(0, 1, 2)),
         _charts.EllipsoidChart([a, b, c], axes=(1, 2, 0)),
@@ -566,9 +544,10 @@ def ellipsoid(a=1.0, b=1.0, c=2.0):
         params={"a": a, "b": b, "c": c},
         homogeneous=False,
         isotropic=False,
-        analytic_curvature=True,
         spec_string=f"ellipsoid:a={a},b={b},c={c}",
-        _curv={"form": "gauss", "semi_axes": (float(a), float(b), float(c))},
+        # Gauss curvature, extreme at the ends of the longest and shortest axes
+        factors=(CurvatureFactor(slice(0, 2), 2, gauss,
+                                 min(sa, sb, sc) ** 4 / abc2, max(sa, sb, sc) ** 4 / abc2),),
         base_x=np.array([np.pi / 2, 0.3]),
     )
     return model
@@ -587,13 +566,9 @@ def sphere_product(p=2, q=2, r1=1.0, r2=1.0):
         params={"p": p, "q": q, "r1": r1, "r2": r2},
         homogeneous=True,
         isotropic=False,
-        analytic_curvature=True,
         spec_string=f"sphereprod:p={p},q={q},r1={r1},r2={r2}",
-        _curv={
-            "form": "product",
-            "factor_K": (1.0 / r1**2, 1.0 / r2**2),
-            "factor_dims": (p, q),
-        },
+        factors=(_constant_factor(slice(0, p), p, 1.0 / r1**2),
+                 _constant_factor(slice(p, p + q), q, 1.0 / r2**2)),
         base_x=np.array(
             [np.pi / 2] * (p - 1) + [0.0] + [np.pi / 2] * (q - 1) + [0.0]
         ),
@@ -612,7 +587,6 @@ def chart_metric(func, dim, domain=None, name="chart-metric", vectorized=False):
         params={"name": name, "n": dim},
         homogeneous=False,
         isotropic=False,
-        analytic_curvature=False,
         spec_string=f"chart-metric:{name}",
         base_x=base,
     )

@@ -24,6 +24,34 @@ def brute_force_expansion(m, trials=4000, seed=0):
     return best
 
 
+def singular_values_jacobi(m, max_sweeps=60, tol=1e-14):
+    """Oracle: singular values by one-sided Jacobi iteration, descending."""
+    A = np.array(m, dtype=float)
+    d = A.shape[0]
+    for _ in range(max_sweeps):
+        off = 0.0
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                ap = A[:, p]
+                aq = A[:, q]
+                app = float(ap @ ap)
+                aqq = float(aq @ aq)
+                apq = float(ap @ aq)
+                if app * aqq == 0.0 or abs(apq) <= tol * np.sqrt(app * aqq):
+                    continue
+                off = max(off, abs(apq) / np.sqrt(app * aqq))
+                zeta = (aqq - app) / (2.0 * apq)
+                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta)) if zeta != 0 else 1.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                A[:, p], A[:, q] = c * ap - s * aq, s * ap + c * aq
+        if off < tol:
+            break
+    sv = np.sqrt(np.sum(A * A, axis=0))
+    sv.sort()
+    return sv[::-1]
+
+
 class TestExpansion:
     def test_identity(self):
         assert geodesics.expansion(np.eye(3)) == 1.0
@@ -63,9 +91,19 @@ class TestExpansion:
     @given(hnp.arrays(np.float64, (4, 4), elements=st.floats(-3, 3)))
     @settings(max_examples=60, deadline=None)
     def test_jacobi_svd_matches_lapack(self, m):
-        ours = geodesics.singular_values_jacobi(m)
+        ours = singular_values_jacobi(m)
         ref = np.linalg.svd(m, compute_uv=False)
         assert np.allclose(ours, ref, atol=1e-10)
+
+    def test_stack_matches_jacobi_oracle(self):
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((5, 4, 6, 6)) * rng.uniform(0.1, 3.0, (5, 4, 1, 1))
+        got = geodesics.expansion(stack)
+        assert got.shape == (5, 4)
+        want = np.array([[np.max(np.cumprod(singular_values_jacobi(m))) for m in row]
+                         for row in stack])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert geodesics.expansion(stack[2, 1]) == got[2, 1]
 
     @given(hnp.arrays(np.float64, (3, 3), elements=st.floats(-2, 2)),
            hnp.arrays(np.float64, (3, 3), elements=st.floats(-2, 2)))
@@ -98,6 +136,21 @@ class TestGeodesicIntegration:
         p0 = s2.position_embedding(theta.x, 0)
         p1 = s2.position_embedding(end.x, end.chart_id)
         assert np.isclose(p0 @ p1, -1.0, atol=1e-8)  # antipode reached
+
+    def test_start_heading_into_pole(self, elli):
+        # starts 0.03 from the chart-0 pole, heading 0.01 rad off straight
+        # into it: the pole is crossed before the first periodic chart check
+        x = np.array([0.03, 0.3])
+        g = elli.metric(x)
+        v = np.array([-np.cos(0.01) / np.sqrt(g[0, 0]), np.sin(0.01) / np.sqrt(g[1, 1])])
+        theta = elli.unit_tangent(x, v)
+        prop = geodesics.propagate_jacobi(elli, theta, 0.5, step=1e-2)
+        assert np.all(np.isfinite(prop.phi))
+        assert prop.speed_drift <= 1e-6
+        assert abs(np.linalg.det(prop.phi) - 1.0) <= 1e-6
+        # the initial frame stays in the caller's chart
+        k = prop.frame0 @ g @ np.concatenate([prop.frame0, theta.v[None]]).T
+        assert np.allclose(k, [[1.0, 0.0]], atol=1e-12)
 
     def test_unit_speed_preserved(self, all_models):
         # drift scales like step^4; the 1e-8 contract holds at the default

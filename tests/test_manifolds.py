@@ -109,6 +109,21 @@ class TestCurvature:
         fd = s2xs2.curvature_operator(theta, force_fd=True)
         assert np.allclose(fd.eigenvalues, expect, atol=1e-6)
 
+    def test_closed_form_matches_fd_path(self, s2, s4, h2, torus2, elli, s2xs2):
+        # every closed form agrees with finite differences of the Christoffel
+        # symbols, for the Jacobi operator and for sectional curvature
+        rng = np.random.default_rng(4)
+        models = (s2, s4, h2, torus2, elli, s2xs2, manifolds.sphere_product(2, 3))
+        for model in models:
+            for stt in model.sample_sphere_bundle(20, seed=4):
+                exact = model.curvature_operator(stt).eigenvalues
+                fd = model.curvature_operator(stt, force_fd=True).eigenvalues
+                assert np.allclose(exact, fd, atol=1e-5), model.spec_string
+                u, w = rng.standard_normal((2, model.dim))
+                exact = model.sectional(stt.x, u, w)
+                fd = model.sectional(stt.x, u, w, force_fd=True)
+                assert np.isclose(exact, fd, atol=1e-5), model.spec_string
+
     def test_eigenvectors_orthonormal(self, all_models):
         for name, model in all_models.items():
             for stt in model.sample_sphere_bundle(5, seed=9):
