@@ -10,6 +10,8 @@ derivatives ``(..., n, n, n)`` indexed ``[k, i, j] = d_k g_ij``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ChartDomainError
@@ -122,6 +124,72 @@ class Chart:
         g = self.metric(x)
         return np.linalg.solve(g, JtV[..., None])[..., 0]
 
+    def christoffel(self, x):
+        """Levi-Civita symbols 0.5 g^lm (d_i g_mj + d_j g_mi - d_m g_ij), shape
+        (..., n, n, n) indexed [l, i, j], from the metric and its derivative."""
+        dg = self.d_metric(x)
+        t1 = np.swapaxes(dg, -3, -2)          # [m,i,j] = d_i g_mj
+        t2 = np.swapaxes(t1, -2, -1)          # [m,i,j] = d_j g_mi
+        ginv = np.linalg.inv(self.metric(x))
+        return 0.5 * np.einsum("...lm,...mij->...lij", ginv, t1 + t2 - dg)
+
+    def metric_key(self):
+        """Equal for charts whose metric is the same function of the coordinates
+        (a rotation or boost moves only the embedding); by default unique."""
+        return self
+
+
+class DiagonalChart(Chart):
+    """Chart with a diagonal metric built from warps along the coordinates.
+
+    The diagonal is d_k = w_0 w_1 ... w_k, where w_0 is a constant and w_{m+1}
+    depends on x_m alone.  Subclasses supply :meth:`warps`: w (..., n) and the
+    logarithmic derivatives L_m = d_m log w_{m+1} (..., n-1), so that the
+    Jacobian of the diagonal is J[m, k] = d_m d_k = L_m d_k for m < k and 0
+    otherwise.  The metric, its derivative and the Christoffel symbols all
+    follow from d and J.
+    """
+
+    def diagonal(self, x):
+        """d (..., n) and P (..., n-1, n), P[m, k] = L_m d_k: J where m < k."""
+        w, L = self.warps(np.asarray(x, dtype=float))
+        d = np.multiply.accumulate(w, axis=-1)
+        return d, L[..., :, None] * d[..., None, :]
+
+    def metric(self, x):
+        d, _ = self.diagonal(x)
+        return d[..., None] * np.eye(self.dim)
+
+    def d_metric(self, x):
+        _, P = self.diagonal(x)
+        n = self.dim
+        J = np.zeros(P.shape[:-2] + (n, n))
+        J[..., :-1, :] = np.where(_diagonal_tables(n)[1], P, 0.0)
+        return J[..., None] * np.eye(n)
+
+    def christoffel(self, x):
+        d, P = self.diagonal(x)
+        n = self.dim
+        batch = d.shape[:-1]
+        T = P.reshape(batch + ((n - 1) * n,)) @ _diagonal_tables(n)[0]
+        return ((0.5 / d)[..., None] * T.reshape(batch + (n, n * n))).reshape(batch + (n,) * 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _diagonal_tables(n):
+    """Constants of the diagonal-metric formulas in dimension n: the map from
+    P to 2 d_l Gamma^l_ij = delta_lj J[i,l] + delta_li J[j,l] - delta_ij J[l,i],
+    shape ((n-1)*n, n**3), and the mask of m < k, shape (n-1, n).  Each entry
+    of the map's image is one entry of J up to sign, so the product is exact.
+    """
+    e = np.eye(n)
+    gamma = (np.einsum("mi,kl,lj->mklij", e, e, e) + np.einsum("mj,kl,li->mklij", e, e, e)
+             - np.einsum("ml,ki,ij->mklij", e, e, e))
+    upper = np.triu(np.ones((n - 1, n), dtype=bool), 1)
+    gamma = (gamma[:-1] * upper[..., None, None, None]).reshape((n - 1) * n, n**3)
+    gamma.flags.writeable = upper.flags.writeable = False
+    return gamma, upper
+
 
 class EmbeddedMetricChart(Chart):
     """Chart whose metric is induced by an explicit ambient embedding.
@@ -155,7 +223,7 @@ class EmbeddedMetricChart(Chart):
         return term + np.swapaxes(term, -2, -1)
 
 
-class SphereChart(Chart):
+class SphereChart(DiagonalChart):
     """Round sphere S^n(r) in hyperspherical angles, pole frame rotated by Q.
 
     Coordinates t_0..t_{n-1} with t_j in (0, pi) for j < n-1 and t_{n-1}
@@ -169,37 +237,14 @@ class SphereChart(Chart):
         self.radius = float(radius)
         self.rotation = np.eye(dim + 1) if rotation is None else np.asarray(rotation, dtype=float)
 
-    def _diag(self, x):
-        s2 = np.sin(np.asarray(x, dtype=float)) ** 2
-        diag = np.ones(np.shape(x)[:-1] + (self.dim,))
-        for k in range(1, self.dim):
-            diag[..., k] = diag[..., k - 1] * s2[..., k - 1]
-        return self.radius**2 * diag
+    def warps(self, x):
+        # w = (r^2, sin^2 t_0, ..., sin^2 t_{n-2}); the last (periodic) angle warps nothing
+        s = np.sin(x[..., :-1])
+        w = np.concatenate([np.full(s.shape[:-1] + (1,), self.radius**2), s * s], axis=-1)
+        return w, 2.0 * np.cos(x[..., :-1]) / s
 
-    def metric(self, x):
-        diag = self._diag(x)
-        g = np.zeros(diag.shape + (self.dim,))
-        idx = np.arange(self.dim)
-        g[..., idx, idx] = diag
-        return g
-
-    def d_metric(self, x):
-        x = np.asarray(x, dtype=float)
-        diag = self._diag(x)
-        # the last (periodic) coordinate never appears as a lower index here
-        cot = np.cos(x[..., :-1]) / np.sin(x[..., :-1])
-        dg = np.zeros(x.shape[:-1] + (self.dim,) * 3)
-        for k in range(1, self.dim):
-            for m in range(k):
-                dg[..., m, k, k] = 2.0 * diag[..., k] * cot[..., m]
-        return dg
-
-    def metric_inverse(self, x):
-        diag = self._diag(x)
-        g = np.zeros(diag.shape + (self.dim,))
-        idx = np.arange(self.dim)
-        g[..., idx, idx] = 1.0 / diag
-        return g
+    def metric_key(self):
+        return (SphereChart, self.dim, self.radius)
 
     def margin(self, x):
         x = np.asarray(x, dtype=float)
@@ -226,7 +271,7 @@ class SphereChart(Chart):
         return self.radius * np.einsum("ab,...bi->...ai", self.rotation, J)
 
 
-class HyperbolicChart(Chart):
+class HyperbolicChart(DiagonalChart):
     """Hyperbolic space of curvature -c in polar coordinates about a base point.
 
     Embedded in Minkowski space as the hyperboloid <p, p> = -1/c; the chart
@@ -251,46 +296,18 @@ class HyperbolicChart(Chart):
         eta[0, 0] = -1.0
         self.ambient_signature = eta
 
-    def _warp(self, rho):
-        return np.sinh(self.kappa * rho) / self.kappa
+    def warps(self, x):
+        # w = (1, sinh^2(kappa rho) / c, sin^2 t_1, ..., sin^2 t_{n-2})
+        kr = self.kappa * x[..., :1]
+        sh = np.sinh(kr)
+        s = np.sin(x[..., 1:-1])
+        w = np.concatenate([np.ones(kr.shape), (sh / self.kappa) ** 2, s * s], axis=-1)
+        L = np.concatenate([2.0 * self.kappa * np.cosh(kr) / sh, 2.0 * np.cos(x[..., 1:-1]) / s],
+                           axis=-1)
+        return w, L
 
-    def _diag(self, x):
-        x = np.asarray(x, dtype=float)
-        w2 = self._warp(x[..., 0]) ** 2
-        diag = np.ones(x.shape[:-1] + (self.dim,))
-        diag[..., 1] = w2
-        s2 = np.sin(x) ** 2
-        for k in range(2, self.dim):
-            diag[..., k] = diag[..., k - 1] * s2[..., k - 1]
-        return diag
-
-    def metric(self, x):
-        diag = self._diag(x)
-        g = np.zeros(diag.shape + (self.dim,))
-        idx = np.arange(self.dim)
-        g[..., idx, idx] = diag
-        return g
-
-    def metric_inverse(self, x):
-        diag = self._diag(x)
-        g = np.zeros(diag.shape + (self.dim,))
-        idx = np.arange(self.dim)
-        g[..., idx, idx] = 1.0 / diag
-        return g
-
-    def d_metric(self, x):
-        x = np.asarray(x, dtype=float)
-        diag = self._diag(x)
-        dg = np.zeros(x.shape[:-1] + (self.dim,) * 3)
-        rho = x[..., 0]
-        dwarp = 2.0 * self.kappa * np.cosh(self.kappa * rho) / np.sinh(self.kappa * rho)
-        cot = np.zeros_like(x)
-        cot[..., 1:-1] = np.cos(x[..., 1:-1]) / np.sin(x[..., 1:-1])
-        for k in range(1, self.dim):
-            dg[..., 0, k, k] = diag[..., k] * dwarp
-            for m in range(1, k):
-                dg[..., m, k, k] = 2.0 * diag[..., k] * cot[..., m]
-        return dg
+    def metric_key(self):
+        return (HyperbolicChart, self.dim, self.c)
 
     def margin(self, x):
         x = np.asarray(x, dtype=float)
@@ -349,7 +366,7 @@ class HyperbolicChart(Chart):
         return np.einsum("ab,...bi->...ai", self.lorentz, J)
 
 
-class FlatTorusChart(Chart):
+class FlatTorusChart(DiagonalChart):
     """Flat torus with per-axis periods; one chart, nothing to switch."""
 
     def __init__(self, periods):
@@ -357,16 +374,8 @@ class FlatTorusChart(Chart):
         self.dim = len(self.periods)
         self.ambient_dim = self.dim
 
-    def metric(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim)).copy()
-
-    def metric_inverse(self, x):
-        return self.metric(x)
-
-    def d_metric(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (self.dim,) * 3)
+    def warps(self, x):
+        return np.ones(x.shape), np.zeros(x.shape[:-1] + (self.dim - 1,))
 
     def wrap(self, x):
         return np.mod(np.asarray(x, dtype=float), self.periods)
@@ -477,24 +486,25 @@ class ProductChart(Chart):
         x = np.asarray(x, dtype=float)
         return x[..., : self.split], x[..., self.split:]
 
-    def metric(self, x):
+    def _blocks(self, method, x, rank):
+        """Block-diagonal array of the factors' ``method``, ``rank`` chart indices."""
         a, b = self._halves(x)
-        g1 = self.first.metric(a)
-        g2 = self.second.metric(b)
-        g = np.zeros(np.shape(x)[:-1] + (self.dim, self.dim))
-        g[..., : self.split, : self.split] = g1
-        g[..., self.split:, self.split:] = g2
-        return g
+        out = np.zeros(np.shape(x)[:-1] + (self.dim,) * rank)
+        out[(...,) + (slice(None, self.split),) * rank] = getattr(self.first, method)(a)
+        out[(...,) + (slice(self.split, None),) * rank] = getattr(self.second, method)(b)
+        return out
+
+    def metric(self, x):
+        return self._blocks("metric", x, 2)
 
     def d_metric(self, x):
-        a, b = self._halves(x)
-        d1 = self.first.d_metric(a)
-        d2 = self.second.d_metric(b)
-        dg = np.zeros(np.shape(x)[:-1] + (self.dim,) * 3)
-        s = self.split
-        dg[..., :s, :s, :s] = d1
-        dg[..., s:, s:, s:] = d2
-        return dg
+        return self._blocks("d_metric", x, 3)
+
+    def christoffel(self, x):
+        return self._blocks("christoffel", x, 3)
+
+    def metric_key(self):
+        return (ProductChart, self.first.metric_key(), self.second.metric_key())
 
     def margin(self, x):
         a, b = self._halves(x)
@@ -588,15 +598,7 @@ class CallableMetricChart(Chart):
 
 def christoffel(chart, x):
     """Levi-Civita Christoffel symbols, shape (..., n, n, n) indexed [l, i, j]."""
-    g = chart.metric(x)
-    dg = chart.d_metric(x)
-    if hasattr(chart, "metric_inverse"):
-        ginv = chart.metric_inverse(x)
-    else:
-        ginv = np.linalg.inv(g)
-    t1 = np.swapaxes(dg, -3, -2)          # [m,i,j] = d_i g_mj
-    t2 = np.swapaxes(t1, -2, -1)          # [m,i,j] = d_j g_mi
-    return 0.5 * np.einsum("...lm,...mij->...lij", ginv, t1 + t2 - dg)
+    return chart.christoffel(np.asarray(x, dtype=float))
 
 
 def riemann(chart, x, h=1e-4):

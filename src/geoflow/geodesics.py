@@ -90,53 +90,62 @@ def _group_indices(chart_ids):
     return [(int(c), np.nonzero(chart_ids == c)[0]) for c in np.unique(chart_ids)]
 
 
-def _derivatives(model, chart_ids, X, V, E, Phi, force_fd, jacobi):
-    dX = V
-    dV = np.empty_like(V)
-    dE = np.empty_like(E) if jacobi else None
-    dPhi = np.empty_like(Phi) if jacobi else None
+def _unpack(Y, n, jacobi):
+    """Views of the packed state Y = [x | v | E_1..E_k | Phi]: x (B, n), the
+    vectors W = [v; E_1..E_k] (B, n, n) (only v without the Jacobi system),
+    and Phi (B, 2k, 2k) or None."""
+    B = len(Y)
+    end = n + n * n if jacobi else 2 * n
+    W = Y[:, n:end].reshape(B, -1, n)
+    Phi = Y[:, end:].reshape(B, 2 * n - 2, 2 * n - 2) if jacobi else None
+    return Y[:, :n], W, Phi
+
+
+def _derivatives(model, groups, Y, force_fd, jacobi):
     k = model.dim - 1
-    for cid, idx in _group_indices(chart_ids):
-        x, v = X[idx], V[idx]
+    X, W, Phi = _unpack(Y, model.dim, jacobi)
+    dY = np.empty_like(Y)
+    dX, dW, dPhi = _unpack(dY, model.dim, jacobi)
+    dX[:] = W[:, 0]
+    for cid, idx in groups:
+        x, w = X[idx], W[idx]
         gam = _charts.christoffel(model.chart(cid), x)
-        dV[idx] = -np.einsum("blij,bi,bj->bl", gam, v, v)
+        # geodesic spray and frame transport: (v, E)' = -Gamma(v, (v, E))
+        dW[idx] = -np.einsum("blij,bi,baj->bal", gam, w[:, 0], w)
         if not jacobi:
             continue
-        e = E[idx]
-        dE[idx] = -np.einsum("blij,bi,bkj->bkl", gam, v, e)
-        K = model.curvature_frame_matrix(x, v, e, cid, force_fd)
-        dPhi[idx, :k, :] = Phi[idx, k:, :]
-        dPhi[idx, k:, :] = -np.einsum("bij,bjk->bik", K, Phi[idx, :k, :])
-    return dX, dV, dE, dPhi
+        K = model.curvature_frame_matrix(x, w[:, 0], w[:, 1:], cid, force_fd)
+        phi = Phi[idx]
+        dPhi[idx, :k] = phi[:, k:]
+        dPhi[idx, k:] = -np.einsum("bij,bjk->bik", K, phi[:, :k])
+    return dY
 
 
-def _rk4_step(model, chart_ids, X, V, E, Phi, h, force_fd, jacobi):
-    def shift(c, dX, dV, dE, dPhi):
-        return (
-            X + c * dX,
-            V + c * dV,
-            E + c * dE if jacobi else E,
-            Phi + c * dPhi if jacobi else Phi,
-        )
+def _rk4_step(model, groups, Y, h, force_fd, jacobi):
+    k1 = _derivatives(model, groups, Y, force_fd, jacobi)
+    k2 = _derivatives(model, groups, Y + (h / 2.0) * k1, force_fd, jacobi)
+    k3 = _derivatives(model, groups, Y + (h / 2.0) * k2, force_fd, jacobi)
+    k4 = _derivatives(model, groups, Y + h * k3, force_fd, jacobi)
+    return Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    k1 = _derivatives(model, chart_ids, X, V, E, Phi, force_fd, jacobi)
-    y2 = shift(h / 2.0, *k1)
-    k2 = _derivatives(model, chart_ids, *y2, force_fd, jacobi)
-    y3 = shift(h / 2.0, *k2)
-    k3 = _derivatives(model, chart_ids, *y3, force_fd, jacobi)
-    y4 = shift(h, *k3)
-    k4 = _derivatives(model, chart_ids, *y4, force_fd, jacobi)
-    X = X + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    V = V + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+
+def _park(model, chart_ids, Y, i, jacobi):
+    """Park failed row i at the base state, keeping batched linear algebra clean."""
+    X, W, Phi = _unpack(Y, model.dim, jacobi)
+    chart_ids[i] = 0
+    X[i] = model.base_x
+    W[i, 0] = model.base_state().v
     if jacobi:
-        E = E + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        Phi = Phi + (h / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-    return X, V, E, Phi
+        W[i, 1:] = model.orthonormal_frame(X[i], W[i, 0], 0)
+        Phi[i] = np.eye(len(Phi[i]))
 
 
-def _switch_charts(model, chart_ids, X, V, E, failed, jacobi):
-    """Move trajectories that approach a chart boundary to a better chart."""
-    margins = np.empty(len(X))
+def _switch_charts(model, chart_ids, Y, failed, jacobi):
+    """Move trajectories that approach a chart boundary to a better chart, in
+    place; returns whether any chart id changed."""
+    X, W, _ = _unpack(Y, model.dim, jacobi)
+    before = chart_ids.copy()
+    margins = np.empty(len(Y))
     for cid, idx in _group_indices(chart_ids):
         margins[idx] = model.chart(cid).margin(X[idx])
     margins[failed] = 1.0
@@ -157,47 +166,37 @@ def _switch_charts(model, chart_ids, X, V, E, failed, jacobi):
             if best_m < MARGIN_FLOOR:
                 failed[i] = True
                 log.warning("trajectory %d exhausted all charts (margin %.3g)", i, best_m)
-                # park the failed row at the base state so batched linear
-                # algebra stays clean; the failure mask excludes it anyway
-                chart_ids[i] = 0
-                X[i] = model.base_x
-                V[i] = model.base_state().v
-                if jacobi:
-                    E[i] = model.orthonormal_frame(X[i], V[i], 0)
+                _park(model, chart_ids, Y, i, jacobi)
             continue
-        cand = model.chart(best)
-        Vamb = ch.tangent_to_ambient(X[i], V[i])
-        V[i] = cand.tangent_from_ambient(best_x, Vamb)
-        if jacobi:
-            Eamb = ch.tangent_to_ambient(X[i], E[i])
-            E[i] = cand.tangent_from_ambient(best_x, Eamb)
+        W[i] = model.chart(best).tangent_from_ambient(best_x, ch.tangent_to_ambient(X[i], W[i]))
         X[i] = best_x
         chart_ids[i] = best
-    return chart_ids, X, V, E, failed
+    return not np.array_equal(chart_ids, before)
 
 
-def _reorthonormalize(model, chart_ids, X, V, E, Phi):
-    """Stabilized Gram process on the frames; Phi coordinates follow along.
+def _reorthonormalize(model, groups, Y):
+    """Stabilized Gram process on the frames, in place; Phi coordinates
+    follow along.
 
-    Returns the largest correction applied (logged, never silent).
+    Returns each row's correction max|M - I| (logged, never silent).
     """
     k = model.dim - 1
-    worst = 0.0
-    for cid, idx in _group_indices(chart_ids):
-        e = E[idx]
+    X, W, Phi = _unpack(Y, model.dim, True)
+    drift = np.empty(len(Y))
+    for cid, idx in groups:
+        e = W[idx, 1:]
         g = model.chart(cid).metric(X[idx])
-        newE = gram_schmidt(g, V[idx], e)
+        newE = gram_schmidt(g, W[idx, 0], e)
         M = np.einsum("bai,bij,bcj->bac", newE, g, e)
-        drift = np.nanmax(np.abs(M - np.eye(k))) if M.size else 0.0
-        worst = max(worst, float(drift))
-        corr = np.zeros(M.shape[:-2] + (2 * k, 2 * k))
-        corr[..., :k, :k] = M
-        corr[..., k:, k:] = M
-        Phi[idx] = np.einsum("bij,bjk->bik", corr, Phi[idx])
-        E[idx] = newE
+        drift[idx] = np.abs(M - np.eye(k)).max(axis=(-2, -1), initial=0.0)
+        # M acts on the E-coordinates of both halves of Phi
+        phi = np.einsum("bij,bsjc->bsic", M, Phi[idx].reshape(-1, 2, k, 2 * k))
+        Phi[idx] = phi.reshape(-1, 2 * k, 2 * k)
+        W[idx, 1:] = newE
+    worst = np.fmax.reduce(drift)
     if worst > 1e-9:
         log.info("frame re-orthonormalization applied correction of size %.3g", worst)
-    return E, Phi, worst
+    return drift
 
 
 def propagate(
@@ -220,8 +219,7 @@ def propagate(
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    single = isinstance(states, TangentState)
-    if single:
+    if isinstance(states, TangentState):
         states = [states]
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(t_grid < 0.0) or np.any(np.diff(t_grid) <= 0.0):
@@ -230,21 +228,20 @@ def propagate(
     n = model.dim
     k = n - 1
     chart_ids = np.array([s.chart_id for s in states], dtype=int)
-    X = np.stack([np.asarray(s.x, dtype=float) for s in states])
-    V = np.stack([np.asarray(s.v, dtype=float) for s in states])
+    # rows in charts with one coordinate metric share each kernel call
+    shared = model.shared_metric_ids()
+    Y = np.zeros((B, n + n * n + 4 * k * k if jacobi else 2 * n))
+    X, W, Phi = _unpack(Y, n, jacobi)
+    X[:] = [s.x for s in states]
+    W[:, 0] = [s.v for s in states]
     if jacobi:
         if frames0 is not None:
-            E = np.array(frames0, dtype=float).reshape(B, k, n)
+            W[:, 1:] = np.asarray(frames0, dtype=float).reshape(B, k, n)
         else:
-            E = np.empty((B, k, n))
-            for cid, idx in _group_indices(chart_ids):
-                E[idx] = model.orthonormal_frame(X[idx], V[idx], cid)
-        Phi = np.broadcast_to(np.eye(2 * k), (B, 2 * k, 2 * k)).copy()
-        frames_init = E.copy()
-    else:
-        E = np.zeros((B, 0, n))
-        Phi = np.zeros((B, 0, 0))
-        frames_init = None
+            for cid, idx in _group_indices(shared[chart_ids]):
+                W[idx, 1:] = model.orthonormal_frame(X[idx], W[idx, 0], cid)
+        Phi[:] = np.eye(2 * k)
+    frames_init = W[:, 1:].copy() if jacobi else None
 
     G = len(t_grid)
     phi_rec = np.empty((G, B, 2 * k, 2 * k)) if jacobi else None
@@ -256,7 +253,8 @@ def propagate(
     if multi_chart:
         # a state starting near a chart boundary, heading out, can cross it
         # before the first periodic check; frames_init stays in the caller's chart
-        chart_ids, X, V, E, failed = _switch_charts(model, chart_ids, X, V, E, failed, jacobi)
+        _switch_charts(model, chart_ids, Y, failed, jacobi)
+    groups = _group_indices(shared[chart_ids])
 
     t = 0.0
     nsteps = 0
@@ -265,57 +263,52 @@ def propagate(
     for gi, target in enumerate(t_grid):
         while t < target - 1e-12:
             h = min(step, target - t)
-            X, V, E, Phi = _rk4_step(model, chart_ids, X, V, E, Phi, h, force_fd, jacobi)
+            Y = _rk4_step(model, groups, Y, h, force_fd, jacobi)
             t += h
             nsteps += 1
             if accumulate_radial:
-                f_cur = np.abs(np.linalg.det(Phi[:, :k, k:]))
+                f_cur = np.abs(np.linalg.det(_unpack(Y, n, jacobi)[2][:, :k, k:]))
                 acc = acc + 0.5 * h * (f_prev + f_cur)
                 f_prev = f_cur
-            if multi_chart and nsteps % CHECK_EVERY == 0:
-                chart_ids, X, V, E, failed = _switch_charts(
-                    model, chart_ids, X, V, E, failed, jacobi)
+            if (multi_chart and nsteps % CHECK_EVERY == 0
+                    and _switch_charts(model, chart_ids, Y, failed, jacobi)):
+                groups = _group_indices(shared[chart_ids])
             if jacobi and nsteps % ORTHO_EVERY == 0:
-                E, Phi, worst = _reorthonormalize(model, chart_ids, X, V, E, Phi)
-                frame_drift = np.maximum(frame_drift, worst)
+                frame_drift = np.fmax(frame_drift, _reorthonormalize(model, groups, Y))
         t = float(target)
-        bad = ~np.isfinite(X).all(axis=-1) | ~np.isfinite(V).all(axis=-1)
-        if jacobi:
-            bad |= ~np.isfinite(Phi).all(axis=(-1, -2))
-        for i in np.nonzero(bad & ~failed)[0]:
+        bad = ~np.isfinite(Y).all(axis=-1) & ~failed
+        for i in np.nonzero(bad)[0]:
             log.warning("trajectory %d became non-finite by t=%.3g", i, t)
-            chart_ids[i] = 0
-            X[i] = model.base_x
-            V[i] = model.base_state().v
-            if jacobi:
-                E[i] = model.orthonormal_frame(X[i], V[i], 0)
-                Phi[i] = np.eye(2 * k)
-        failed |= bad
+            _park(model, chart_ids, Y, i, jacobi)
+        if bad.any():
+            failed |= bad
+            groups = _group_indices(shared[chart_ids])
+        X, W, Phi = _unpack(Y, n, jacobi)
         if jacobi:
             phi_rec[gi] = Phi
         if accumulate_radial:
             radial[gi] = acc
         if record_states:
-            rec_states.append((chart_ids.copy(), X.copy(), V.copy(),
-                               E.copy() if jacobi else None))
+            rec_states.append((chart_ids.copy(), X.copy(), W[:, 0].copy(),
+                               W[:, 1:].copy() if jacobi else None))
 
     speed = np.empty(B)
-    for cid, idx in _group_indices(chart_ids):
+    for cid, idx in groups:
         g = model.chart(cid).metric(X[idx])
-        speed[idx] = np.einsum("bi,bij,bj->b", V[idx], g, V[idx])
+        speed[idx] = np.einsum("bi,bij,bj->b", W[idx, 0], g, W[idx, 0])
     speed_drift = np.abs(speed - 1.0)
     if np.all(failed):
         raise IntegrationError(
             "all trajectories failed during integration",
-            last_state=(chart_ids, X, V),
+            last_state=(chart_ids, X, W[:, 0]),
         )
     return PropagationResult(
         t_grid=t_grid,
         chart_ids=chart_ids,
         x=X,
-        v=V,
+        v=W[:, 0],
         frames0=frames_init,
-        frames=E if jacobi else None,
+        frames=W[:, 1:] if jacobi else None,
         phi=phi_rec,
         radial=radial,
         failed=failed,

@@ -113,6 +113,11 @@ class ManifoldModel:
     def chart(self, chart_id=0):
         return self.charts[chart_id]
 
+    def shared_metric_ids(self):
+        """Per chart, the first chart id with the same coordinate metric."""
+        keys = [ch.metric_key() for ch in self.charts]
+        return np.array([keys.index(key) for key in keys])
+
     def metric(self, x, chart_id=0):
         x = np.asarray(x, dtype=float)
         _charts.require_in_domain(self.chart(chart_id), x)

@@ -215,14 +215,13 @@ def test_criterion_09_structural_invariants(all_models):
         ends = splits + rng.uniform(0.5, 2.5, per_model)
         res = geodesics.propagate(model, thetas, np.linspace(0.5, 5.0, 10),
                                   step=1e-2)
-        for b in range(per_model):
-            gi = int(np.searchsorted(res.t_grid, splits[b]))
-            gj = int(np.searchsorted(res.t_grid, ends[b]))
-            phi_s, phi_t = res.phi[gi, b], res.phi[gj, b]
-            leg = phi_t @ np.linalg.inv(phi_s)
-            lhs = geodesics.expansion(phi_t)
-            rhs = geodesics.expansion(leg) * geodesics.expansion(phi_s)
-            sub_ok = sub_ok and lhs <= rhs * (1.0 + 1e-9)
+        rows = np.arange(per_model)
+        phi_s = res.phi[np.searchsorted(res.t_grid, splits), rows]
+        phi_t = res.phi[np.searchsorted(res.t_grid, ends), rows]
+        leg = phi_t @ np.linalg.inv(phi_s)
+        lhs = geodesics.expansion(phi_t)
+        rhs = geodesics.expansion(leg) * geodesics.expansion(phi_s)
+        sub_ok = sub_ok and bool(np.all(lhs <= rhs * (1.0 + 1e-9)))
 
     ok = det_ok and recip_ok and sub_ok
     _report(9, ok,

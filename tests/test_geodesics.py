@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from geoflow import geodesics, manifolds
+from geoflow import charts, geodesics, manifolds
 from geoflow.errors import IntegrationError
 
 
@@ -247,6 +247,20 @@ class TestJacobiPropagation:
                                        frames0=E[0][None])
             assert np.abs(res2.phi[0, 0] @ phi_s - phi_st).max() < 1e-6
 
+    def test_row_alone_matches_row_in_batch(self, elli):
+        # the batch spans both ellipsoid charts; frame_drift is each row's own
+        states = elli.sample_sphere_bundle(6, seed=5)
+        grid = [1.5, 3.0]
+        batch = geodesics.propagate(elli, states, grid, step=1e-2, record_states=True)
+        assert len({int(c) for cids, *_ in batch.states for c in cids}) >= 2
+        for i, theta in enumerate(states):
+            alone = geodesics.propagate(elli, theta, grid, step=1e-2)
+            for got, want in ((alone.x[0], batch.x[i]), (alone.v[0], batch.v[i]),
+                              (alone.phi[:, 0], batch.phi[:, i]),
+                              (alone.speed_drift[0], batch.speed_drift[i]),
+                              (alone.frame_drift[0], batch.frame_drift[i])):
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
     def test_split_submultiplicativity_along_flow(self, elli):
         theta = elli.sample_sphere_bundle(1, seed=12)[0]
         res = geodesics.propagate(elli, theta, [2.0, 5.0], step=1e-2)
@@ -254,6 +268,42 @@ class TestJacobiPropagation:
         leg = phi_t @ np.linalg.inv(phi_s)
         ex_t = geodesics.expansion(phi_t)
         assert ex_t <= geodesics.expansion(leg) * geodesics.expansion(phi_s) * (1 + 1e-9)
+
+
+class TestKernelCalls:
+    """The benchmark reads these counts: one Christoffel call per RK4 stage
+    while the rows share a coordinate metric, one ``_rk4_step`` per step."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"christoffel": 0, "rows": []}
+        christoffel, rk4_step = charts.christoffel, geodesics._rk4_step
+
+        def counting_christoffel(*args, **kwargs):
+            calls["christoffel"] += 1
+            return christoffel(*args, **kwargs)
+
+        def counting_rk4_step(*args, **kwargs):
+            calls["rows"].append(len(args[2]))
+            return rk4_step(*args, **kwargs)
+
+        monkeypatch.setattr(charts, "christoffel", counting_christoffel)
+        monkeypatch.setattr(geodesics, "_rk4_step", counting_rk4_step)
+        return calls
+
+    def test_batch_one(self, h2, calls):
+        # a binary step lands on the grid exactly: 64 steps
+        geodesics.propagate(h2, h2.base_state(), [0.5, 1.0], step=1 / 64)
+        assert calls["rows"] == [1] * 64
+        assert calls["christoffel"] == 4 * 64
+
+    def test_radial_batch_across_charts(self, s2, calls):
+        angles = 2 * np.pi * np.arange(8) / 8
+        states = [s2.unit_tangent(s2.base_x, [np.cos(a), np.sin(a)]) for a in angles]
+        res = geodesics.propagate(s2, states, [1.0, 2.0], step=1 / 64, accumulate_radial=True)
+        assert len(set(res.chart_ids.tolist())) >= 2
+        assert calls["rows"] == [8] * 128
+        assert calls["christoffel"] == 4 * 128
 
 
 class TestExpBallJacobian:

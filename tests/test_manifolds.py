@@ -75,6 +75,29 @@ class TestChristoffel:
         gam = model.christoffel(np.zeros(2))
         assert np.allclose(gam, 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("name", ["s2", "s4", "h2", "h3", "torus2", "s2xs2"])
+    def test_closed_form_matches_general_formula(self, name, request):
+        # diagonal and product charts against 0.5 g^-1 (dg + dg - dg) built
+        # from metric and d_metric, at 20 points, 5 of them near a pole or
+        # the hyperbolic center, inside the switch margin
+        model = manifolds.hyperbolic(3) if name == "h3" else request.getfixturevalue(name)
+        ch = model.chart(0)
+        rng = np.random.default_rng(13)
+        x = rng.uniform(0.05, np.pi - 0.05, (20, model.dim))
+        x[:5, 0] = rng.uniform(0.01, 0.09, 5)
+        gam = charts.christoffel(ch, x)
+        oracle = charts.Chart.christoffel(ch, x)
+        if model.kind == "torus":
+            assert np.array_equal(gam, np.zeros_like(gam))
+        else:
+            assert np.sum(ch.margin(x) < 0.2) >= 5
+        np.testing.assert_allclose(gam, oracle, rtol=1e-12, atol=1e-12)
+
+    def test_charts_sharing_a_coordinate_metric(self, all_models):
+        shared = {name: model.shared_metric_ids().tolist() for name, model in all_models.items()}
+        assert shared == {"sphere": [0, 0, 0], "torus": [0], "hyperbolic": [0, 0],
+                          "ellipsoid": [0, 1], "sphereprod": [0] * 9, "chart-metric": [0]}
+
     def test_symmetric_lower_indices(self, all_models):
         for name, model in all_models.items():
             st_ = model.sample_sphere_bundle(5, seed=3)
