@@ -49,8 +49,8 @@ def generator_matrix(K):
     return out
 
 
-def jacobi_generator(model: ManifoldModel, theta: TangentState, force_fd=False):
-    spec = model.curvature_operator(theta, force_fd=force_fd)
+def jacobi_generator(model: ManifoldModel, theta: TangentState):
+    spec = model.curvature_operator(theta)
     return JacobiGenerator(
         theta=theta,
         eigenvalues=spec.eigenvalues,
@@ -59,7 +59,7 @@ def jacobi_generator(model: ManifoldModel, theta: TangentState, force_fd=False):
     )
 
 
-def first_order_expansion(model, theta, delta, force_fd=False):
+def first_order_expansion(model, theta, delta):
     """Product formula for the expansion of the time-delta flow differential.
 
     Returns prod_i (1 + (delta/2)|1 - lambda_i|); when every lambda_i <= 1
@@ -69,7 +69,7 @@ def first_order_expansion(model, theta, delta, force_fd=False):
     """
     if delta < 0.0:
         raise ValueError("delta must be non-negative")
-    lam = model.curvature_operator(theta, force_fd=force_fd).eigenvalues
+    lam = model.curvature_operator(theta).eigenvalues
     if delta > 0.0 and 0.5 * delta * float(np.max(np.abs(1.0 - lam))) >= 1.0:
         raise DeltaTooLargeError(
             "delta too large: a first-order factor 1 + (delta/2)(1 - lambda) "
@@ -85,7 +85,7 @@ def symmetric_sqrt(mat):
     return (V * np.sqrt(w)) @ V.T
 
 
-def first_order_residual(model, theta, delta, step=None, force_fd=False):
+def first_order_residual(model, theta, delta, step=None):
     """Operator-norm distance between the polar factor of the time-delta flow
     differential and its first-order curvature form.
 
@@ -99,21 +99,20 @@ def first_order_residual(model, theta, delta, step=None, force_fd=False):
         return 0.0
     if step is None:
         step = min(1e-3, delta / 20.0)
-    prop = propagate_jacobi(model, theta, delta, step=step, force_fd=force_fd)
-    K = model.curvature_frame_matrix(theta.x, theta.v, prop.frame0,
-                                     theta.chart_id, force_fd)
+    prop = propagate_jacobi(model, theta, delta, step=step)
+    K = model.curvature_frame_matrix(theta.x, theta.v, prop.frame0, theta.chart_id)
     gen = generator_matrix(K)
     first_order = np.eye(gen.shape[0]) + 0.5 * delta * (gen + gen.T)
     polar = symmetric_sqrt(prop.phi.T @ prop.phi)
     return float(np.linalg.norm(polar - first_order, ord=2))
 
 
-def expansion_defect(model, theta, delta, step=None, force_fd=False):
+def expansion_defect(model, theta, delta, step=None):
     """|expansion(Phi(delta)) - first_order_expansion(theta, delta)|."""
     if step is None:
         step = min(1e-3, delta / 20.0)
-    prop = propagate_jacobi(model, theta, delta, step=step, force_fd=force_fd)
-    return abs(expansion(prop.phi) - first_order_expansion(model, theta, delta, force_fd))
+    prop = propagate_jacobi(model, theta, delta, step=step)
+    return abs(expansion(prop.phi) - first_order_expansion(model, theta, delta))
 
 
 def expansion_defect_constants(model, thetas, deltas=(1e-2, 5e-3, 2.5e-3), step=None):

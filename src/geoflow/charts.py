@@ -191,38 +191,6 @@ def _diagonal_tables(n):
     return gamma, upper
 
 
-class EmbeddedMetricChart(Chart):
-    """Chart whose metric is induced by an explicit ambient embedding.
-
-    Subclasses supply ``embed``/``d_embed``/``d2_embed``; the metric and its
-    derivative follow from the chain rule.  ``d2_embed`` has shape
-    ``(..., m, n, n)`` indexed ``[a, i, j] = d_i d_j E_a``.
-    """
-
-    def d2_embed(self, x):
-        raise NotImplementedError
-
-    def _pair(self, A, B):
-        eta = self.ambient_signature
-        if eta is None:
-            return np.einsum("...mi,...mj->...ij", A, B)
-        return np.einsum("...mi,mq,...qj->...ij", A, eta, B)
-
-    def metric(self, x):
-        J = self.d_embed(x)
-        return self._pair(J, J)
-
-    def d_metric(self, x):
-        J = self.d_embed(x)
-        H = self.d2_embed(x)
-        eta = self.ambient_signature
-        if eta is None:
-            term = np.einsum("...mki,...mj->...kij", np.swapaxes(H, -1, -2), J)
-        else:
-            term = np.einsum("...mik,mq,...qj->...kij", H, eta, J)
-        return term + np.swapaxes(term, -2, -1)
-
-
 class SphereChart(DiagonalChart):
     """Round sphere S^n(r) in hyperspherical angles, pole frame rotated by Q.
 
@@ -248,8 +216,6 @@ class SphereChart(DiagonalChart):
 
     def margin(self, x):
         x = np.asarray(x, dtype=float)
-        if self.dim == 1:
-            return np.ones(x.shape[:-1])
         return np.prod(np.abs(np.sin(x[..., : self.dim - 1])), axis=-1)
 
     def wrap(self, x):
@@ -331,7 +297,7 @@ class HyperbolicChart(DiagonalChart):
     def embed(self, x):
         x = np.asarray(x, dtype=float)
         rho = x[..., 0]
-        u = sphere_embed(x[..., 1:]) if self.dim > 1 else np.ones(x.shape[:-1] + (1,))
+        u = sphere_embed(x[..., 1:])
         p = np.empty(x.shape[:-1] + (self.dim + 1,))
         p[..., 0] = np.cosh(self.kappa * rho)
         p[..., 1:] = np.sinh(self.kappa * rho)[..., None] * u
@@ -390,11 +356,13 @@ class FlatTorusChart(DiagonalChart):
         return self.metric(x)
 
 
-class EllipsoidChart(EmbeddedMetricChart):
+class EllipsoidChart(Chart):
     """Two-dimensional ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1.
 
     Coordinates (u, phi): the ambient axis ``axes[2]`` carries cos(u) (the
     chart poles); the other two carry sin(u) cos(phi) and sin(u) sin(phi).
+    The metric and its derivative follow from the embedding by the chain
+    rule; ``d2_embed`` has shape (..., 3, 2, 2) indexed [a, i, j] = d_i d_j E_a.
     """
 
     dim = 2
@@ -429,6 +397,16 @@ class EllipsoidChart(EmbeddedMetricChart):
         J[..., j, 1] = self.semi[j] * su * cp
         J[..., k, 0] = -self.semi[k] * su
         return J
+
+    def metric(self, x):
+        J = self.d_embed(x)
+        return np.einsum("...mi,...mj->...ij", J, J)
+
+    def d_metric(self, x):
+        J = self.d_embed(x)
+        H = self.d2_embed(x)
+        term = np.einsum("...mki,...mj->...kij", np.swapaxes(H, -1, -2), J)
+        return term + np.swapaxes(term, -2, -1)
 
     def d2_embed(self, x):
         u, phi, su, cu, sp, cp = self._parts(x)
@@ -469,18 +447,6 @@ class ProductChart(Chart):
         self.dim = first.dim + second.dim
         self.ambient_dim = first.ambient_dim + second.ambient_dim
         self.split = first.dim
-        e1 = first.ambient_signature
-        e2 = second.ambient_signature
-        if e1 is None and e2 is None:
-            self.ambient_signature = None
-        else:
-            m1, m2 = first.ambient_dim, second.ambient_dim
-            eta = np.eye(m1 + m2)
-            if e1 is not None:
-                eta[:m1, :m1] = e1
-            if e2 is not None:
-                eta[m1:, m1:] = e2
-            self.ambient_signature = eta
 
     def _halves(self, x):
         x = np.asarray(x, dtype=float)
@@ -545,23 +511,18 @@ class CallableMetricChart(Chart):
     """User-supplied metric function on a box domain; derivatives by central
     differences with one Richardson extrapolation (step ``h``)."""
 
-    def __init__(self, func, dim, domain=None, h=1e-4, vectorized=False):
+    def __init__(self, func, dim, domain=None, h=1e-4):
         self.func = func
         self.dim = dim
         self.ambient_dim = dim
         self.domain = None if domain is None else np.asarray(domain, dtype=float)
         self.h = float(h)
-        self.vectorized = vectorized
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
-        if self.vectorized:
-            g = np.asarray(self.func(x), dtype=float)
-        else:
-            flat = x.reshape(-1, self.dim)
-            g = np.stack([np.asarray(self.func(pt), dtype=float) for pt in flat])
-            g = g.reshape(x.shape[:-1] + (self.dim, self.dim))
-        return g
+        flat = x.reshape(-1, self.dim)
+        g = np.stack([np.asarray(self.func(pt), dtype=float) for pt in flat])
+        return g.reshape(x.shape[:-1] + (self.dim, self.dim))
 
     def _central(self, x, h):
         dg = np.empty(np.shape(x)[:-1] + (self.dim,) * 3)

@@ -100,13 +100,7 @@ def mane_series(model: ManifoldModel, t_grid, samples, seed=0, step=1e-3):
         states = model.sample_sphere_bundle(samples, seed)
         mode = "homogeneous-directions" if model.homogeneous else "full-bundle"
     res = propagate(model, states, t_grid, step=step)
-    n_failed = int(res.failed.sum())
-    if n_failed > 0.01 * len(states):
-        raise EstimatorError(
-            f"{n_failed}/{len(states)} trajectories failed",
-            failure_census={"failed": n_failed, "total": len(states)},
-        )
-    ok = ~res.failed
+    n_failed, ok = _census(res.failed, "trajectories")
     B = int(ok.sum())
     ex = expansion(res.phi[:, ok])
     mean = np.mean(ex, axis=1)
@@ -127,6 +121,18 @@ def mane_series(model: ManifoldModel, t_grid, samples, seed=0, step=1e-3):
             "failed": n_failed,
         },
     )
+
+
+def _census(failed, what):
+    """Number of failed rows and the mask of the rest; more than 1% failed
+    raises :class:`EstimatorError`."""
+    n_failed = int(failed.sum())
+    if n_failed > 0.01 * len(failed):
+        raise EstimatorError(
+            f"{n_failed}/{len(failed)} {what} failed",
+            failure_census={"failed": n_failed, "total": len(failed)},
+        )
+    return n_failed, ~failed
 
 
 def slope(series: GrowthSeries, window=None):
@@ -177,8 +183,8 @@ def _directions_at(model, x, count, seed, chart_id=0):
     uniform sampling (with a split-half convergence check downstream).
     """
     n = model.dim
-    g = model.chart(chart_id).metric(x)
     if n == 2:
+        g = model.chart(chart_id).metric(x)
         b1 = np.zeros(n)
         b1[0] = 1.0
         b1 = b1 / math.sqrt(float(b1 @ g @ b1))
@@ -187,13 +193,7 @@ def _directions_at(model, x, count, seed, chart_id=0):
         dirs = np.outer(np.cos(beta), b1) + np.outer(np.sin(beta), b2)
         weights = np.full(count, 2.0 * math.pi / count)
         return dirs, weights, "angles"
-    rng = np.random.default_rng(seed)
-    L = np.linalg.cholesky(g)
-    Z = rng.standard_normal((count, n))
-    Z = Z / np.linalg.norm(Z, axis=-1, keepdims=True)
-    dirs = np.linalg.solve(np.broadcast_to(L.T, (count, n, n)), Z[..., None])[..., 0]
-    nrm = np.sqrt(np.einsum("bi,ij,bj->b", dirs, g, dirs))
-    dirs = dirs / nrm[..., None]
+    dirs = model.unit_directions(x, count, np.random.default_rng(seed), chart_id)
     weights = np.full(count, _unit_sphere_area(n) / count)
     return dirs, weights, "monte-carlo"
 
@@ -208,13 +208,7 @@ def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0, cha
     dirs, weights, rule = _directions_at(model, x, angular_samples, seed, chart_id)
     states = [model.unit_tangent(x, d, chart_id) for d in dirs]
     res = propagate(model, states, T_grid, step=step, accumulate_radial=True)
-    n_failed = int(res.failed.sum())
-    if n_failed > 0.01 * len(states):
-        raise EstimatorError(
-            f"{n_failed}/{len(states)} directions failed",
-            failure_census={"failed": n_failed, "total": len(states)},
-        )
-    ok = ~res.failed
+    n_failed, ok = _census(res.failed, "directions")
     w = weights[ok]
     radial = res.radial[:, ok]
     totals = radial @ w

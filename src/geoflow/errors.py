@@ -14,7 +14,11 @@ class NumericsError(GeoflowError, ArithmeticError):
 
 
 class IntegrationError(GeoflowError):
-    """Trajectory integration failed; carries the last valid state."""
+    """Trajectory integration failed.
+
+    ``last_state`` is (chart ids, x, v), one row per trajectory, taken when
+    each failed: where it ran out of charts, or where it was found non-finite.
+    """
 
     def __init__(self, message, last_state=None):
         super().__init__(message)

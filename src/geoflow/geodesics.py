@@ -101,7 +101,7 @@ def _unpack(Y, n, jacobi):
     return Y[:, :n], W, Phi
 
 
-def _derivatives(model, groups, Y, force_fd, jacobi):
+def _derivatives(model, groups, Y, jacobi):
     k = model.dim - 1
     X, W, Phi = _unpack(Y, model.dim, jacobi)
     dY = np.empty_like(Y)
@@ -114,24 +114,27 @@ def _derivatives(model, groups, Y, force_fd, jacobi):
         dW[idx] = -np.einsum("blij,bi,baj->bal", gam, w[:, 0], w)
         if not jacobi:
             continue
-        K = model.curvature_frame_matrix(x, w[:, 0], w[:, 1:], cid, force_fd)
+        K = model.curvature_frame_matrix(x, w[:, 0], w[:, 1:], cid)
         phi = Phi[idx]
         dPhi[idx, :k] = phi[:, k:]
         dPhi[idx, k:] = -np.einsum("bij,bjk->bik", K, phi[:, :k])
     return dY
 
 
-def _rk4_step(model, groups, Y, h, force_fd, jacobi):
-    k1 = _derivatives(model, groups, Y, force_fd, jacobi)
-    k2 = _derivatives(model, groups, Y + (h / 2.0) * k1, force_fd, jacobi)
-    k3 = _derivatives(model, groups, Y + (h / 2.0) * k2, force_fd, jacobi)
-    k4 = _derivatives(model, groups, Y + h * k3, force_fd, jacobi)
+def _rk4_step(model, groups, Y, h, jacobi):
+    k1 = _derivatives(model, groups, Y, jacobi)
+    k2 = _derivatives(model, groups, Y + (h / 2.0) * k1, jacobi)
+    k3 = _derivatives(model, groups, Y + (h / 2.0) * k2, jacobi)
+    k4 = _derivatives(model, groups, Y + h * k3, jacobi)
     return Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _park(model, chart_ids, Y, i, jacobi):
-    """Park failed row i at the base state, keeping batched linear algebra clean."""
+def _park(model, chart_ids, Y, i, jacobi, lost):
+    """Park failed row i at the base state, keeping batched linear algebra
+    clean; its chart id, x and v at failure go to row i of ``lost``."""
     X, W, Phi = _unpack(Y, model.dim, jacobi)
+    for rec, val in zip(lost, (chart_ids[i], X[i], W[i, 0])):
+        rec[i] = val
     chart_ids[i] = 0
     X[i] = model.base_x
     W[i, 0] = model.base_state().v
@@ -140,7 +143,7 @@ def _park(model, chart_ids, Y, i, jacobi):
         Phi[i] = np.eye(len(Phi[i]))
 
 
-def _switch_charts(model, chart_ids, Y, failed, jacobi):
+def _switch_charts(model, chart_ids, Y, failed, lost, jacobi):
     """Move trajectories that approach a chart boundary to a better chart, in
     place; returns whether any chart id changed."""
     X, W, _ = _unpack(Y, model.dim, jacobi)
@@ -166,7 +169,7 @@ def _switch_charts(model, chart_ids, Y, failed, jacobi):
             if best_m < MARGIN_FLOOR:
                 failed[i] = True
                 log.warning("trajectory %d exhausted all charts (margin %.3g)", i, best_m)
-                _park(model, chart_ids, Y, i, jacobi)
+                _park(model, chart_ids, Y, i, jacobi, lost)
             continue
         W[i] = model.chart(best).tangent_from_ambient(best_x, ch.tangent_to_ambient(X[i], W[i]))
         X[i] = best_x
@@ -207,7 +210,6 @@ def propagate(
     *,
     jacobi=True,
     frames0=None,
-    force_fd=False,
     accumulate_radial=False,
     record_states=False,
 ):
@@ -248,12 +250,14 @@ def propagate(
     radial = np.zeros((G, B)) if accumulate_radial else None
     rec_states = []
     failed = np.zeros(B, dtype=bool)
+    # chart id, x and v of each failed row at the moment it failed
+    lost = (chart_ids.copy(), np.empty((B, n)), np.empty((B, n)))
     frame_drift = np.zeros(B)
     multi_chart = len(model.charts) > 1
     if multi_chart:
         # a state starting near a chart boundary, heading out, can cross it
         # before the first periodic check; frames_init stays in the caller's chart
-        _switch_charts(model, chart_ids, Y, failed, jacobi)
+        _switch_charts(model, chart_ids, Y, failed, lost, jacobi)
     groups = _group_indices(shared[chart_ids])
 
     t = 0.0
@@ -263,7 +267,7 @@ def propagate(
     for gi, target in enumerate(t_grid):
         while t < target - 1e-12:
             h = min(step, target - t)
-            Y = _rk4_step(model, groups, Y, h, force_fd, jacobi)
+            Y = _rk4_step(model, groups, Y, h, jacobi)
             t += h
             nsteps += 1
             if accumulate_radial:
@@ -271,7 +275,7 @@ def propagate(
                 acc = acc + 0.5 * h * (f_prev + f_cur)
                 f_prev = f_cur
             if (multi_chart and nsteps % CHECK_EVERY == 0
-                    and _switch_charts(model, chart_ids, Y, failed, jacobi)):
+                    and _switch_charts(model, chart_ids, Y, failed, lost, jacobi)):
                 groups = _group_indices(shared[chart_ids])
             if jacobi and nsteps % ORTHO_EVERY == 0:
                 frame_drift = np.fmax(frame_drift, _reorthonormalize(model, groups, Y))
@@ -279,7 +283,7 @@ def propagate(
         bad = ~np.isfinite(Y).all(axis=-1) & ~failed
         for i in np.nonzero(bad)[0]:
             log.warning("trajectory %d became non-finite by t=%.3g", i, t)
-            _park(model, chart_ids, Y, i, jacobi)
+            _park(model, chart_ids, Y, i, jacobi, lost)
         if bad.any():
             failed |= bad
             groups = _group_indices(shared[chart_ids])
@@ -298,10 +302,7 @@ def propagate(
         speed[idx] = np.einsum("bi,bij,bj->b", W[idx, 0], g, W[idx, 0])
     speed_drift = np.abs(speed - 1.0)
     if np.all(failed):
-        raise IntegrationError(
-            "all trajectories failed during integration",
-            last_state=(chart_ids, X, W[:, 0]),
-        )
+        raise IntegrationError("all trajectories failed during integration", last_state=lost)
     return PropagationResult(
         t_grid=t_grid,
         chart_ids=chart_ids,
@@ -325,9 +326,6 @@ def integrate_geodesic(model, theta, t_end, step=1e-3):
     if t_end == 0.0:
         return GeodesicState(0.0, theta.chart_id, theta.x.copy(), theta.v.copy(), 0.0)
     res = propagate(model, theta, [t_end], step=step, jacobi=False)
-    if res.failed[0]:
-        raise IntegrationError("geodesic left every chart domain",
-                               last_state=(res.chart_ids[0], res.x[0], res.v[0]))
     return GeodesicState(
         t=float(t_end),
         chart_id=int(res.chart_ids[0]),
@@ -337,7 +335,7 @@ def integrate_geodesic(model, theta, t_end, step=1e-3):
     )
 
 
-def propagate_jacobi(model, theta, t_end, step=1e-3, force_fd=False):
+def propagate_jacobi(model, theta, t_end, step=1e-3):
     """Fundamental solution of the Jacobi system on [0, t_end] along theta."""
     if t_end < 0.0:
         raise ValueError("t_end must be non-negative")
@@ -347,10 +345,7 @@ def propagate_jacobi(model, theta, t_end, step=1e-3, force_fd=False):
         return JacobiPropagation(theta, 0.0, theta.chart_id, theta.x.copy(),
                                  theta.v.copy(), frame, frame.copy(),
                                  np.eye(2 * k), 0.0, 0.0)
-    res = propagate(model, theta, [t_end], step=step, force_fd=force_fd)
-    if res.failed[0]:
-        raise IntegrationError("trajectory left every chart domain",
-                               last_state=(res.chart_ids[0], res.x[0], res.v[0]))
+    res = propagate(model, theta, [t_end], step=step)
     return JacobiPropagation(
         theta=theta,
         t=float(t_end),

@@ -11,13 +11,14 @@ extremes, and seeded sampling of the unit sphere bundle.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import charts as _charts
-from .errors import ChartDomainError, NumericsError
+from .errors import NumericsError
 
 _TWO_PI = 2.0 * np.pi
 
@@ -227,11 +228,11 @@ class ManifoldModel:
         vecs = np.einsum("...ik,...im->...km", V, frame)
         return CurvatureSpectrum(theta, w, vecs)
 
-    def ricci(self, theta, force_fd=False):
+    def ricci(self, theta):
         """Ricci curvature in the direction of a unit tangent vector."""
         self._check_unit(theta)
         frame = self.orthonormal_frame(theta.x, theta.v, theta.chart_id)
-        K = self.curvature_frame_matrix(theta.x, theta.v, frame, theta.chart_id, force_fd)
+        K = self.curvature_frame_matrix(theta.x, theta.v, frame, theta.chart_id)
         return float(np.trace(K))
 
     def sectional(self, x, u, w, chart_id=0, force_fd=False):
@@ -289,86 +290,50 @@ class ManifoldModel:
         states = self.sample_sphere_bundle(10 * sample_count, seed)
         X = np.stack([s.x for s in states])
         V = np.stack([s.v for s in states])
-        g = self.chart(0).metric(X)
         # random unit vector in the complement of V: combine frame vectors
         frame = self.orthonormal_frame(X, V)
         coeff = rng.standard_normal(X.shape[:-1] + (self.dim - 1,))
         coeff = coeff / np.linalg.norm(coeff, axis=-1, keepdims=True)
         W = np.einsum("...k,...ki->...i", coeff, frame)
         K = self.sectional(X, V, W)
-        ric = np.array([self.ricci(s) for s in states])
+        ric = np.trace(self.curvature_frame_matrix(X, V, frame), axis1=-2, axis2=-1)
 
-        def refine(idx_sorted, direction):
-            best = None
-            for i in idx_sorted:
-                val = self._ascend_plane(X[i], V[i], W[i], direction)
-                if best is None or direction * val > direction * best:
-                    best = val
-            return best
+        def ricci(x, v):
+            return self.ricci(self.unit_tangent(x, v))
 
         top = max(1, len(states) // 100)
-        kmax = refine(np.argsort(K)[::-1][:top], +1.0)
-        kmin = refine(np.argsort(K)[:top], -1.0)
-        rmin = min(self._ascend_ricci(states[i]) for i in np.argsort(ric)[:top])
+        kmax = max(self._ascend(self.sectional, (X[i], V[i], W[i]), +1.0)
+                   for i in np.argsort(K)[::-1][:top])
+        kmin = min(self._ascend(self.sectional, (X[i], V[i], W[i]), -1.0)
+                   for i in np.argsort(K)[:top])
+        rmin = min(self._ascend(ricci, (X[i], V[i]), -1.0) for i in np.argsort(ric)[:top])
         tol = 1e-3
         kmax = kmax + tol * abs(kmax)
         kmin = kmin - tol * abs(kmin)
         rmin = rmin - tol * abs(rmin)
         return float(kmax), float(kmin), float(rmin)
 
-    def _ascend_plane(self, x, u, w, direction, rounds=8, step0=0.2):
-        """Shrinking-step coordinate ascent of the sectional curvature."""
-        x, u, w = x.copy(), u.copy(), w.copy()
-        cur = float(self.sectional(x, u, w))
-        step = step0
-        n = self.dim
-        for _ in range(rounds):
-            improved = False
-            for which in range(3):
-                for k in range(n):
-                    for sgn in (+1.0, -1.0):
-                        xx, uu, ww = x.copy(), u.copy(), w.copy()
-                        if which == 0:
-                            xx[k] += sgn * step
-                            if float(self.chart(0).margin(xx)) <= 1e-6:
-                                continue
-                        elif which == 1:
-                            uu[k] += sgn * step
-                        else:
-                            ww[k] += sgn * step
-                        try:
-                            val = float(self.sectional(xx, uu, ww))
-                        except (ChartDomainError, NumericsError, FloatingPointError):
-                            continue
-                        if direction * val > direction * cur + 1e-14:
-                            x, u, w, cur = xx, uu, ww, val
-                            improved = True
-            if not improved:
-                step *= 0.5
-        return cur
-
-    def _ascend_ricci(self, state, rounds=8, step0=0.2):
-        x, v = state.x.copy(), state.v.copy()
-        cur = self.ricci(self.unit_tangent(x, v))
+    def _ascend(self, f, parts, direction, rounds=8, step0=0.2):
+        """Shrinking-step coordinate ascent of direction * f(*parts) over the
+        chart point parts[0] and the vectors after it."""
+        parts = [p.copy() for p in parts]
+        cur = float(f(*parts))
         step = step0
         for _ in range(rounds):
             improved = False
-            for which in range(2):
+            for which in range(len(parts)):
                 for k in range(self.dim):
                     for sgn in (+1.0, -1.0):
-                        xx, vv = x.copy(), v.copy()
-                        if which == 0:
-                            xx[k] += sgn * step
-                            if float(self.chart(0).margin(xx)) <= 1e-6:
-                                continue
-                        else:
-                            vv[k] += sgn * step
-                        try:
-                            val = self.ricci(self.unit_tangent(xx, vv))
-                        except (ChartDomainError, NumericsError, ValueError):
+                        trial = [p.copy() for p in parts]
+                        trial[which][k] += sgn * step
+                        if which == 0 and float(self.chart(0).margin(trial[0])) <= 1e-6:
                             continue
-                        if val < cur - 1e-14:
-                            x, v, cur = xx, vv, val
+                        try:
+                            val = float(f(*trial))
+                        except (ValueError, NumericsError, FloatingPointError):
+                            continue
+                        if direction * val > direction * cur + 1e-14:
+                            parts, cur = trial, val
                             improved = True
             if not improved:
                 step *= 0.5
@@ -390,14 +355,20 @@ class ManifoldModel:
             X = np.tile(self.base_x, (count, 1))
         else:
             X = self._rejection_positions(count, rng)
-        g = self.chart(0).metric(X)
-        L = np.linalg.cholesky(g)
-        Z = rng.standard_normal((count, self.dim))
-        Z = Z / np.linalg.norm(Z, axis=-1, keepdims=True)
-        V = np.linalg.solve(np.swapaxes(L, -1, -2), Z[..., None])[..., 0]
-        nrm = np.sqrt(np.einsum("...i,...ij,...j->...", V, g, V))
-        V = V / nrm[..., None]
+        V = self.unit_directions(X, count, rng)
         return [TangentState(0, X[i], V[i]) for i in range(count)]
+
+    def unit_directions(self, x, count, rng, chart_id=0):
+        """``count`` seeded directions uniform on the g(x)-unit sphere, (count, n);
+        x is one chart point or one per direction."""
+        n = self.dim
+        g = self.chart(chart_id).metric(x)
+        L = np.linalg.cholesky(g)
+        Z = rng.standard_normal((count, n))
+        Z = Z / np.linalg.norm(Z, axis=-1, keepdims=True)
+        LT = np.broadcast_to(np.swapaxes(L, -1, -2), (count, n, n))
+        V = np.linalg.solve(LT, Z[..., None])[..., 0]
+        return V / np.sqrt(_g_inner(V, g, V))[..., None]
 
     def _rejection_positions(self, count, rng):
         box, bound = self._sample_box()
@@ -419,22 +390,11 @@ class ManifoldModel:
     def _sample_box(self):
         """Chart-0 sampling box and an upper bound for sqrt(det g) on it."""
         ch = self.chart(0)
-        if self.kind == "torus":
-            box = np.stack([np.zeros(self.dim), ch.periods], axis=1)
-            return box, 1.0
         if self.kind == "sphere":
             box = np.array([[1e-3, np.pi - 1e-3]] * (self.dim - 1) + [[0.0, _TWO_PI]])
             return box, ch.radius**self.dim * 1.0001
         if self.kind == "ellipsoid":
             box = np.array([[1e-3, np.pi - 1e-3], [0.0, _TWO_PI]])
-        elif self.kind == "hyperbolic":
-            box = np.array([[1e-3, 3.0]] + [[1e-3, np.pi - 1e-3]] * (self.dim - 2) + [[0.0, _TWO_PI]])
-        elif self.kind == "sphereprod":
-            p = self.factors[0].dim
-            box = np.array(
-                [[1e-3, np.pi - 1e-3]] * (p - 1) + [[0.0, _TWO_PI]]
-                + [[1e-3, np.pi - 1e-3]] * (self.dim - p - 1) + [[0.0, _TWO_PI]]
-            )
         elif getattr(ch, "domain", None) is not None:
             box = ch.domain
         else:
@@ -581,9 +541,9 @@ def sphere_product(p=2, q=2, r1=1.0, r2=1.0):
     return model
 
 
-def chart_metric(func, dim, domain=None, name="chart-metric", vectorized=False):
+def chart_metric(func, dim, domain=None, name="chart-metric"):
     """Model from a user metric function on a single chart (no switching)."""
-    ch = _charts.CallableMetricChart(func, dim, domain=domain, vectorized=vectorized)
+    ch = _charts.CallableMetricChart(func, dim, domain=domain)
     base = np.zeros(dim) if domain is None else np.asarray(domain, dtype=float).mean(axis=1)
     return ManifoldModel(
         kind="chart-metric",
@@ -597,35 +557,46 @@ def chart_metric(func, dim, domain=None, name="chart-metric", vectorized=False):
     )
 
 
-_PARSERS = {
-    "sphere": lambda kw: sphere(int(kw.get("n", 2)), float(kw.get("r", 1.0))),
-    "torus": lambda kw: flat_torus(int(kw.get("n", 2)), float(kw.get("l", _TWO_PI))),
-    "hyperbolic": lambda kw: hyperbolic(int(kw.get("n", 2)), float(kw.get("c", 1.0))),
-    "ellipsoid": lambda kw: ellipsoid(
-        float(kw.get("a", 1.0)), float(kw.get("b", 1.0)), float(kw.get("c", 2.0))
-    ),
-    "sphereprod": lambda kw: sphere_product(
-        int(kw.get("p", 2)), int(kw.get("q", 2)),
-        float(kw.get("r1", 1.0)), float(kw.get("r2", 1.0)),
-    ),
+#: per kind, the factory and its parameters in call order, each with its type
+#: and default; an int is a dimension (>= 2), a float a finite positive size
+_SPECS = {
+    "sphere": (sphere, {"n": (int, 2), "r": (float, 1.0)}),
+    "torus": (flat_torus, {"n": (int, 2), "l": (float, _TWO_PI)}),
+    "hyperbolic": (hyperbolic, {"n": (int, 2), "c": (float, 1.0)}),
+    "ellipsoid": (ellipsoid, {"a": (float, 1.0), "b": (float, 1.0), "c": (float, 2.0)}),
+    "sphereprod": (sphere_product,
+                   {"p": (int, 2), "q": (int, 2), "r1": (float, 1.0), "r2": (float, 1.0)}),
 }
+
+
+def _build(kind, kw):
+    """Model of ``kind`` from spec parameters (strings or numbers), checked."""
+    if kind not in _SPECS:
+        raise ValueError(f"unknown manifold kind: {kind!r}")
+    factory, params = _SPECS[kind]
+    unknown = sorted(set(kw) - set(params))
+    if unknown:
+        raise ValueError(f"unknown {kind} parameter(s): {', '.join(unknown)}")
+    args = []
+    for key, (typ, default) in params.items():
+        val = typ(kw.get(key, default))
+        if typ is int and val < 2:
+            raise ValueError(f"{kind} dimension {key} must be >= 2, got {val}")
+        if typ is float and not (math.isfinite(val) and val > 0.0):
+            raise ValueError(f"{kind} parameter {key} must be finite and positive, got {val!r}")
+        args.append(val)
+    return factory(*args)
 
 
 def parse_manifold(spec):
     """Build a model from a spec string like ``sphere:n=2,r=1.0`` or a JSON dict."""
     if isinstance(spec, dict):
         kw = dict(spec)
-        kind = kw.pop("kind", None)
-        if kind not in _PARSERS:
-            raise ValueError(f"unknown manifold kind: {kind!r}")
-        return _PARSERS[kind](kw)
+        return _build(kw.pop("kind", None), kw)
     text = str(spec).strip()
     if text.startswith("{"):
         return parse_manifold(json.loads(text))
     kind, _, rest = text.partition(":")
-    kind = kind.strip()
-    if kind not in _PARSERS:
-        raise ValueError(f"unknown manifold kind: {kind!r}")
     kw = {}
     if rest.strip():
         for item in rest.split(","):
@@ -633,4 +604,4 @@ def parse_manifold(spec):
             if not _:
                 raise ValueError(f"malformed manifold parameter: {item!r}")
             kw[key.strip()] = val.strip()
-    return _PARSERS[kind](kw)
+    return _build(kind.strip(), kw)

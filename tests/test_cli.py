@@ -40,6 +40,25 @@ class TestBound:
         assert run(["bound", "mobius:n=2"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,key", [
+        (["bound", "ellipsoid:a=0,b=1,c=1"], "a"),
+        (["bound", "sphere:n=2,r=0"], "r"),
+        (["count", "hyperbolic:n=1", "--t-max", "1", "--samples", "8"], "n"),
+        (["estimate", "torus:n=1", "--samples", "100", "--t-max", "1", "--step", "1e-2"], "n"),
+        (["count", "torus:n=2,l=0", "--t-max", "1", "--samples", "8"], "l"),
+        (["bound", "sphere:n=2,r=-1"], "r"),
+        (["bound", "ellipsoid:a=1,b=-1,c=2"], "b"),
+        (["bound", "sphereprod:p=2,q=2,r1=1,r2=-2"], "r2"),
+        (["bound", "hyperbolic:n=2,c=nan"], "c"),
+        (["bound", "sphere:n=2,foo=3"], "foo"),
+    ])
+    def test_bad_spec_parameters_exit_2(self, argv, key, capsys):
+        # exit 2 with one error line that names the offending parameter
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err.split()
+
     def test_report_embeds_config_and_versions(self, capsys):
         assert run(["bound", "sphere:n=2,r=1.0", "--seed", "7", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from geoflow import entropy, manifolds
+from geoflow import charts, cli, entropy, geodesics, manifolds
+from geoflow.errors import EstimatorError
 
 
 def shooting_arc_count(x_emb, y_emb, T, n_dirs=16384, tol=1e-3):
@@ -183,6 +184,81 @@ class TestCounting:
             s2xs2, s2xs2.base_x, T, angular_samples=256, step=1e-2, seed=4)
         expect = math.pi**2 * T**4 / 2.0
         assert abs(val - expect) / expect < 0.05
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+class TestFailedRows:
+    """Rows made non-finite are flagged by ``propagate`` and left out of both
+    estimators; more than 1% of them is an error (CLI exit 3).  The poisoned
+    rows stay non-finite after parking, hence the det warnings."""
+
+    GRID = np.linspace(0.2, 1.0, 5)
+
+    @pytest.fixture
+    def poison(self, monkeypatch):
+        def install(rows, batch):
+            christoffel = charts.christoffel
+
+            def poisoned(chart, x):
+                gam = np.array(christoffel(chart, x))
+                if np.ndim(x) == 2 and len(x) == batch:
+                    gam[rows] = np.nan
+                return gam
+
+            monkeypatch.setattr(charts, "christoffel", poisoned)
+        return install
+
+    def test_mane_leaves_out_failed_rows(self, s2xs2, poison):
+        states = s2xs2.sample_sphere_bundle(100, seed=3)
+        clean = geodesics.propagate(s2xs2, states, self.GRID, step=2e-2)
+        poison([17], 100)
+        res = geodesics.propagate(s2xs2, states, self.GRID, step=2e-2)
+        assert np.flatnonzero(res.failed).tolist() == [17]
+        series = entropy.mane_series(s2xs2, self.GRID, 100, seed=3, step=2e-2)
+        assert (series.metadata["evaluated"], series.metadata["failed"]) == (99, 1)
+        ex = geodesics.expansion(np.delete(clean.phi, 17, axis=1))
+        mean = ex.mean(axis=1)
+        np.testing.assert_allclose(series.values, np.log(mean), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(series.stderr, ex.std(axis=1) / np.sqrt(99) / mean,
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.filterwarnings("ignore:direction sampling not converged")
+    def test_counting_leaves_out_failed_rows(self, s2xs2, poison):
+        x = s2xs2.base_x
+        dirs, weights, rule = entropy._directions_at(s2xs2, x, 128, 4)
+        assert rule == "monte-carlo"
+        states = [s2xs2.unit_tangent(x, d) for d in dirs]
+        clean = geodesics.propagate(s2xs2, states, self.GRID, step=2e-2,
+                                    accumulate_radial=True)
+        poison([5], 128)
+        series = entropy.counting_series(s2xs2, x, self.GRID, angular_samples=128,
+                                         step=2e-2, seed=4)
+        assert series.metadata["failed"] == 1
+        radial = np.delete(clean.radial, 5, axis=1)
+        totals = radial @ np.delete(weights, 5)
+        np.testing.assert_allclose(series.metadata["integrals"], totals, rtol=1e-12, atol=0.0)
+        # the Monte Carlo error uses the kept directions only
+        area = 2.0 * np.pi**2
+        rel = area * np.std(radial[-1]) / np.sqrt(127) / totals[-1]
+        np.testing.assert_allclose(series.stderr, rel, rtol=1e-12, atol=0.0)
+
+    def test_more_than_one_percent_is_an_error(self, s2xs2, poison):
+        poison([3, 40], 100)
+        with pytest.raises(EstimatorError) as err:
+            entropy.mane_series(s2xs2, self.GRID, 100, seed=3, step=2e-2)
+        assert err.value.failure_census == {"failed": 2, "total": 100}
+        poison([3, 40], 128)
+        with pytest.raises(EstimatorError) as err:
+            entropy.counting_series(s2xs2, s2xs2.base_x, self.GRID, angular_samples=128,
+                                    step=2e-2, seed=4)
+        assert err.value.failure_census == {"failed": 2, "total": 128}
+
+    def test_cli_exit_3(self, poison, capsys):
+        poison([3, 40], 100)
+        code = cli.main(["estimate", "sphereprod:p=2,q=2", "--samples", "100",
+                         "--t-max", "1", "--step", "2e-2"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numeric failure: 2/100 trajectories failed")
 
 
 class TestSphereArcs:

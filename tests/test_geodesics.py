@@ -173,11 +173,14 @@ class TestGeodesicIntegration:
             geodesics.integrate_geodesic(s2, theta, -1.0)
 
     def test_hyperbolic_chart_exhaustion(self, h2):
-        # a radial geodesic eventually outruns the radial range of every chart
+        # a radial geodesic eventually outruns the radial range of every chart;
+        # the error carries the state where it did, near rho = RHO_MAX = 250
         theta = h2.base_state()
         with pytest.raises(IntegrationError) as err:
             geodesics.integrate_geodesic(h2, theta, 260.0, step=5e-2)
         assert err.value.last_state is not None
+        chart_ids, x, v = err.value.last_state
+        assert x[0, 0] > 249.0
 
     def test_fourth_order_convergence(self, s2):
         theta = s2.unit_tangent(np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]))
