@@ -1,11 +1,12 @@
 """Coordinate charts for the built-in model manifolds.
 
 Every chart evaluates the metric (and its coordinate derivative) on batches of
-chart points, knows how far a point sits from the chart boundary, and can move
-points and tangent vectors through an ambient embedding so that trajectories
-can hop between overlapping charts.  Shapes follow numpy broadcasting: a chart
-point batch has shape ``(..., n)``, metrics ``(..., n, n)`` and metric
-derivatives ``(..., n, n, n)`` indexed ``[k, i, j] = d_k g_ij``.
+chart points and knows how far a point sits from the chart boundary.  Charts of
+the compact models also move points and tangent vectors through a Euclidean
+embedding, so that trajectories can hop between overlapping charts.  Shapes
+follow numpy broadcasting: a chart point batch has shape ``(..., n)``, metrics
+``(..., n, n)`` and metric derivatives ``(..., n, n, n)`` indexed
+``[k, i, j] = d_k g_ij``.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ class Chart:
 
     dim: int
     ambient_dim: int
-    # signature matrix of the ambient inner product (None -> Euclidean identity)
-    ambient_signature = None
 
     def metric(self, x):
         raise NotImplementedError
@@ -93,10 +92,6 @@ class Chart:
         """Normalized distance from the chart boundary: 1 deep inside, 0 on it."""
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1])
-
-    def transfer_ok(self, x):
-        """Whether the ambient tangent transfer is well-conditioned at x."""
-        return True
 
     def wrap(self, x):
         """Canonicalize periodic coordinates; identity by default."""
@@ -117,10 +112,7 @@ class Chart:
 
     def tangent_from_ambient(self, x, V):
         """Project an ambient tangent vector back to chart coordinates."""
-        J = self.d_embed(x)
-        eta = self.ambient_signature
-        JtV = np.einsum("...mi,...m->...i", J, V) if eta is None else np.einsum(
-            "...mi,mq,...q->...i", J, eta, V)
+        JtV = np.einsum("...mi,...m->...i", self.d_embed(x), V)
         g = self.metric(x)
         return np.linalg.solve(g, JtV[..., None])[..., 0]
 
@@ -135,7 +127,7 @@ class Chart:
 
     def metric_key(self):
         """Equal for charts whose metric is the same function of the coordinates
-        (a rotation or boost moves only the embedding); by default unique."""
+        (a rotation moves only the embedding); by default unique."""
         return self
 
 
@@ -238,98 +230,24 @@ class SphereChart(DiagonalChart):
 
 
 class HyperbolicChart(DiagonalChart):
-    """Hyperbolic space of curvature -c in polar coordinates about a base point.
+    """Hyperbolic space of curvature -c in horospherical coordinates.
 
-    Embedded in Minkowski space as the hyperboloid <p, p> = -1/c; the chart
-    frame is moved by a Lorentz matrix Q (boosts give charts centered at other
-    points).  Coordinates (rho, angles) with g = diag(1, w(rho)^2 g_{S^{n-1}}),
-    w(rho) = sinh(kappa rho)/kappa, kappa = sqrt(c).
+    One global chart (the upper half-space model): (t, y) in R^n with
+    g = dt^2 + e^{2 kappa t} |dy|^2, kappa = sqrt(c).  It has no boundary, so
+    nothing switches; e^{2 kappa t} overflows past t = 354 / kappa.
     """
 
-    #: radial cutoff keeping sinh^2 within double range; the polar chart has
-    #: no interior singularity away from rho = 0, so switches (whose ambient
-    #: transfer loses precision once cosh^2 rho overflows 1e16) only ever
-    #: happen near the center
-    RHO_MAX = 250.0
-
-    def __init__(self, dim, curvature_scale, lorentz=None):
+    def __init__(self, dim, curvature_scale):
         self.dim = dim
-        self.ambient_dim = dim + 1
-        self.c = float(curvature_scale)
-        self.kappa = float(np.sqrt(self.c))
-        self.lorentz = np.eye(dim + 1) if lorentz is None else np.asarray(lorentz, dtype=float)
-        eta = np.eye(dim + 1)
-        eta[0, 0] = -1.0
-        self.ambient_signature = eta
+        self.kappa = float(np.sqrt(curvature_scale))
 
     def warps(self, x):
-        # w = (1, sinh^2(kappa rho) / c, sin^2 t_1, ..., sin^2 t_{n-2})
-        kr = self.kappa * x[..., :1]
-        sh = np.sinh(kr)
-        s = np.sin(x[..., 1:-1])
-        w = np.concatenate([np.ones(kr.shape), (sh / self.kappa) ** 2, s * s], axis=-1)
-        L = np.concatenate([2.0 * self.kappa * np.cosh(kr) / sh, 2.0 * np.cos(x[..., 1:-1]) / s],
-                           axis=-1)
+        # w = (1, e^{2 kappa t}, 1, ..., 1), so L = (2 kappa, 0, ..., 0)
+        w = np.ones(x.shape)
+        w[..., 1] = np.exp(2.0 * self.kappa * x[..., 0])
+        L = np.zeros(x.shape[:-1] + (self.dim - 1,))
+        L[..., 0] = 2.0 * self.kappa
         return w, L
-
-    def metric_key(self):
-        return (HyperbolicChart, self.dim, self.c)
-
-    def margin(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = x[..., 0]
-        m = np.clip(rho / 0.5, 0.0, 1.0)
-        m = np.minimum(m, np.clip((self.RHO_MAX - rho) / 5.0, 0.0, 1.0))
-        if self.dim > 2:
-            m = m * np.prod(np.abs(np.sin(x[..., 1:-1])), axis=-1)
-        return m
-
-    def wrap(self, x):
-        x = np.array(x, dtype=float)
-        x[..., -1] = np.mod(x[..., -1], 2.0 * np.pi)
-        return x
-
-    def transfer_ok(self, x):
-        # cancellation in the Minkowski tangent transfer grows like
-        # eps * cosh^2(kappa rho); keep switches near the chart centers
-        return bool(np.all(np.asarray(x, dtype=float)[..., 0] * self.kappa <= 8.0))
-
-    def embed(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = x[..., 0]
-        u = sphere_embed(x[..., 1:])
-        p = np.empty(x.shape[:-1] + (self.dim + 1,))
-        p[..., 0] = np.cosh(self.kappa * rho)
-        p[..., 1:] = np.sinh(self.kappa * rho)[..., None] * u
-        p = p / self.kappa
-        return np.einsum("ab,...b->...a", self.lorentz, p)
-
-    def _inv_lorentz(self, p):
-        eta = self.ambient_signature
-        Qinv = eta @ self.lorentz.T @ eta
-        return np.einsum("ab,...b->...a", Qinv, np.asarray(p, dtype=float))
-
-    def from_embedding(self, p):
-        w = self._inv_lorentz(p) * self.kappa
-        t = np.maximum(w[..., 0], 1.0)
-        rho = np.arccosh(t) / self.kappa
-        spatial = w[..., 1:]
-        nrm = np.linalg.norm(spatial, axis=-1, keepdims=True)
-        nrm = np.where(nrm == 0.0, 1.0, nrm)
-        angles = sphere_unembed(spatial / nrm)
-        return np.concatenate([rho[..., None], angles], axis=-1)
-
-    def d_embed(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = x[..., 0]
-        angles = x[..., 1:]
-        u = sphere_embed(angles)
-        Ju = sphere_embed_jacobian(angles)
-        J = np.zeros(x.shape[:-1] + (self.dim + 1, self.dim))
-        J[..., 0, 0] = self.kappa * np.sinh(self.kappa * rho) / self.kappa
-        J[..., 1:, 0] = np.cosh(self.kappa * rho)[..., None] * u
-        J[..., 1:, 1:] = (np.sinh(self.kappa * rho) / self.kappa)[..., None, None] * Ju
-        return np.einsum("ab,...bi->...ai", self.lorentz, J)
 
 
 class FlatTorusChart(DiagonalChart):
@@ -361,8 +279,9 @@ class EllipsoidChart(Chart):
 
     Coordinates (u, phi): the ambient axis ``axes[2]`` carries cos(u) (the
     chart poles); the other two carry sin(u) cos(phi) and sin(u) sin(phi).
-    The metric and its derivative follow from the embedding by the chain
-    rule; ``d2_embed`` has shape (..., 3, 2, 2) indexed [a, i, j] = d_i d_j E_a.
+    The metric, its derivative and the Christoffel symbols follow from the
+    embedding; ``d2_embed`` has shape (..., 3, 2, 2) indexed
+    [a, i, j] = d_i d_j E_a.
     """
 
     dim = 2
@@ -407,6 +326,14 @@ class EllipsoidChart(Chart):
         H = self.d2_embed(x)
         term = np.einsum("...mki,...mj->...kij", np.swapaxes(H, -1, -2), J)
         return term + np.swapaxes(term, -2, -1)
+
+    def christoffel(self, x):
+        # the tangential part of d_i d_j E is Gamma^l_ij d_l E: solve
+        # g Gamma[:, i, j] = J^T d_i d_j E with g = J^T J
+        J = self.d_embed(x)
+        JtH = np.einsum("...mi,...mjk->...ijk", J, self.d2_embed(x))
+        g = np.einsum("...mi,...mj->...ij", J, J)
+        return np.linalg.solve(g, JtH.reshape(JtH.shape[:-2] + (4,))).reshape(JtH.shape)
 
     def d2_embed(self, x):
         u, phi, su, cu, sp, cp = self._parts(x)
@@ -475,10 +402,6 @@ class ProductChart(Chart):
     def margin(self, x):
         a, b = self._halves(x)
         return np.minimum(self.first.margin(a), self.second.margin(b))
-
-    def transfer_ok(self, x):
-        a, b = self._halves(x)
-        return self.first.transfer_ok(a) and self.second.transfer_ok(b)
 
     def wrap(self, x):
         a, b = self._halves(x)

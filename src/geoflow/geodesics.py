@@ -156,15 +156,14 @@ def _switch_charts(model, chart_ids, Y, failed, lost, jacobi):
         cid = int(chart_ids[i])
         ch = model.chart(cid)
         best, best_m, best_x = cid, float(margins[i]), X[i]
-        if ch.transfer_ok(X[i]):
-            p = ch.embed(X[i])
-            for j, cand in enumerate(model.charts):
-                if j == cid:
-                    continue
-                xc = cand.wrap(cand.from_embedding(p))
-                mc = float(cand.margin(xc))
-                if mc > best_m + 1e-12 and cand.transfer_ok(xc):
-                    best, best_m, best_x = j, mc, xc
+        p = ch.embed(X[i])
+        for j, cand in enumerate(model.charts):
+            if j == cid:
+                continue
+            xc = cand.wrap(cand.from_embedding(p))
+            mc = float(cand.margin(xc))
+            if mc > best_m + 1e-12:
+                best, best_m, best_x = j, mc, xc
         if best == cid:
             if best_m < MARGIN_FLOOR:
                 failed[i] = True

@@ -463,28 +463,17 @@ def flat_torus(n=2, period=_TWO_PI):
 def hyperbolic(n=2, c=1.0):
     if c <= 0:
         raise ValueError("curvature scale c must be positive (curvature is -c)")
-    kappa = np.sqrt(c)
-    boost = np.eye(n + 1)
-    s = kappa * 1.0  # rapidity placing the second chart at distance 1
-    boost[0, 0] = boost[1, 1] = np.cosh(s)
-    boost[0, 1] = boost[1, 0] = np.sinh(s)
-    chs = [_charts.HyperbolicChart(n, c), _charts.HyperbolicChart(n, c, boost)]
-    if n > 2:
-        # extra spatial-permutation frames cover angular singularities
-        for shift in range(1, n):
-            Q = np.eye(n + 1)
-            Q[1:, 1:] = _perm_rotation(n, shift)
-            chs.append(_charts.HyperbolicChart(n, c, Q))
     model = ManifoldModel(
         kind="hyperbolic",
         dim=n,
-        charts=chs,
+        # one global horospherical chart: nothing to switch
+        charts=[_charts.HyperbolicChart(n, c)],
         params={"n": n, "c": c},
         homogeneous=True,
         isotropic=True,
         spec_string=f"hyperbolic:n={n},c={c}",
         factors=(_constant_factor(slice(0, n), n, -c),),
-        base_x=np.array([1.0] + [np.pi / 2] * (n - 2) + [0.0]),
+        base_x=np.zeros(n),
     )
     return model
 

@@ -172,15 +172,32 @@ class TestGeodesicIntegration:
         with pytest.raises(ValueError):
             geodesics.integrate_geodesic(s2, theta, -1.0)
 
-    def test_hyperbolic_chart_exhaustion(self, h2):
-        # a radial geodesic eventually outruns the radial range of every chart;
-        # the error carries the state where it did, near rho = RHO_MAX = 250
-        theta = h2.base_state()
+    def test_chart_exhaustion(self, elli):
+        # two copies of one ellipsoid chart: heading straight into its pole,
+        # no chart is better, and the trajectory fails below MARGIN_FLOOR
+        model = manifolds.ManifoldModel(**{**elli.__dict__,
+                                           "charts": [elli.chart(0), elli.chart(0)]})
+        x = np.array([0.3, 0.3])
+        theta = model.unit_tangent(x, np.array([-1.0, 0.0]))
         with pytest.raises(IntegrationError) as err:
-            geodesics.integrate_geodesic(h2, theta, 260.0, step=5e-2)
-        assert err.value.last_state is not None
+            geodesics.integrate_geodesic(model, theta, 0.6, step=1e-3)
         chart_ids, x, v = err.value.last_state
-        assert x[0, 0] > 249.0
+        assert model.chart(0).margin(x[0]) < geodesics.MARGIN_FLOOR
+
+    @pytest.mark.parametrize("v", [[1.0, 0.0], [0.0, 1.0]])
+    def test_hyperbolic_long_geodesic(self, h2, v):
+        # the one horospherical chart reaches t = 300 along d_t and sideways
+        theta = h2.unit_tangent(h2.base_x, np.array(v))
+        end = geodesics.integrate_geodesic(h2, theta, 300.0, step=5e-2)
+        assert end.chart_id == 0 and np.all(np.isfinite(end.x))
+        assert end.speed_drift <= 1e-6
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_hyperbolic_overflow_fails(self, h2):
+        # e^{2t} overflows past t = 354, and the trajectory is dropped
+        with pytest.raises(IntegrationError):
+            geodesics.integrate_geodesic(h2, h2.base_state(), 400.0, step=5e-2)
 
     def test_fourth_order_convergence(self, s2):
         theta = s2.unit_tangent(np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]))
@@ -279,8 +296,9 @@ class TestKernelCalls:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"christoffel": 0, "rows": []}
+        calls = {"christoffel": 0, "rows": [], "switch": 0}
         christoffel, rk4_step = charts.christoffel, geodesics._rk4_step
+        switch_charts = geodesics._switch_charts
 
         def counting_christoffel(*args, **kwargs):
             calls["christoffel"] += 1
@@ -290,8 +308,13 @@ class TestKernelCalls:
             calls["rows"].append(len(args[2]))
             return rk4_step(*args, **kwargs)
 
+        def counting_switch_charts(*args, **kwargs):
+            calls["switch"] += 1
+            return switch_charts(*args, **kwargs)
+
         monkeypatch.setattr(charts, "christoffel", counting_christoffel)
         monkeypatch.setattr(geodesics, "_rk4_step", counting_rk4_step)
+        monkeypatch.setattr(geodesics, "_switch_charts", counting_switch_charts)
         return calls
 
     def test_batch_one(self, h2, calls):
@@ -299,6 +322,8 @@ class TestKernelCalls:
         geodesics.propagate(h2, h2.base_state(), [0.5, 1.0], step=1 / 64)
         assert calls["rows"] == [1] * 64
         assert calls["christoffel"] == 4 * 64
+        # one global chart: the hyperbolic run never looks for another
+        assert calls["switch"] == 0
 
     def test_radial_batch_across_charts(self, s2, calls):
         angles = 2 * np.pi * np.arange(8) / 8
