@@ -3,10 +3,11 @@
 Every chart evaluates the metric (and its coordinate derivative) on batches of
 chart points and knows how far a point sits from the chart boundary.  Charts of
 the compact models also move points and tangent vectors through a Euclidean
-embedding, so that trajectories can hop between overlapping charts.  Shapes
-follow numpy broadcasting: a chart point batch has shape ``(..., n)``, metrics
-``(..., n, n)`` and metric derivatives ``(..., n, n, n)`` indexed
-``[k, i, j] = d_k g_ij``.
+embedding, so that trajectories can hop between overlapping charts.  A batch
+whose rows sit in different charts of one model is evaluated by the single
+chart :meth:`Chart.per_row` returns.  Shapes follow numpy broadcasting: a
+chart point batch has shape ``(..., n)``, metrics ``(..., n, n)`` and metric
+derivatives ``(..., n, n, n)`` indexed ``[k, i, j] = d_k g_ij``.
 """
 
 from __future__ import annotations
@@ -125,9 +126,11 @@ class Chart:
         ginv = np.linalg.inv(self.metric(x))
         return 0.5 * np.einsum("...lm,...mij->...lij", ginv, t1 + t2 - dg)
 
-    def metric_key(self):
-        """Equal for charts whose metric is the same function of the coordinates
-        (a rotation moves only the embedding); by default unique."""
+    def per_row(self, charts, ids):
+        """One chart that evaluates row r of a batch in ``charts[ids[r]]``: its
+        metric, Christoffel symbols, margin and curvature.  By default this
+        chart, for the charts of a model share one coordinate metric (a
+        rotation moves only the embedding)."""
         return self
 
 
@@ -203,9 +206,6 @@ class SphereChart(DiagonalChart):
         w = np.concatenate([np.full(s.shape[:-1] + (1,), self.radius**2), s * s], axis=-1)
         return w, 2.0 * np.cos(x[..., :-1]) / s
 
-    def metric_key(self):
-        return (SphereChart, self.dim, self.radius)
-
     def margin(self, x):
         x = np.asarray(x, dtype=float)
         return np.prod(np.abs(np.sin(x[..., : self.dim - 1])), axis=-1)
@@ -278,10 +278,12 @@ class EllipsoidChart(Chart):
     """Two-dimensional ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1.
 
     Coordinates (u, phi): the ambient axis ``axes[2]`` carries cos(u) (the
-    chart poles); the other two carry sin(u) cos(phi) and sin(u) sin(phi).
-    The metric, its derivative and the Christoffel symbols follow from the
-    embedding; ``d2_embed`` has shape (..., 3, 2, 2) indexed
-    [a, i, j] = d_i d_j E_a.
+    chart poles); ``axes[0]`` and ``axes[1]`` carry sin(u) cos(phi) and
+    sin(u) sin(phi).  ``axes`` is one permutation of (0, 1, 2), or one per
+    row of a batch (shape (B, 3)), as in the chart :meth:`per_row` builds to
+    evaluate each row in its own chart.  The metric, its derivative and the
+    Christoffel symbols follow from the embedding; ``d2_embed`` has shape
+    (..., 3, 2, 2) indexed [a, i, j] = d_i d_j E_a.
     """
 
     dim = 2
@@ -290,31 +292,36 @@ class EllipsoidChart(Chart):
 
     def __init__(self, semi_axes, axes=(0, 1, 2)):
         self.semi = np.asarray(semi_axes, dtype=float)
-        self.axes = tuple(axes)
+        self.axes = np.asarray(axes)
+        # index in front of an ambient axis: all rows alike, or row r with its own axes[r]
+        self._at = (...,) if self.axes.ndim == 1 else (np.arange(len(self.axes)),)
+
+    def per_row(self, charts, ids):
+        return EllipsoidChart(self.semi, np.array([ch.axes for ch in charts])[ids])
 
     def _parts(self, x):
         x = np.asarray(x, dtype=float)
         u, phi = x[..., 0], x[..., 1]
-        return u, phi, np.sin(u), np.cos(u), np.sin(phi), np.cos(phi)
+        return np.sin(u), np.cos(u), np.sin(phi), np.cos(phi)
 
     def embed(self, x):
-        u, phi, su, cu, sp, cp = self._parts(x)
-        i, j, k = self.axes
-        p = np.empty(np.shape(u) + (3,))
-        p[..., i] = self.semi[i] * su * cp
-        p[..., j] = self.semi[j] * su * sp
-        p[..., k] = self.semi[k] * cu
+        su, cu, sp, cp = self._parts(x)
+        (i, j, k), at = self.axes.T, self._at
+        p = np.empty(np.shape(su) + (3,))
+        p[at + (i,)] = self.semi[i] * su * cp
+        p[at + (j,)] = self.semi[j] * su * sp
+        p[at + (k,)] = self.semi[k] * cu
         return p
 
     def d_embed(self, x):
-        u, phi, su, cu, sp, cp = self._parts(x)
-        i, j, k = self.axes
-        J = np.zeros(np.shape(u) + (3, 2))
-        J[..., i, 0] = self.semi[i] * cu * cp
-        J[..., i, 1] = -self.semi[i] * su * sp
-        J[..., j, 0] = self.semi[j] * cu * sp
-        J[..., j, 1] = self.semi[j] * su * cp
-        J[..., k, 0] = -self.semi[k] * su
+        su, cu, sp, cp = self._parts(x)
+        (i, j, k), at = self.axes.T, self._at
+        J = np.zeros(np.shape(su) + (3, 2))
+        J[at + (i, 0)] = self.semi[i] * cu * cp
+        J[at + (i, 1)] = -self.semi[i] * su * sp
+        J[at + (j, 0)] = self.semi[j] * cu * sp
+        J[at + (j, 1)] = self.semi[j] * su * cp
+        J[at + (k, 0)] = -self.semi[k] * su
         return J
 
     def metric(self, x):
@@ -336,24 +343,25 @@ class EllipsoidChart(Chart):
         return np.linalg.solve(g, JtH.reshape(JtH.shape[:-2] + (4,))).reshape(JtH.shape)
 
     def d2_embed(self, x):
-        u, phi, su, cu, sp, cp = self._parts(x)
-        i, j, k = self.axes
-        H = np.zeros(np.shape(u) + (3, 2, 2))
-        H[..., i, 0, 0] = -self.semi[i] * su * cp
-        H[..., i, 0, 1] = H[..., i, 1, 0] = -self.semi[i] * cu * sp
-        H[..., i, 1, 1] = -self.semi[i] * su * cp
-        H[..., j, 0, 0] = -self.semi[j] * su * sp
-        H[..., j, 0, 1] = H[..., j, 1, 0] = self.semi[j] * cu * cp
-        H[..., j, 1, 1] = -self.semi[j] * su * sp
-        H[..., k, 0, 0] = -self.semi[k] * cu
+        su, cu, sp, cp = self._parts(x)
+        (i, j, k), at = self.axes.T, self._at
+        H = np.zeros(np.shape(su) + (3, 2, 2))
+        H[at + (i, 0, 0)] = -self.semi[i] * su * cp
+        H[at + (i, 0, 1)] = H[at + (i, 1, 0)] = -self.semi[i] * cu * sp
+        H[at + (i, 1, 1)] = -self.semi[i] * su * cp
+        H[at + (j, 0, 0)] = -self.semi[j] * su * sp
+        H[at + (j, 0, 1)] = H[at + (j, 1, 0)] = self.semi[j] * cu * cp
+        H[at + (j, 1, 1)] = -self.semi[j] * su * sp
+        H[at + (k, 0, 0)] = -self.semi[k] * cu
         return H
 
     def from_embedding(self, p):
         p = np.asarray(p, dtype=float)
-        i, j, k = self.axes
-        cu = np.clip(p[..., k] / self.semi[k], -1.0, 1.0)
+        (i, j, k), at = self.axes.T, self._at
+        cu = np.clip(p[at + (k,)] / self.semi[k], -1.0, 1.0)
         u = np.arccos(cu)
-        phi = np.mod(np.arctan2(p[..., j] / self.semi[j], p[..., i] / self.semi[i]), 2.0 * np.pi)
+        phi = np.mod(np.arctan2(p[at + (j,)] / self.semi[j], p[at + (i,)] / self.semi[i]),
+                     2.0 * np.pi)
         return np.stack([u, phi], axis=-1)
 
     def margin(self, x):
@@ -395,9 +403,6 @@ class ProductChart(Chart):
 
     def christoffel(self, x):
         return self._blocks("christoffel", x, 3)
-
-    def metric_key(self):
-        return (ProductChart, self.first.metric_key(), self.second.metric_key())
 
     def margin(self, x):
         a, b = self._halves(x)

@@ -177,6 +177,8 @@ def cmd_count(args):
         "t": [repr(float(t)) for t in series.times],
         "y": [repr(float(y)) for y in series.values],
         "integrals": series.metadata["integrals"],
+        "rule": series.metadata["rule"],
+        "failed": series.metadata["failed"],
     }
     oracle = None
     if model.kind == "sphere" and model.dim == 2 and abs(model.params["r"] - 1.0) < 1e-12:
@@ -198,6 +200,8 @@ def cmd_count(args):
         f"  integral at T={_fmt6(float(grid[-1]))}: {_fmt6(series.metadata['integrals'][-1])}",
         f"  growth slope {_fmt6(est.slope)} +- {_fmt6(est.halfwidth)} on "
         f"[{_fmt6(est.window[0])}, {_fmt6(est.window[1])}]",
+        f"  directions {args.samples} ({series.metadata['rule']}), "
+        f"{series.metadata['failed']} failed",
     ]
     if oracle:
         text.append(

@@ -14,6 +14,9 @@ to the invariant complement of the flow direction, written in the orthonormal
 coordinates {(E_i, 0), (0, E_i)}.  Trajectories hop between overlapping charts
 when they approach a chart boundary; the frame coordinates (and hence Phi) are
 chart-independent, so only positions, velocities, and frames are re-expressed.
+One chart, ``ManifoldModel.chart(chart_ids)``, evaluates every row in its own
+chart, so each RK4 stage makes one Christoffel and one curvature call for the
+whole batch; it is rebuilt only when a chart id changes.
 """
 
 from __future__ import annotations
@@ -84,12 +87,6 @@ class PropagationResult:
     states: list = field(default_factory=list)  # per grid point, if recorded
 
 
-def _group_indices(chart_ids):
-    if np.all(chart_ids == chart_ids[0]):
-        return [(int(chart_ids[0]), slice(None))]
-    return [(int(c), np.nonzero(chart_ids == c)[0]) for c in np.unique(chart_ids)]
-
-
 def _unpack(Y, n, jacobi):
     """Views of the packed state Y = [x | v | E_1..E_k | Phi]: x (B, n), the
     vectors W = [v; E_1..E_k] (B, n, n) (only v without the Jacobi system),
@@ -101,31 +98,28 @@ def _unpack(Y, n, jacobi):
     return Y[:, :n], W, Phi
 
 
-def _derivatives(model, groups, Y, jacobi):
+def _derivatives(model, chart, Y, jacobi):
+    """dY/dt with ``chart`` evaluating every row in its own chart."""
     k = model.dim - 1
     X, W, Phi = _unpack(Y, model.dim, jacobi)
     dY = np.empty_like(Y)
     dX, dW, dPhi = _unpack(dY, model.dim, jacobi)
     dX[:] = W[:, 0]
-    for cid, idx in groups:
-        x, w = X[idx], W[idx]
-        gam = _charts.christoffel(model.chart(cid), x)
-        # geodesic spray and frame transport: (v, E)' = -Gamma(v, (v, E))
-        dW[idx] = -np.einsum("blij,bi,baj->bal", gam, w[:, 0], w)
-        if not jacobi:
-            continue
-        K = model.curvature_frame_matrix(x, w[:, 0], w[:, 1:], cid)
-        phi = Phi[idx]
-        dPhi[idx, :k] = phi[:, k:]
-        dPhi[idx, k:] = -np.einsum("bij,bjk->bik", K, phi[:, :k])
+    gam = _charts.christoffel(chart, X)
+    # geodesic spray and frame transport: (v, E)' = -Gamma(v, (v, E))
+    dW[:] = -np.einsum("blij,bi,baj->bal", gam, W[:, 0], W)
+    if jacobi:
+        K = model.curvature_frame_matrix(X, W[:, 0], W[:, 1:], chart)
+        dPhi[:, :k] = Phi[:, k:]
+        dPhi[:, k:] = -np.einsum("bij,bjk->bik", K, Phi[:, :k])
     return dY
 
 
-def _rk4_step(model, groups, Y, h, jacobi):
-    k1 = _derivatives(model, groups, Y, jacobi)
-    k2 = _derivatives(model, groups, Y + (h / 2.0) * k1, jacobi)
-    k3 = _derivatives(model, groups, Y + (h / 2.0) * k2, jacobi)
-    k4 = _derivatives(model, groups, Y + h * k3, jacobi)
+def _rk4_step(model, chart, Y, h, jacobi):
+    k1 = _derivatives(model, chart, Y, jacobi)
+    k2 = _derivatives(model, chart, Y + (h / 2.0) * k1, jacobi)
+    k3 = _derivatives(model, chart, Y + (h / 2.0) * k2, jacobi)
+    k4 = _derivatives(model, chart, Y + h * k3, jacobi)
     return Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -148,9 +142,7 @@ def _switch_charts(model, chart_ids, Y, failed, lost, jacobi):
     place; returns whether any chart id changed."""
     X, W, _ = _unpack(Y, model.dim, jacobi)
     before = chart_ids.copy()
-    margins = np.empty(len(Y))
-    for cid, idx in _group_indices(chart_ids):
-        margins[idx] = model.chart(cid).margin(X[idx])
+    margins = model.chart(chart_ids).margin(X)
     margins[failed] = 1.0
     for i in np.nonzero(margins < SWITCH_MARGIN)[0]:
         cid = int(chart_ids[i])
@@ -176,25 +168,22 @@ def _switch_charts(model, chart_ids, Y, failed, lost, jacobi):
     return not np.array_equal(chart_ids, before)
 
 
-def _reorthonormalize(model, groups, Y):
+def _reorthonormalize(chart, Y):
     """Stabilized Gram process on the frames, in place; Phi coordinates
     follow along.
 
     Returns each row's correction max|M - I| (logged, never silent).
     """
-    k = model.dim - 1
-    X, W, Phi = _unpack(Y, model.dim, True)
-    drift = np.empty(len(Y))
-    for cid, idx in groups:
-        e = W[idx, 1:]
-        g = model.chart(cid).metric(X[idx])
-        newE = gram_schmidt(g, W[idx, 0], e)
-        M = np.einsum("bai,bij,bcj->bac", newE, g, e)
-        drift[idx] = np.abs(M - np.eye(k)).max(axis=(-2, -1), initial=0.0)
-        # M acts on the E-coordinates of both halves of Phi
-        phi = np.einsum("bij,bsjc->bsic", M, Phi[idx].reshape(-1, 2, k, 2 * k))
-        Phi[idx] = phi.reshape(-1, 2 * k, 2 * k)
-        W[idx, 1:] = newE
+    k = chart.dim - 1
+    X, W, Phi = _unpack(Y, chart.dim, True)
+    e = W[:, 1:]
+    g = chart.metric(X)
+    newE = gram_schmidt(g, W[:, 0], e)
+    M = np.einsum("bai,bij,bcj->bac", newE, g, e)
+    drift = np.abs(M - np.eye(k)).max(axis=(-2, -1), initial=0.0)
+    # M acts on the E-coordinates of both halves of Phi
+    Phi[:] = np.einsum("bij,bsjc->bsic", M, Phi.reshape(-1, 2, k, 2 * k)).reshape(Phi.shape)
+    W[:, 1:] = newE
     worst = np.fmax.reduce(drift)
     if worst > 1e-9:
         log.info("frame re-orthonormalization applied correction of size %.3g", worst)
@@ -229,8 +218,6 @@ def propagate(
     n = model.dim
     k = n - 1
     chart_ids = np.array([s.chart_id for s in states], dtype=int)
-    # rows in charts with one coordinate metric share each kernel call
-    shared = model.shared_metric_ids()
     Y = np.zeros((B, n + n * n + 4 * k * k if jacobi else 2 * n))
     X, W, Phi = _unpack(Y, n, jacobi)
     X[:] = [s.x for s in states]
@@ -239,8 +226,7 @@ def propagate(
         if frames0 is not None:
             W[:, 1:] = np.asarray(frames0, dtype=float).reshape(B, k, n)
         else:
-            for cid, idx in _group_indices(shared[chart_ids]):
-                W[idx, 1:] = model.orthonormal_frame(X[idx], W[idx, 0], cid)
+            W[:, 1:] = model.orthonormal_frame(X, W[:, 0], chart_ids)
         Phi[:] = np.eye(2 * k)
     frames_init = W[:, 1:].copy() if jacobi else None
 
@@ -257,7 +243,8 @@ def propagate(
         # a state starting near a chart boundary, heading out, can cross it
         # before the first periodic check; frames_init stays in the caller's chart
         _switch_charts(model, chart_ids, Y, failed, lost, jacobi)
-    groups = _group_indices(shared[chart_ids])
+    # evaluates every row in its own chart; rebuilt when a chart id changes
+    chart = model.chart(chart_ids)
 
     t = 0.0
     nsteps = 0
@@ -266,7 +253,7 @@ def propagate(
     for gi, target in enumerate(t_grid):
         while t < target - 1e-12:
             h = min(step, target - t)
-            Y = _rk4_step(model, groups, Y, h, jacobi)
+            Y = _rk4_step(model, chart, Y, h, jacobi)
             t += h
             nsteps += 1
             if accumulate_radial:
@@ -275,9 +262,9 @@ def propagate(
                 f_prev = f_cur
             if (multi_chart and nsteps % CHECK_EVERY == 0
                     and _switch_charts(model, chart_ids, Y, failed, lost, jacobi)):
-                groups = _group_indices(shared[chart_ids])
+                chart = model.chart(chart_ids)
             if jacobi and nsteps % ORTHO_EVERY == 0:
-                frame_drift = np.fmax(frame_drift, _reorthonormalize(model, groups, Y))
+                frame_drift = np.fmax(frame_drift, _reorthonormalize(chart, Y))
         t = float(target)
         bad = ~np.isfinite(Y).all(axis=-1) & ~failed
         for i in np.nonzero(bad)[0]:
@@ -285,7 +272,7 @@ def propagate(
             _park(model, chart_ids, Y, i, jacobi, lost)
         if bad.any():
             failed |= bad
-            groups = _group_indices(shared[chart_ids])
+            chart = model.chart(chart_ids)
         X, W, Phi = _unpack(Y, n, jacobi)
         if jacobi:
             phi_rec[gi] = Phi
@@ -295,10 +282,7 @@ def propagate(
             rec_states.append((chart_ids.copy(), X.copy(), W[:, 0].copy(),
                                W[:, 1:].copy() if jacobi else None))
 
-    speed = np.empty(B)
-    for cid, idx in groups:
-        g = model.chart(cid).metric(X[idx])
-        speed[idx] = np.einsum("bi,bij,bj->b", W[idx, 0], g, W[idx, 0])
+    speed = np.einsum("bi,bij,bj->b", W[:, 0], chart.metric(X), W[:, 0])
     speed_drift = np.abs(speed - 1.0)
     if np.all(failed):
         raise IntegrationError("all trajectories failed during integration", last_state=lost)

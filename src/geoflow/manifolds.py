@@ -112,12 +112,14 @@ class ManifoldModel:
     # -- basic pointwise evaluators ------------------------------------------------
 
     def chart(self, chart_id=0):
-        return self.charts[chart_id]
-
-    def shared_metric_ids(self):
-        """Per chart, the first chart id with the same coordinate metric."""
-        keys = [ch.metric_key() for ch in self.charts]
-        return np.array([keys.index(key) for key in keys])
+        """Chart ``chart_id``.  An array of per-row ids gives one chart that
+        evaluates each row of a batch in its own chart; a chart is returned
+        as it is, so every ``chart_id`` below may also be such a chart."""
+        if isinstance(chart_id, _charts.Chart):
+            return chart_id
+        if np.ndim(chart_id) == 0:
+            return self.charts[chart_id]
+        return self.charts[0].per_row(self.charts, chart_id)
 
     def metric(self, x, chart_id=0):
         x = np.asarray(x, dtype=float)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -259,6 +260,19 @@ class TestFailedRows:
                          "--t-max", "1", "--step", "2e-2"])
         assert code == 3
         assert capsys.readouterr().err.startswith("numeric failure: 2/100 trajectories failed")
+
+    @pytest.mark.filterwarnings("ignore:direction sampling not converged")
+    def test_cli_count_reports_failed_directions(self, poison, capsys):
+        argv = ["count", "sphereprod:p=2,q=2", "--samples", "128", "--t-max", "1",
+                "--step", "2e-2", "--seed", "4", "--format", "json"]
+        # poisoning no rows is the clean run
+        for rows, failed in (([], 0), ([5], 1)):
+            poison(rows, 128)
+            assert cli.main(argv) == 0
+            series = json.loads(capsys.readouterr().out)["series"]
+            assert (series["failed"], series["rule"]) == (failed, "monte-carlo")
+        assert cli.main(argv[:-2]) == 0
+        assert "directions 128 (monte-carlo), 1 failed" in capsys.readouterr().out
 
 
 class TestSphereArcs:

@@ -292,7 +292,8 @@ class TestJacobiPropagation:
 
 class TestKernelCalls:
     """The benchmark reads these counts: one Christoffel call per RK4 stage
-    while the rows share a coordinate metric, one ``_rk4_step`` per step."""
+    for the whole batch, whatever charts its rows are in, and one
+    ``_rk4_step`` per step."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -330,6 +331,16 @@ class TestKernelCalls:
         states = [s2.unit_tangent(s2.base_x, [np.cos(a), np.sin(a)]) for a in angles]
         res = geodesics.propagate(s2, states, [1.0, 2.0], step=1 / 64, accumulate_radial=True)
         assert len(set(res.chart_ids.tolist())) >= 2
+        assert calls["rows"] == [8] * 128
+        assert calls["christoffel"] == 4 * 128
+
+    def test_ellipsoid_batch_across_charts(self, elli, calls):
+        # the ellipsoid's two charts have different coordinate metrics
+        x = np.array([0.5, 0.3])
+        angles = 2 * np.pi * np.arange(8) / 8
+        states = [elli.unit_tangent(x, [np.cos(a), np.sin(a)]) for a in angles]
+        res = geodesics.propagate(elli, states, [1.0, 2.0], step=1 / 64)
+        assert set(res.chart_ids.tolist()) == {0, 1}
         assert calls["rows"] == [8] * 128
         assert calls["christoffel"] == 4 * 128
 

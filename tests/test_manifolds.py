@@ -83,13 +83,19 @@ class TestChristoffel:
         gam = model.christoffel(np.zeros(2))
         assert np.allclose(gam, 0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("name", ["s2", "s4", "h2", "h3", "torus2", "s2xs2", "elli"])
+    @pytest.mark.parametrize("name", ["s2", "s4", "h2", "h3", "torus2", "s2xs2", "elli",
+                                      "elli-rows"])
     def test_closed_form_matches_general_formula(self, name, request):
         # closed-form charts against 0.5 g^-1 (dg + dg - dg) built from metric
         # and d_metric, at 20 points, 5 of them near a pole inside the switch
-        # margin; the horospherical chart has no boundary
-        model = manifolds.hyperbolic(3) if name == "h3" else request.getfixturevalue(name)
-        ch = model.chart(0)
+        # margin; the horospherical chart has no boundary; "elli-rows" is the
+        # per-row ellipsoid chart, alternating its two pole axes
+        if name == "elli-rows":
+            model = request.getfixturevalue("elli")
+            ch = model.chart(np.arange(20) % 2)
+        else:
+            model = manifolds.hyperbolic(3) if name == "h3" else request.getfixturevalue(name)
+            ch = model.chart(0)
         rng = np.random.default_rng(13)
         x = rng.uniform(0.05, np.pi - 0.05, (20, model.dim))
         x[:5, 0] = rng.uniform(0.01, 0.09, 5)
@@ -101,10 +107,18 @@ class TestChristoffel:
             assert np.sum(ch.margin(x) < 0.2) >= 5
         np.testing.assert_allclose(gam, oracle, rtol=1e-12, atol=1e-12)
 
-    def test_charts_sharing_a_coordinate_metric(self, all_models):
-        shared = {name: model.shared_metric_ids().tolist() for name, model in all_models.items()}
-        assert shared == {"sphere": [0, 0, 0], "torus": [0], "hyperbolic": [0],
-                          "ellipsoid": [0, 1], "sphereprod": [0] * 9, "chart-metric": [0]}
+    def test_per_row_chart_matches_each_row_alone(self, all_models):
+        # a batch over every chart of the model, each row in its own chart;
+        # chart-0 sample points lie in every chart's coordinate domain
+        for name, model in all_models.items():
+            X = np.stack([s.x for s in model.sample_sphere_bundle(12, seed=9)])
+            ids = np.arange(len(X)) % len(model.charts)
+            rows = model.chart(ids)
+            for method in ("metric", "christoffel", "margin"):
+                got = getattr(rows, method)(X)
+                for r, cid in enumerate(ids):
+                    want = getattr(model.chart(int(cid)), method)(X[r])
+                    np.testing.assert_array_equal(got[r], want, err_msg=f"{name} {method}")
 
     def test_symmetric_lower_indices(self, all_models):
         for name, model in all_models.items():
