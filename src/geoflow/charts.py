@@ -2,8 +2,8 @@
 
 Every chart evaluates the metric (and its coordinate derivative) on batches of
 chart points and knows how far a point sits from the chart boundary.  Charts of
-the compact models also move points and tangent vectors through a Euclidean
-embedding, so that trajectories can hop between overlapping charts.  A batch
+the models with overlapping charts also move points and tangent vectors through
+a Euclidean embedding, so that trajectories can hop between charts.  A batch
 whose rows sit in different charts of one model is evaluated by the single
 chart :meth:`Chart.per_row` returns.  Shapes follow numpy broadcasting: a
 chart point batch has shape ``(..., n)``, metrics ``(..., n, n)`` and metric
@@ -17,6 +17,9 @@ import functools
 import numpy as np
 
 from .errors import ChartDomainError
+
+#: difference step of :func:`metric_jet`
+FD_STEP = 1e-4
 
 
 def sphere_embed(angles):
@@ -118,13 +121,10 @@ class Chart:
         return np.linalg.solve(g, JtV[..., None])[..., 0]
 
     def christoffel(self, x):
-        """Levi-Civita symbols 0.5 g^lm (d_i g_mj + d_j g_mi - d_m g_ij), shape
-        (..., n, n, n) indexed [l, i, j], from the metric and its derivative."""
+        """Levi-Civita symbols g^lm Gamma_mij, shape (..., n, n, n) indexed
+        [l, i, j], from the metric and its derivative."""
         dg = self.d_metric(x)
-        t1 = np.swapaxes(dg, -3, -2)          # [m,i,j] = d_i g_mj
-        t2 = np.swapaxes(t1, -2, -1)          # [m,i,j] = d_j g_mi
-        ginv = np.linalg.inv(self.metric(x))
-        return 0.5 * np.einsum("...lm,...mij->...lij", ginv, t1 + t2 - dg)
+        return np.einsum("...lm,...mij->...lij", np.linalg.inv(self.metric(x)), _lowered(dg))
 
     def per_row(self, charts, ids):
         """One chart that evaluates row r of a batch in ``charts[ids[r]]``: its
@@ -256,22 +256,12 @@ class FlatTorusChart(DiagonalChart):
     def __init__(self, periods):
         self.periods = np.asarray(periods, dtype=float)
         self.dim = len(self.periods)
-        self.ambient_dim = self.dim
 
     def warps(self, x):
         return np.ones(x.shape), np.zeros(x.shape[:-1] + (self.dim - 1,))
 
     def wrap(self, x):
         return np.mod(np.asarray(x, dtype=float), self.periods)
-
-    def embed(self, x):
-        return self.wrap(x)
-
-    def from_embedding(self, p):
-        return self.wrap(p)
-
-    def d_embed(self, x):
-        return self.metric(x)
 
 
 class EllipsoidChart(Chart):
@@ -280,10 +270,10 @@ class EllipsoidChart(Chart):
     Coordinates (u, phi): the ambient axis ``axes[2]`` carries cos(u) (the
     chart poles); ``axes[0]`` and ``axes[1]`` carry sin(u) cos(phi) and
     sin(u) sin(phi).  ``axes`` is one permutation of (0, 1, 2), or one per
-    row of a batch (shape (B, 3)), as in the chart :meth:`per_row` builds to
-    evaluate each row in its own chart.  The metric, its derivative and the
-    Christoffel symbols follow from the embedding; ``d2_embed`` has shape
-    (..., 3, 2, 2) indexed [a, i, j] = d_i d_j E_a.
+    row of the last batch axis (shape (B, 3)), as in the chart :meth:`per_row`
+    builds to evaluate each row in its own chart.  The metric, its derivative
+    and the Christoffel symbols follow from the embedding; ``d2_embed`` has
+    shape (..., 3, 2, 2) indexed [a, i, j] = d_i d_j E_a.
     """
 
     dim = 2
@@ -293,8 +283,8 @@ class EllipsoidChart(Chart):
     def __init__(self, semi_axes, axes=(0, 1, 2)):
         self.semi = np.asarray(semi_axes, dtype=float)
         self.axes = np.asarray(axes)
-        # index in front of an ambient axis: all rows alike, or row r with its own axes[r]
-        self._at = (...,) if self.axes.ndim == 1 else (np.arange(len(self.axes)),)
+        # index in front of an ambient axis: all rows alike, or row r (last batch axis) by axes[r]
+        self._at = (...,) if self.axes.ndim == 1 else (..., np.arange(len(self.axes)))
 
     def per_row(self, charts, ids):
         return EllipsoidChart(self.semi, np.array([ch.axes for ch in charts])[ids])
@@ -436,15 +426,13 @@ class ProductChart(Chart):
 
 
 class CallableMetricChart(Chart):
-    """User-supplied metric function on a box domain; derivatives by central
-    differences with one Richardson extrapolation (step ``h``)."""
+    """User-supplied metric function on a box domain, called once per point;
+    its derivative comes from :func:`metric_jet`."""
 
-    def __init__(self, func, dim, domain=None, h=1e-4):
+    def __init__(self, func, dim, domain=None):
         self.func = func
         self.dim = dim
-        self.ambient_dim = dim
         self.domain = None if domain is None else np.asarray(domain, dtype=float)
-        self.h = float(h)
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
@@ -452,18 +440,8 @@ class CallableMetricChart(Chart):
         g = np.stack([np.asarray(self.func(pt), dtype=float) for pt in flat])
         return g.reshape(x.shape[:-1] + (self.dim, self.dim))
 
-    def _central(self, x, h):
-        dg = np.empty(np.shape(x)[:-1] + (self.dim,) * 3)
-        for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = h
-            dg[..., k, :, :] = (self.metric(x + e) - self.metric(x - e)) / (2.0 * h)
-        return dg
-
     def d_metric(self, x):
-        coarse = self._central(x, self.h)
-        fine = self._central(x, self.h / 2.0)
-        return (4.0 * fine - coarse) / 3.0
+        return metric_jet(self.metric, x)[1]
 
     def margin(self, x):
         x = np.asarray(x, dtype=float)
@@ -474,15 +452,41 @@ class CallableMetricChart(Chart):
         m = np.minimum(lo.min(axis=-1), hi.min(axis=-1))
         return np.clip(2.0 * m, 0.0, 1.0)
 
-    def embed(self, x):
-        return np.asarray(x, dtype=float)
 
-    def from_embedding(self, p):
-        return np.asarray(p, dtype=float)
+@functools.lru_cache(maxsize=None)
+def _stencil(n):
+    """Offsets of :func:`metric_jet`: the centre, +h, -h, +h/2 and -h/2 along
+    each axis, then +h+h, +h-h, -h+h and -h-h on each pair of axes a < b."""
+    e, (a, b) = FD_STEP * np.eye(n), np.triu_indices(n, 1)
+    out = np.concatenate([np.zeros((1, n)), e, -e, e / 2.0, -e / 2.0]
+                         + [sa * e[a] + sb * e[b] for sa in (1, -1) for sb in (1, -1)])
+    out.flags.writeable = False
+    return out
 
-    def d_embed(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim)).copy()
+
+def metric_jet(metric, x):
+    """g, dg and d2g at chart points x (..., n) from one call of ``metric`` on
+    the :func:`_stencil`: dg [..., k, i, j] = d_k g_ij by central differences
+    with one Richardson extrapolation, d2g [..., a, k, i, j] = d_a d_k g_ij by
+    (p + m - 2g)/h^2 for a = k and (pp - pm - mp + mm)/(4h^2) otherwise."""
+    n, h = np.shape(x)[-1], FD_STEP
+    (a, b), k = np.triu_indices(n, 1), np.arange(n)
+    # the stencil axis goes in front, so a per-row chart keeps its rows last
+    G = np.moveaxis(metric(x + _stencil(n)[(slice(None),) + (None,) * (np.ndim(x) - 1)]), 0, -3)
+    g, p, m, pf, mf, pp, pm, mp, mm = np.split(G, np.cumsum([1] + [n] * 4 + [len(a)] * 3), -3)
+    d2g = np.empty(np.shape(x)[:-1] + (n,) * 4)
+    d2g[..., k, k, :, :] = (p + m - 2.0 * g) / h**2
+    d2g[..., a, b, :, :] = d2g[..., b, a, :, :] = (pp - pm - mp + mm) / (4.0 * h**2)
+    coarse, fine = (p - m) / (2.0 * h), (pf - mf) / (2.0 * (h / 2.0))
+    return g[..., 0, :, :], (4.0 * fine - coarse) / 3.0, d2g
+
+
+def _lowered(d):
+    """Gamma_mij = 0.5 (d_i g_mj + d_j g_mi - d_m g_ij) [..., m, i, j] from
+    d [..., k, i, j] = d_k g_ij; from d2g it gives d_a Gamma_mij [..., a, m, i, j]."""
+    t1 = np.swapaxes(d, -3, -2)          # [m,i,j] = d_i g_mj
+    t2 = np.swapaxes(t1, -2, -1)         # [m,i,j] = d_j g_mi
+    return 0.5 * (t1 + t2 - d)
 
 
 def christoffel(chart, x):
@@ -490,23 +494,18 @@ def christoffel(chart, x):
     return chart.christoffel(np.asarray(x, dtype=float))
 
 
-def riemann(chart, x, h=1e-4):
-    """Curvature tensor R(d_a, d_b)d_c = R^l_{abc} d_l by differencing the
-    Christoffel symbols, shape (..., n, n, n, n) indexed [l, a, b, c]."""
-    n = chart.dim
-    x = np.asarray(x, dtype=float)
-    gam = christoffel(chart, x)
-    dgam = np.empty(x.shape[:-1] + (n,) + gam.shape[len(x.shape) - 1:])
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        dgam[..., k, :, :, :] = (christoffel(chart, x + e) - christoffel(chart, x - e)) / (2.0 * h)
-    # dGamma[k, l, i, j] = d_k Gamma^l_ij
-    term1 = np.einsum("...albc->...labc", dgam)
-    term2 = np.einsum("...blac->...labc", dgam)
-    term3 = np.einsum("...lam,...mbc->...labc", gam, gam)
-    term4 = np.einsum("...lbm,...mac->...labc", gam, gam)
-    return term1 - term2 + term3 - term4
+def riemann(chart, x):
+    """Curvature tensor R(d_a, d_b)d_c = R^l_abc d_l, shape (..., n, n, n, n)
+    indexed [l, a, b, c], in closed form from the metric jet of ``chart``."""
+    g, dg, d2g = metric_jet(chart.metric, x)
+    ginv = np.linalg.inv(g)
+    gam = np.einsum("...lm,...mij->...lij", ginv, _lowered(dg))
+    # dgam[k, l, i, j] = d_k Gamma^l_ij = g^lm (d_k Gamma_mij - d_k g_mp Gamma^p_ij)
+    dgam = np.einsum("...lm,...kmij->...klij", ginv,
+                     _lowered(d2g) - np.einsum("...kmp,...pij->...kmij", dg, gam))
+    # R^l_abc is the part of d_a Gamma^l_bc + Gamma^l_am Gamma^m_bc antisymmetric in a, b
+    A = np.swapaxes(dgam, -4, -3) + np.einsum("...lam,...mbc->...labc", gam, gam)
+    return A - np.swapaxes(A, -3, -2)
 
 
 def require_in_domain(chart, x, floor=1e-9):

@@ -104,7 +104,7 @@ class ManifoldModel:
     isotropic: bool = False
     spec_string: str = ""
     # closed-form curvature, one entry per factor; empty when it comes from
-    # finite differences of the Christoffel symbols
+    # the metric jet (charts.metric_jet)
     factors: tuple = ()
     # chart-0 coordinates of a generic base point
     base_x: np.ndarray | None = None
@@ -185,41 +185,37 @@ class ManifoldModel:
     # -- curvature ------------------------------------------------------------------
 
     def curvature_frame_matrix(self, x, v, frame, chart_id=0, force_fd=False):
-        """Matrix K_ij = <R(E_i, v)v, E_j> of the Jacobi operator in a frame.
-
-        Uses the model closed form when available, otherwise (or when forced)
-        finite differences of the Christoffel symbols.  The frame must be
-        g-orthonormal and orthogonal to the unit vector v.
-        """
-        if not self.factors or force_fd:
-            return self._fd_K(x, v, frame, chart_id)
-        ch = self.chart(chart_id)
-        if len(self.factors) == 1:
+        """Matrix K_ij = <R(E_i, v)v, E_j> of the Jacobi operator in a frame,
+        g-orthonormal and orthogonal to the unit vector v (:meth:`_jacobi_form`)."""
+        if len(self.factors) == 1 and not force_fd:
             # R(E_i, v)v = K (E_i - <E_i, v> v) = K E_i on such a frame
             k = self.dim - 1
             out = np.zeros(np.shape(x)[:-1] + (k, k))
             idx = np.arange(k)
-            out[..., idx, idx] = np.asarray(self.factors[0].curvature(ch, x))[..., None]
+            K = self.factors[0].curvature(self.chart(chart_id), x)
+            out[..., idx, idx] = np.asarray(K)[..., None]
             return out
+        return self._jacobi_form(x, v, frame, chart_id, force_fd)
+
+    def _jacobi_form(self, x, v, E, chart_id=0, force_fd=False):
+        """<R(E_i, v)v, E_j> for any vectors E (..., m, n), from the curvature
+        factors, or from :func:`charts.riemann` if there are none or ``force_fd``."""
+        ch = self.chart(chart_id)
         g = ch.metric(x)
+        if not self.factors or force_fd:
+            Rv = np.einsum("...labc,...ka,...b,...c->...kl", _charts.riemann(ch, x), E, v, v)
+            K = np.einsum("...kl,...lm,...jm->...kj", Rv, g, E)
+            return 0.5 * (K + np.swapaxes(K, -1, -2))
         out = 0.0
         for f in self.factors:
             sl = f.coords
-            gf, vf, Ef = g[..., sl, sl], v[..., sl], frame[..., sl]
+            gf, vf, Ef = g[..., sl, sl], v[..., sl], E[..., sl]
             vv = _g_inner(vf, gf, vf)
             Ev = np.einsum("...ki,...ij,...j->...k", Ef, gf, vf)
             EE = np.einsum("...ki,...ij,...lj->...kl", Ef, gf, Ef)
             Kf = np.asarray(f.curvature(ch, x))[..., None, None]
             out = out + Kf * (vv[..., None, None] * EE - Ev[..., :, None] * Ev[..., None, :])
         return out
-
-    def _fd_K(self, x, v, frame, chart_id):
-        ch = self.chart(chart_id)
-        R = _charts.riemann(ch, x)
-        g = ch.metric(x)
-        Rv = np.einsum("...labc,...ka,...b,...c->...kl", R, frame, v, v)
-        K = np.einsum("...kl,...lm,...jm->...kj", Rv, g, frame)
-        return 0.5 * (K + np.swapaxes(K, -1, -2))
 
     def curvature_operator(self, theta, force_fd=False):
         """Eigen-decomposition of the Jacobi operator at a unit tangent state."""
@@ -239,26 +235,10 @@ class ManifoldModel:
 
     def sectional(self, x, u, w, chart_id=0, force_fd=False):
         """Sectional curvature of the plane spanned by u, w at x."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        w = np.asarray(w, dtype=float)
-        ch = self.chart(chart_id)
-        g = ch.metric(x)
-        if self.factors and not force_fd:
-            # R(u, w)w = sum_f K_f (<w, w>_f u_f - <u, w>_f w_f)
-            Ruw = np.zeros_like(u)
-            for f in self.factors:
-                sl = f.coords
-                gf, uf, wf = g[..., sl, sl], u[..., sl], w[..., sl]
-                Kf = np.asarray(f.curvature(ch, x))[..., None]
-                Ruw[..., sl] = Kf * (_g_inner(wf, gf, wf)[..., None] * uf
-                                     - _g_inner(uf, gf, wf)[..., None] * wf)
-        else:
-            R = _charts.riemann(ch, x)
-            Ruw = np.einsum("...labc,...a,...b,...c->...l", R, u, w, w)
-        num = _g_inner(u, g, Ruw)
+        x, u, w = (np.asarray(a, dtype=float) for a in (x, u, w))
+        g = self.chart(chart_id).metric(x)
         den = _g_inner(u, g, u) * _g_inner(w, g, w) - _g_inner(u, g, w) ** 2
-        return num / den
+        return self._jacobi_form(x, w, u[..., None, :], chart_id, force_fd)[..., 0, 0] / den
 
     def _check_unit(self, theta, tol=1e-8):
         nrm = self.norm(theta.x, theta.v, theta.chart_id)

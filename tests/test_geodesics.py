@@ -293,7 +293,9 @@ class TestJacobiPropagation:
 class TestKernelCalls:
     """The benchmark reads these counts: one Christoffel call per RK4 stage
     for the whole batch, whatever charts its rows are in, and one
-    ``_rk4_step`` per step."""
+    ``_rk4_step`` per step.  A ``chart_metric`` model calls its user metric
+    on one metric-jet stencil and at the point itself, for the Christoffel
+    symbols and again for the curvature."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -343,6 +345,25 @@ class TestKernelCalls:
         assert set(res.chart_ids.tolist()) == {0, 1}
         assert calls["rows"] == [8] * 128
         assert calls["christoffel"] == 4 * 128
+
+    def test_chart_metric_user_calls_per_stage(self, wavy, monkeypatch):
+        # 2 * (13 stencil points + 1) at n = 2; the difference of a 4-step and
+        # a 2-step run leaves out the calls made once per run
+        ch = wavy.chart(0)
+        func, count = ch.func, [0]
+
+        def counting_func(x):
+            count[0] += 1
+            return func(x)
+
+        monkeypatch.setattr(ch, "func", counting_func)
+        states = wavy.sample_sphere_bundle(2, seed=3)
+        totals = []
+        for steps in (2, 4):
+            count[0] = 0
+            geodesics.propagate(wavy, states, [steps / 64], step=1 / 64)
+            totals.append(count[0])
+        assert (totals[1] - totals[0]) / (2 * 4 * len(states)) == 28
 
 
 class TestExpBallJacobian:

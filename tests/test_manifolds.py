@@ -53,8 +53,9 @@ class TestMetric:
         }
         for name, (model, x) in pts.items():
             ch = model.chart(0)
-            assert np.allclose(ch.d_metric(x), fd_metric_derivative(ch, x),
-                               atol=1e-7), name
+            fd = fd_metric_derivative(ch, x)
+            for dg in (ch.d_metric(x), charts.metric_jet(ch.metric, x)[1]):
+                assert np.allclose(dg, fd, atol=1e-7), name
 
 
 class TestChristoffel:
@@ -109,15 +110,19 @@ class TestChristoffel:
 
     def test_per_row_chart_matches_each_row_alone(self, all_models):
         # a batch over every chart of the model, each row in its own chart;
-        # chart-0 sample points lie in every chart's coordinate domain
+        # chart-0 sample points lie in every chart's coordinate domain;
+        # riemann evaluates the metric on a (stencil, rows) batch
+        def evaluate(ch, method, x):
+            return charts.riemann(ch, x) if method == "riemann" else getattr(ch, method)(x)
+
         for name, model in all_models.items():
             X = np.stack([s.x for s in model.sample_sphere_bundle(12, seed=9)])
             ids = np.arange(len(X)) % len(model.charts)
             rows = model.chart(ids)
-            for method in ("metric", "christoffel", "margin"):
-                got = getattr(rows, method)(X)
+            for method in ("metric", "christoffel", "margin", "riemann"):
+                got = evaluate(rows, method, X)
                 for r, cid in enumerate(ids):
-                    want = getattr(model.chart(int(cid)), method)(X[r])
+                    want = evaluate(model.chart(int(cid)), method, X[r])
                     np.testing.assert_array_equal(got[r], want, err_msg=f"{name} {method}")
 
     def test_symmetric_lower_indices(self, all_models):
@@ -155,8 +160,8 @@ class TestCurvature:
         assert np.allclose(fd.eigenvalues, expect, atol=1e-6)
 
     def test_closed_form_matches_fd_path(self, s2, s4, h2, torus2, elli, s2xs2):
-        # every closed form agrees with finite differences of the Christoffel
-        # symbols, for the Jacobi operator and for sectional curvature
+        # every closed form agrees with the curvature of the metric jet, for
+        # the Jacobi operator and for sectional curvature
         rng = np.random.default_rng(4)
         models = (s2, s4, h2, torus2, elli, s2xs2, manifolds.sphere_product(2, 3))
         for model in models:
@@ -168,6 +173,22 @@ class TestCurvature:
                 exact = model.sectional(stt.x, u, w)
                 fd = model.sectional(stt.x, u, w, force_fd=True)
                 assert np.isclose(exact, fd, atol=1e-5), model.spec_string
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_round_spheres_as_chart_metric(self, n):
+        # the unit sphere's hyperspherical metric given as a user function:
+        # curvature from the metric jet alone
+        def metric(x):
+            s = np.sin(x[:-1])
+            return np.diag(np.concatenate([[1.0], np.cumprod(s * s)]))
+
+        domain = [[0.2, np.pi - 0.2]] * (n - 1) + [[0.0, 2 * np.pi]]
+        model = manifolds.chart_metric(metric, n, domain=domain, name=f"round-s{n}")
+        states = model.sample_sphere_bundle(20, seed=8)
+        X = np.stack([s.x for s in states])
+        V = np.stack([s.v for s in states])
+        W = np.random.default_rng(8).standard_normal(X.shape)
+        assert np.all(np.abs(model.sectional(X, V, W) - 1.0) <= 1e-6)
 
     def test_eigenvectors_orthonormal(self, all_models):
         for name, model in all_models.items():
