@@ -1,6 +1,6 @@
 """Coordinate charts for the built-in model manifolds.
 
-Every chart evaluates the metric (and its coordinate derivative) on batches of
+Every chart evaluates the metric and the Christoffel symbols on batches of
 chart points and knows how far a point sits from the chart boundary.  Charts of
 the models with overlapping charts also move points and tangent vectors through
 a Euclidean embedding, so that trajectories can hop between charts.  A batch
@@ -123,8 +123,7 @@ class Chart:
     def christoffel(self, x):
         """Levi-Civita symbols g^lm Gamma_mij, shape (..., n, n, n) indexed
         [l, i, j], from the metric and its derivative."""
-        dg = self.d_metric(x)
-        return np.einsum("...lm,...mij->...lij", np.linalg.inv(self.metric(x)), _lowered(dg))
+        return _raised(self.metric(x), self.d_metric(x))
 
     def per_row(self, charts, ids):
         """One chart that evaluates row r of a batch in ``charts[ids[r]]``: its
@@ -427,7 +426,7 @@ class ProductChart(Chart):
 
 class CallableMetricChart(Chart):
     """User-supplied metric function on a box domain, called once per point;
-    its derivative comes from :func:`metric_jet`."""
+    the Christoffel symbols come from :func:`metric_jet`."""
 
     def __init__(self, func, dim, domain=None):
         self.func = func
@@ -440,8 +439,8 @@ class CallableMetricChart(Chart):
         g = np.stack([np.asarray(self.func(pt), dtype=float) for pt in flat])
         return g.reshape(x.shape[:-1] + (self.dim, self.dim))
 
-    def d_metric(self, x):
-        return metric_jet(self.metric, x)[1]
+    def christoffel(self, x):
+        return _raised(*metric_jet(self.metric, x)[:2])
 
     def margin(self, x):
         x = np.asarray(x, dtype=float)
@@ -489,22 +488,25 @@ def _lowered(d):
     return 0.5 * (t1 + t2 - d)
 
 
+def _raised(g, dg):
+    """Gamma^l_ij = g^lm Gamma_mij [..., l, i, j] from g and dg [..., k, i, j] = d_k g_ij."""
+    return np.einsum("...lm,...mij->...lij", np.linalg.inv(g), _lowered(dg))
+
+
 def christoffel(chart, x):
     """Levi-Civita Christoffel symbols, shape (..., n, n, n) indexed [l, i, j]."""
     return chart.christoffel(np.asarray(x, dtype=float))
 
 
 def riemann(chart, x):
-    """Curvature tensor R(d_a, d_b)d_c = R^l_abc d_l, shape (..., n, n, n, n)
-    indexed [l, a, b, c], in closed form from the metric jet of ``chart``."""
+    """Curvature tensor with its first index lowered by g,
+    R_labc = g(R(d_a, d_b)d_c, d_l), shape (..., n, n, n, n) indexed
+    [l, a, b, c], in closed form from the metric jet of ``chart``."""
     g, dg, d2g = metric_jet(chart.metric, x)
-    ginv = np.linalg.inv(g)
-    gam = np.einsum("...lm,...mij->...lij", ginv, _lowered(dg))
-    # dgam[k, l, i, j] = d_k Gamma^l_ij = g^lm (d_k Gamma_mij - d_k g_mp Gamma^p_ij)
-    dgam = np.einsum("...lm,...kmij->...klij", ginv,
-                     _lowered(d2g) - np.einsum("...kmp,...pij->...kmij", dg, gam))
-    # R^l_abc is the part of d_a Gamma^l_bc + Gamma^l_am Gamma^m_bc antisymmetric in a, b
-    A = np.swapaxes(dgam, -4, -3) + np.einsum("...lam,...mbc->...labc", gam, gam)
+    # g_lm (d_a Gamma^m_bc + Gamma^m_ap Gamma^p_bc) = d_a Gamma_lbc - Gamma_pal Gamma^p_bc,
+    # for d_a g_lp = Gamma_lap + Gamma_pal; R_labc is its part antisymmetric in a, b
+    A = (np.swapaxes(_lowered(d2g), -4, -3)
+         - np.einsum("...pal,...pbc->...labc", _lowered(dg), _raised(g, dg)))
     return A - np.swapaxes(A, -3, -2)
 
 

@@ -184,10 +184,13 @@ class ManifoldModel:
 
     # -- curvature ------------------------------------------------------------------
 
-    def curvature_frame_matrix(self, x, v, frame, chart_id=0, force_fd=False):
+    def curvature_frame_matrix(self, x, v, frame, chart_id=0):
         """Matrix K_ij = <R(E_i, v)v, E_j> of the Jacobi operator in a frame,
-        g-orthonormal and orthogonal to the unit vector v (:meth:`_jacobi_form`)."""
-        if len(self.factors) == 1 and not force_fd:
+        g-orthonormal and orthogonal to the unit vector v.  With one curvature
+        factor it is that factor's curvature times the identity; otherwise it
+        is :meth:`_jacobi_form`, which a model without factors takes from the
+        metric jet."""
+        if len(self.factors) == 1:
             # R(E_i, v)v = K (E_i - <E_i, v> v) = K E_i on such a frame
             k = self.dim - 1
             out = np.zeros(np.shape(x)[:-1] + (k, k))
@@ -195,17 +198,17 @@ class ManifoldModel:
             K = self.factors[0].curvature(self.chart(chart_id), x)
             out[..., idx, idx] = np.asarray(K)[..., None]
             return out
-        return self._jacobi_form(x, v, frame, chart_id, force_fd)
+        return self._jacobi_form(x, v, frame, chart_id)
 
-    def _jacobi_form(self, x, v, E, chart_id=0, force_fd=False):
+    def _jacobi_form(self, x, v, E, chart_id=0):
         """<R(E_i, v)v, E_j> for any vectors E (..., m, n), from the curvature
-        factors, or from :func:`charts.riemann` if there are none or ``force_fd``."""
+        factors, or from :func:`charts.riemann` if there are none."""
         ch = self.chart(chart_id)
-        g = ch.metric(x)
-        if not self.factors or force_fd:
+        if not self.factors:
             Rv = np.einsum("...labc,...ka,...b,...c->...kl", _charts.riemann(ch, x), E, v, v)
-            K = np.einsum("...kl,...lm,...jm->...kj", Rv, g, E)
+            K = np.einsum("...kl,...jl->...kj", Rv, E)
             return 0.5 * (K + np.swapaxes(K, -1, -2))
+        g = ch.metric(x)
         out = 0.0
         for f in self.factors:
             sl = f.coords
@@ -217,11 +220,11 @@ class ManifoldModel:
             out = out + Kf * (vv[..., None, None] * EE - Ev[..., :, None] * Ev[..., None, :])
         return out
 
-    def curvature_operator(self, theta, force_fd=False):
+    def curvature_operator(self, theta):
         """Eigen-decomposition of the Jacobi operator at a unit tangent state."""
         self._check_unit(theta)
         frame = self.orthonormal_frame(theta.x, theta.v, theta.chart_id)
-        K = self.curvature_frame_matrix(theta.x, theta.v, frame, theta.chart_id, force_fd)
+        K = self.curvature_frame_matrix(theta.x, theta.v, frame, theta.chart_id)
         w, V = np.linalg.eigh(K)
         vecs = np.einsum("...ik,...im->...km", V, frame)
         return CurvatureSpectrum(theta, w, vecs)
@@ -233,12 +236,12 @@ class ManifoldModel:
         K = self.curvature_frame_matrix(theta.x, theta.v, frame, theta.chart_id)
         return float(np.trace(K))
 
-    def sectional(self, x, u, w, chart_id=0, force_fd=False):
+    def sectional(self, x, u, w, chart_id=0):
         """Sectional curvature of the plane spanned by u, w at x."""
         x, u, w = (np.asarray(a, dtype=float) for a in (x, u, w))
         g = self.chart(chart_id).metric(x)
         den = _g_inner(u, g, u) * _g_inner(w, g, w) - _g_inner(u, g, w) ** 2
-        return self._jacobi_form(x, w, u[..., None, :], chart_id, force_fd)[..., 0, 0] / den
+        return self._jacobi_form(x, w, u[..., None, :], chart_id)[..., 0, 0] / den
 
     def _check_unit(self, theta, tol=1e-8):
         nrm = self.norm(theta.x, theta.v, theta.chart_id)
@@ -247,7 +250,7 @@ class ManifoldModel:
 
     # -- curvature extremes -----------------------------------------------------------
 
-    def extremal_curvatures(self, sample_count=200, seed=0, force_sampling=False):
+    def extremal_curvatures(self, sample_count=200, seed=0):
         """(K_max, K_min, min_ricci).
 
         Closed forms from the curvature factors; otherwise sampled 2-planes and
@@ -258,7 +261,7 @@ class ManifoldModel:
         """
         if sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if self.factors and not force_sampling:
+        if self.factors:
             fs = self.factors
             k_min = min(f.k_min for f in fs)
             if len(fs) > 1:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,14 @@ def elli():
 @pytest.fixture(scope="session")
 def s2xs2():
     return manifolds.sphere_product(2, 2, 1.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def factor_free():
+    """Builds a copy of a model without its curvature factors, so that its
+    curvature comes from the metric jet: the finite-difference oracle of the
+    closed forms."""
+    return lambda model: dataclasses.replace(model, factors=())
 
 
 def _wavy_metric(x):

@@ -1,9 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geoflow import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -174,3 +179,48 @@ class TestGromov:
         assert run(["gromov", "--n-max", "5"]) == 0
         out = capsys.readouterr().out
         assert "smaller for every n" in out
+
+
+class TestOutputContract:
+    """Every command reports through one path in ``main``."""
+
+    COMMANDS = [
+        ["bound", "sphere:n=2,r=1.0"],
+        ["estimate", "sphere:n=2,r=1.0", "--samples", "100", "--t-max", "1",
+         "--step", "1e-2"],
+        ["count", "sphere:n=2,r=1.0", "--t-max", "1", "--samples", "8", "--step", "1e-2"],
+        ["certify", "--profile", '{"n":4,"betti":[1,0,231,0,1],"formal":true}'],
+        ["gromov", "--n-max", "5"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_text_ends_with_wall_clock(self, argv, capsys):
+        run(argv + ["--format", "text"])
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"wall clock: \d+\.\d\ds", last), last
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_out_file_is_the_canonical_printed_report(self, argv, tmp_path, capsys):
+        out = str(tmp_path / "report")
+        code = run(argv + ["--format", "json", "--out", out])
+        assert code == (1 if argv[0] == "certify" else 0)
+        printed = json.loads(capsys.readouterr().out)
+        assert "wall_clock_s" in printed["timing"]
+        assert (tmp_path / "report.json").read_bytes() == cli.canonical_report_bytes(printed)
+
+    @pytest.mark.parametrize("command", ["bound", "estimate", "count"])
+    def test_missing_spec_exit_2(self, command, capsys):
+        assert run([command]) == 2
+        assert capsys.readouterr().err == "error: a manifold spec is required\n"
+
+
+def test_readme_command_examples(tmp_path, monkeypatch):
+    # every example of the README's "Command line" block runs as written;
+    # the certify example (b_2 = 231) is obstructed
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("geoflow ")]
+    assert len(lines) == 5
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert run(argv) == (1 if argv[0] == "certify" else 0), line

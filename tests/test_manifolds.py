@@ -139,15 +139,15 @@ class TestCurvature:
             spec = model.curvature_operator(model.base_state())
             assert np.allclose(spec.eigenvalues, expect, atol=1e-12)
 
-    def test_space_forms_fd_path(self, s2, s4, h2, torus2):
+    def test_space_forms_fd_path(self, s2, s4, h2, torus2, factor_free):
         # the finite-difference route, forced through, reproduces the constant
         for model, expect in ((s2, 1.0), (s4, 1.0), (h2, -1.0), (torus2, 0.0)):
             states = model.sample_sphere_bundle(4, seed=5)
             for stt in states:
-                spec = model.curvature_operator(stt, force_fd=True)
+                spec = factor_free(model).curvature_operator(stt)
                 assert np.allclose(spec.eigenvalues, expect, atol=1e-6), model.kind
 
-    def test_product_split_spectrum(self, s2xs2):
+    def test_product_split_spectrum(self, s2xs2, factor_free):
         alpha = 0.7
         v = np.zeros(4)
         v[1] = np.cos(alpha)
@@ -156,10 +156,10 @@ class TestCurvature:
         spec = s2xs2.curvature_operator(theta)
         expect = np.sort([0.0, np.cos(alpha) ** 2, np.sin(alpha) ** 2])
         assert np.allclose(spec.eigenvalues, expect, atol=1e-10)
-        fd = s2xs2.curvature_operator(theta, force_fd=True)
+        fd = factor_free(s2xs2).curvature_operator(theta)
         assert np.allclose(fd.eigenvalues, expect, atol=1e-6)
 
-    def test_closed_form_matches_fd_path(self, s2, s4, h2, torus2, elli, s2xs2):
+    def test_closed_form_matches_fd_path(self, s2, s4, h2, torus2, elli, s2xs2, factor_free):
         # every closed form agrees with the curvature of the metric jet, for
         # the Jacobi operator and for sectional curvature
         rng = np.random.default_rng(4)
@@ -167,11 +167,11 @@ class TestCurvature:
         for model in models:
             for stt in model.sample_sphere_bundle(20, seed=4):
                 exact = model.curvature_operator(stt).eigenvalues
-                fd = model.curvature_operator(stt, force_fd=True).eigenvalues
+                fd = factor_free(model).curvature_operator(stt).eigenvalues
                 assert np.allclose(exact, fd, atol=1e-5), model.spec_string
                 u, w = rng.standard_normal((2, model.dim))
                 exact = model.sectional(stt.x, u, w)
-                fd = model.sectional(stt.x, u, w, force_fd=True)
+                fd = factor_free(model).sectional(stt.x, u, w)
                 assert np.isclose(exact, fd, atol=1e-5), model.spec_string
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -228,7 +228,7 @@ class TestExtremes:
                 k_max, _, min_ric = model.extremal_curvatures()
                 assert min_ric == k_max * (n - 1)
 
-    def test_ellipsoid_grid_oracle(self, elli):
+    def test_ellipsoid_grid_oracle(self, elli, factor_free):
         # dense-grid maximum of the finite-difference sectional curvature is an
         # independent check of the closed-form extremes
         k_max, k_min, min_ric = elli.extremal_curvatures()
@@ -238,8 +238,8 @@ class TestExtremes:
         for u in us:
             for phi in phis[::4]:
                 x = np.array([u, phi])
-                vals.append(float(elli.sectional(
-                    x, np.array([1.0, 0.0]), np.array([0.0, 1.0]), force_fd=True)))
+                vals.append(float(factor_free(elli).sectional(
+                    x, np.array([1.0, 0.0]), np.array([0.0, 1.0]))))
         vals = np.array(vals)
         # grid misses the exact poles, hence the 1% tolerance
         assert abs(vals.max() - k_max) / k_max < 0.01
@@ -247,8 +247,7 @@ class TestExtremes:
         assert np.isclose(min_ric, k_min, atol=1e-12)
 
     def test_sampling_path_brackets_truth(self, elli):
-        k_max, k_min, min_ric = elli.extremal_curvatures(
-            sample_count=150, seed=1, force_sampling=True)
+        k_max, k_min, min_ric = elli._sampled_extremes(150, seed=1)
         assert k_max >= 4.0 - 1e-6 and k_max < 4.2
         assert k_min <= 0.25 + 1e-6 and k_min > 0.2
         assert min_ric <= 0.25 + 1e-6 and min_ric > 0.2
