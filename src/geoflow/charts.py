@@ -8,6 +8,12 @@ whose rows sit in different charts of one model is evaluated by the single
 chart :meth:`Chart.per_row` returns.  Shapes follow numpy broadcasting: a
 chart point batch has shape ``(..., n)``, metrics ``(..., n, n)`` and metric
 derivatives ``(..., n, n, n)`` indexed ``[k, i, j] = d_k g_ij``.
+
+Every chart that switches, of a sphere, a sphere product factor or the
+ellipsoid, is a :class:`HypersphericalChart`: hyperspherical angles on a
+scaled and permuted copy of the unit sphere, with one embedding, its
+Jacobian, its inverse and its margin.  Its inverse returns canonical angles,
+so a switch needs no further wrapping of periodic coordinates.
 """
 
 from __future__ import annotations
@@ -81,7 +87,8 @@ def sphere_embed_jacobian(angles):
 
 
 class Chart:
-    """Base chart: metric evaluation plus embedding-based transition maps."""
+    """Base chart: metric evaluation plus embedding-based transition maps;
+    the embedding itself is defined only on the charts that switch."""
 
     dim: int
     ambient_dim: int
@@ -96,10 +103,6 @@ class Chart:
         """Normalized distance from the chart boundary: 1 deep inside, 0 on it."""
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1])
-
-    def wrap(self, x):
-        """Canonicalize periodic coordinates; identity by default."""
-        return np.asarray(x, dtype=float)
 
     def embed(self, x):
         raise NotImplementedError
@@ -185,47 +188,56 @@ def _diagonal_tables(n):
     return gamma, upper
 
 
-class SphereChart(DiagonalChart):
-    """Round sphere S^n(r) in hyperspherical angles, pole frame rotated by Q.
+class HypersphericalChart(Chart):
+    """Hyperspherical angles t on the image p = Q (scale * u(t)) of the unit
+    sphere, u = :func:`sphere_embed`: the scale stretches each axis of the
+    standard position, and the permutation matrix Q moves it to the ambient
+    axes.  ``scale`` is one number, one per axis (d+1,), or one such row per
+    row of the last batch axis (B, d+1); ``rotation`` is Q, (d+1, d+1) or one
+    per row (B, d+1, d+1).  The chart poles are where a sine of t_0..t_{d-2}
+    vanishes; :meth:`from_embedding` returns canonical angles, t_j in [0, pi]
+    for j < d-1 and t_{d-1} in [0, 2 pi)."""
+
+    def __init__(self, dim, scale, rotation=None):
+        self.dim = dim
+        self.ambient_dim = dim + 1
+        self.scale = np.asarray(scale, dtype=float)
+        self.rotation = np.eye(dim + 1) if rotation is None else np.asarray(rotation, dtype=float)
+
+    def margin(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.prod(np.abs(np.sin(x[..., : self.dim - 1])), axis=-1)
+
+    def embed(self, x):
+        return np.einsum("...ab,...b->...a", self.rotation, self.scale * sphere_embed(x))
+
+    def from_embedding(self, p):
+        u = np.einsum("...ba,...b->...a", self.rotation, np.asarray(p, dtype=float)) / self.scale
+        u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+        return sphere_unembed(u)
+
+    def d_embed(self, x):
+        J = self.scale[..., None] * sphere_embed_jacobian(x)
+        return np.einsum("...ab,...bi->...ai", self.rotation, J)
+
+
+class SphereChart(DiagonalChart, HypersphericalChart):
+    """Round sphere S^n(r): scale r on every axis, pole frame permuted by Q.
 
     Coordinates t_0..t_{n-1} with t_j in (0, pi) for j < n-1 and t_{n-1}
     periodic.  g = r^2 diag(1, sin^2 t_0, sin^2 t_0 sin^2 t_1, ...), which is
-    independent of the frame rotation.
+    independent of Q.
     """
 
     def __init__(self, dim, radius, rotation=None):
-        self.dim = dim
-        self.ambient_dim = dim + 1
         self.radius = float(radius)
-        self.rotation = np.eye(dim + 1) if rotation is None else np.asarray(rotation, dtype=float)
+        super().__init__(dim, self.radius, rotation)
 
     def warps(self, x):
         # w = (r^2, sin^2 t_0, ..., sin^2 t_{n-2}); the last (periodic) angle warps nothing
         s = np.sin(x[..., :-1])
         w = np.concatenate([np.full(s.shape[:-1] + (1,), self.radius**2), s * s], axis=-1)
         return w, 2.0 * np.cos(x[..., :-1]) / s
-
-    def margin(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.prod(np.abs(np.sin(x[..., : self.dim - 1])), axis=-1)
-
-    def wrap(self, x):
-        x = np.array(x, dtype=float)
-        x[..., -1] = np.mod(x[..., -1], 2.0 * np.pi)
-        return x
-
-    def embed(self, x):
-        u = sphere_embed(x)
-        return self.radius * np.einsum("ab,...b->...a", self.rotation, u)
-
-    def from_embedding(self, p):
-        u = np.einsum("ba,...b->...a", self.rotation, np.asarray(p, dtype=float) / self.radius)
-        u = u / np.linalg.norm(u, axis=-1, keepdims=True)
-        return sphere_unembed(u)
-
-    def d_embed(self, x):
-        J = sphere_embed_jacobian(x)
-        return self.radius * np.einsum("ab,...bi->...ai", self.rotation, J)
 
 
 class HyperbolicChart(DiagonalChart):
@@ -263,103 +275,70 @@ class FlatTorusChart(DiagonalChart):
         return np.mod(np.asarray(x, dtype=float), self.periods)
 
 
-class EllipsoidChart(Chart):
+class EllipsoidChart(HypersphericalChart):
     """Two-dimensional ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1.
 
     Coordinates (u, phi): the ambient axis ``axes[2]`` carries cos(u) (the
     chart poles); ``axes[0]`` and ``axes[1]`` carry sin(u) cos(phi) and
     sin(u) sin(phi).  ``axes`` is one permutation of (0, 1, 2), or one per
     row of the last batch axis (shape (B, 3)), as in the chart :meth:`per_row`
-    builds to evaluate each row in its own chart.  The metric, its derivative
-    and the Christoffel symbols follow from the embedding; ``d2_embed`` has
-    shape (..., 3, 2, 2) indexed [a, i, j] = d_i d_j E_a.
+    builds to evaluate each row in its own chart.  So the scale is the
+    semi-axes in the order ``axes[2], axes[0], axes[1]``, and Q puts them on
+    those axes.  The metric, its derivative, the Christoffel symbols and the
+    Gauss curvature do not depend on Q; they come from the embedding in
+    standard position, E = scale * sphere_embed(x).
     """
-
-    dim = 2
-
-    ambient_dim = 3
 
     def __init__(self, semi_axes, axes=(0, 1, 2)):
         self.semi = np.asarray(semi_axes, dtype=float)
         self.axes = np.asarray(axes)
-        # index in front of an ambient axis: all rows alike, or row r (last batch axis) by axes[r]
-        self._at = (...,) if self.axes.ndim == 1 else (..., np.arange(len(self.axes)))
+        order = self.axes[..., [2, 0, 1]]
+        # Q[a, m] = 1 where ambient axis a carries u_m
+        super().__init__(2, self.semi[order], np.swapaxes(np.eye(3)[order], -1, -2))
 
     def per_row(self, charts, ids):
         return EllipsoidChart(self.semi, np.array([ch.axes for ch in charts])[ids])
 
-    def _parts(self, x):
-        x = np.asarray(x, dtype=float)
-        u, phi = x[..., 0], x[..., 1]
-        return np.sin(u), np.cos(u), np.sin(phi), np.cos(phi)
-
-    def embed(self, x):
-        su, cu, sp, cp = self._parts(x)
-        (i, j, k), at = self.axes.T, self._at
-        p = np.empty(np.shape(su) + (3,))
-        p[at + (i,)] = self.semi[i] * su * cp
-        p[at + (j,)] = self.semi[j] * su * sp
-        p[at + (k,)] = self.semi[k] * cu
-        return p
-
-    def d_embed(self, x):
-        su, cu, sp, cp = self._parts(x)
-        (i, j, k), at = self.axes.T, self._at
-        J = np.zeros(np.shape(su) + (3, 2))
-        J[at + (i, 0)] = self.semi[i] * cu * cp
-        J[at + (i, 1)] = -self.semi[i] * su * sp
-        J[at + (j, 0)] = self.semi[j] * cu * sp
-        J[at + (j, 1)] = self.semi[j] * su * cp
-        J[at + (k, 0)] = -self.semi[k] * su
-        return J
+    def _jet(self, x):
+        """dE (..., 2, 3) [i, a] = d_i E_a and d2E (..., 2, 2, 3) [i, j, a] =
+        d_i d_j E_a of E = scale * (cos u, sin u cos phi, sin u sin phi), from
+        one sine and one cosine of x."""
+        s, c = np.sin(x), np.cos(x)
+        su, sp, cu, cp = s[..., 0], s[..., 1], c[..., 0], c[..., 1]
+        # rows d_u E, d_phi E, then d_i d_j E for ij = (u, u), (u, phi), (phi, u), (phi, phi)
+        J = np.zeros(np.shape(x)[:-1] + (6, 3))
+        J[..., 0, 0] = -su
+        J[..., 2, 0] = -cu
+        J[..., 0, 1] = J[..., 3, 2] = J[..., 4, 2] = cu * cp
+        J[..., 0, 2] = cu * sp
+        J[..., 3, 1] = J[..., 4, 1] = -J[..., 0, 2]
+        J[..., 1, 2] = su * cp
+        J[..., 2, 1] = J[..., 5, 1] = -J[..., 1, 2]
+        J[..., 1, 1] = J[..., 2, 2] = J[..., 5, 2] = -su * sp
+        J *= self.scale[..., None, :]
+        return J[..., :2, :], J[..., 2:, :].reshape(J.shape[:-2] + (2, 2, 3))
 
     def metric(self, x):
-        J = self.d_embed(x)
-        return np.einsum("...mi,...mj->...ij", J, J)
+        dE, _ = self._jet(x)
+        return dE @ np.swapaxes(dE, -1, -2)
 
     def d_metric(self, x):
-        J = self.d_embed(x)
-        H = self.d2_embed(x)
-        term = np.einsum("...mki,...mj->...kij", np.swapaxes(H, -1, -2), J)
+        dE, d2E = self._jet(x)
+        term = d2E @ np.swapaxes(dE, -1, -2)[..., None, :, :]   # [k, i, j] = d_k d_i E . d_j E
         return term + np.swapaxes(term, -2, -1)
 
     def christoffel(self, x):
         # the tangential part of d_i d_j E is Gamma^l_ij d_l E: solve
-        # g Gamma[:, i, j] = J^T d_i d_j E with g = J^T J
-        J = self.d_embed(x)
-        JtH = np.einsum("...mi,...mjk->...ijk", J, self.d2_embed(x))
-        g = np.einsum("...mi,...mj->...ij", J, J)
-        return np.linalg.solve(g, JtH.reshape(JtH.shape[:-2] + (4,))).reshape(JtH.shape)
+        # g Gamma[:, i, j] = dE . d_i d_j E with g = dE dE^T
+        dE, d2E = self._jet(x)
+        H = np.swapaxes(d2E.reshape(d2E.shape[:-3] + (4, 3)), -1, -2)
+        gam = np.linalg.solve(dE @ np.swapaxes(dE, -1, -2), dE @ H)
+        return gam.reshape(gam.shape[:-1] + (2, 2))
 
-    def d2_embed(self, x):
-        su, cu, sp, cp = self._parts(x)
-        (i, j, k), at = self.axes.T, self._at
-        H = np.zeros(np.shape(su) + (3, 2, 2))
-        H[at + (i, 0, 0)] = -self.semi[i] * su * cp
-        H[at + (i, 0, 1)] = H[at + (i, 1, 0)] = -self.semi[i] * cu * sp
-        H[at + (i, 1, 1)] = -self.semi[i] * su * cp
-        H[at + (j, 0, 0)] = -self.semi[j] * su * sp
-        H[at + (j, 0, 1)] = H[at + (j, 1, 0)] = self.semi[j] * cu * cp
-        H[at + (j, 1, 1)] = -self.semi[j] * su * sp
-        H[at + (k, 0, 0)] = -self.semi[k] * cu
-        return H
-
-    def from_embedding(self, p):
-        p = np.asarray(p, dtype=float)
-        (i, j, k), at = self.axes.T, self._at
-        cu = np.clip(p[at + (k,)] / self.semi[k], -1.0, 1.0)
-        u = np.arccos(cu)
-        phi = np.mod(np.arctan2(p[at + (j,)] / self.semi[j], p[at + (i,)] / self.semi[i]),
-                     2.0 * np.pi)
-        return np.stack([u, phi], axis=-1)
-
-    def margin(self, x):
-        return np.abs(np.sin(np.asarray(x, dtype=float)[..., 0]))
-
-    def wrap(self, x):
-        x = np.array(x, dtype=float)
-        x[..., 1] = np.mod(x[..., 1], 2.0 * np.pi)
-        return x
+    def gauss(self, x):
+        """Gauss curvature 1 / (abc sum_m u_m^2 / scale_m^2)^2 at u = sphere_embed(x)."""
+        f = np.sum((sphere_embed(x) / self.scale) ** 2, axis=-1)
+        return 1.0 / (np.prod(self.scale, axis=-1) * f) ** 2
 
 
 class ProductChart(Chart):
@@ -396,10 +375,6 @@ class ProductChart(Chart):
     def margin(self, x):
         a, b = self._halves(x)
         return np.minimum(self.first.margin(a), self.second.margin(b))
-
-    def wrap(self, x):
-        a, b = self._halves(x)
-        return np.concatenate([self.first.wrap(a), self.second.wrap(b)], axis=-1)
 
     def embed(self, x):
         a, b = self._halves(x)
@@ -502,7 +477,11 @@ def riemann(chart, x):
     """Curvature tensor with its first index lowered by g,
     R_labc = g(R(d_a, d_b)d_c, d_l), shape (..., n, n, n, n) indexed
     [l, a, b, c], in closed form from the metric jet of ``chart``."""
-    g, dg, d2g = metric_jet(chart.metric, x)
+    return jet_riemann(*metric_jet(chart.metric, x))
+
+
+def jet_riemann(g, dg, d2g):
+    """:func:`riemann` from a metric jet (g, dg, d2g) of :func:`metric_jet`."""
     # g_lm (d_a Gamma^m_bc + Gamma^m_ap Gamma^p_bc) = d_a Gamma_lbc - Gamma_pal Gamma^p_bc,
     # for d_a g_lp = Gamma_lap + Gamma_pal; R_labc is its part antisymmetric in a, b
     A = (np.swapaxes(_lowered(d2g), -4, -3)

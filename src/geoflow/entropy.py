@@ -263,20 +263,17 @@ def counting_growth(model, x, T_grid, angular_samples=32, step=1e-3, seed=0,
 
 def sphere_arc_count(d, T):
     """Number of geodesic arcs of length <= T joining two points at distance
-    d on the unit two-sphere, for non-conjugate pairs (0 < d < pi).
+    d on the unit two-sphere, for non-conjugate pairs (0 < d < pi).  An array
+    of distances gives an array of counts.
 
     Arc lengths are d + 2 pi k and (2 pi - d) + 2 pi k for k >= 0.
     """
-    if not 0.0 < d < math.pi:
+    d = np.asarray(d, dtype=float)
+    if not np.all((0.0 < d) & (d < math.pi)):
         raise ValueError("d must lie strictly between 0 and pi")
-    if T < 0.0:
-        return 0
-    count = 0
-    if T >= d:
-        count += int(math.floor((T - d) / (2.0 * math.pi))) + 1
-    if T >= 2.0 * math.pi - d:
-        count += int(math.floor((T - (2.0 * math.pi - d)) / (2.0 * math.pi))) + 1
-    return count
+    count = sum(np.maximum(np.floor((T - first) / (2.0 * math.pi)) + 1, 0)
+                for first in (d, 2.0 * math.pi - d)).astype(int)
+    return int(count) if count.ndim == 0 else count
 
 
 def sphere_counting_oracle(T, quad_points=4000):
@@ -284,7 +281,7 @@ def sphere_counting_oracle(T, quad_points=4000):
     integral over the range sphere of the explicit arc count, in polar
     coordinates around the source point (midpoint rule dodges the jump set)."""
     d = (np.arange(quad_points) + 0.5) * math.pi / quad_points
-    counts = np.array([sphere_arc_count(di, T) for di in d])
+    counts = sphere_arc_count(d, T)
     return float(np.sum(counts * 2.0 * math.pi * np.sin(d)) * math.pi / quad_points)
 
 

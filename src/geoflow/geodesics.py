@@ -29,7 +29,7 @@ import numpy as np
 
 from . import charts as _charts
 from .errors import IntegrationError
-from .manifolds import ManifoldModel, TangentState, gram_schmidt
+from .manifolds import ManifoldModel, TangentState, _g_inner, gram_schmidt
 
 log = logging.getLogger(__name__)
 
@@ -152,7 +152,7 @@ def _switch_charts(model, chart_ids, Y, failed, lost, jacobi):
         for j, cand in enumerate(model.charts):
             if j == cid:
                 continue
-            xc = cand.wrap(cand.from_embedding(p))
+            xc = cand.from_embedding(p)
             mc = float(cand.margin(xc))
             if mc > best_m + 1e-12:
                 best, best_m, best_x = j, mc, xc
@@ -179,7 +179,7 @@ def _reorthonormalize(chart, Y):
     e = W[:, 1:]
     g = chart.metric(X)
     newE = gram_schmidt(g, W[:, 0], e)
-    M = np.einsum("bai,bij,bcj->bac", newE, g, e)
+    M = newE @ g @ np.swapaxes(e, -1, -2)
     drift = np.abs(M - np.eye(k)).max(axis=(-2, -1), initial=0.0)
     # M acts on the E-coordinates of both halves of Phi
     Phi[:] = np.einsum("bij,bsjc->bsic", M, Phi.reshape(-1, 2, k, 2 * k)).reshape(Phi.shape)
@@ -282,8 +282,7 @@ def propagate(
             rec_states.append((chart_ids.copy(), X.copy(), W[:, 0].copy(),
                                W[:, 1:].copy() if jacobi else None))
 
-    speed = np.einsum("bi,bij,bj->b", W[:, 0], chart.metric(X), W[:, 0])
-    speed_drift = np.abs(speed - 1.0)
+    speed_drift = np.abs(_g_inner(W[:, 0], chart.metric(X), W[:, 0]) - 1.0)
     if np.all(failed):
         raise IntegrationError("all trajectories failed during integration", last_state=lost)
     return PropagationResult(

@@ -76,7 +76,8 @@ def _constant_factor(coords, dim, K):
 
 
 def _g_inner(a, g, b):
-    return np.einsum("...i,...ij,...j->...", a, g, b)
+    # a matmul sums each row alike, whatever the batch size
+    return (a[..., None, :] @ g @ b[..., :, None])[..., 0, 0]
 
 
 def gram_schmidt(g, v, vectors):
@@ -198,16 +199,18 @@ class ManifoldModel:
             K = self.factors[0].curvature(self.chart(chart_id), x)
             out[..., idx, idx] = np.asarray(K)[..., None]
             return out
-        return self._jacobi_form(x, v, frame, chart_id)
+        return self._jacobi_form(x, v, frame, chart_id)[0]
 
     def _jacobi_form(self, x, v, E, chart_id=0):
-        """<R(E_i, v)v, E_j> for any vectors E (..., m, n), from the curvature
-        factors, or from :func:`charts.riemann` if there are none."""
+        """<R(E_i, v)v, E_j> for any vectors E (..., m, n), and g at x.  The
+        form comes from the curvature factors, or if there are none from the
+        metric jet, which then also gives g."""
         ch = self.chart(chart_id)
         if not self.factors:
-            Rv = np.einsum("...labc,...ka,...b,...c->...kl", _charts.riemann(ch, x), E, v, v)
+            jet = _charts.metric_jet(ch.metric, x)
+            Rv = np.einsum("...labc,...ka,...b,...c->...kl", _charts.jet_riemann(*jet), E, v, v)
             K = np.einsum("...kl,...jl->...kj", Rv, E)
-            return 0.5 * (K + np.swapaxes(K, -1, -2))
+            return 0.5 * (K + np.swapaxes(K, -1, -2)), jet[0]
         g = ch.metric(x)
         out = 0.0
         for f in self.factors:
@@ -218,7 +221,7 @@ class ManifoldModel:
             EE = np.einsum("...ki,...ij,...lj->...kl", Ef, gf, Ef)
             Kf = np.asarray(f.curvature(ch, x))[..., None, None]
             out = out + Kf * (vv[..., None, None] * EE - Ev[..., :, None] * Ev[..., None, :])
-        return out
+        return out, g
 
     def curvature_operator(self, theta):
         """Eigen-decomposition of the Jacobi operator at a unit tangent state."""
@@ -239,9 +242,9 @@ class ManifoldModel:
     def sectional(self, x, u, w, chart_id=0):
         """Sectional curvature of the plane spanned by u, w at x."""
         x, u, w = (np.asarray(a, dtype=float) for a in (x, u, w))
-        g = self.chart(chart_id).metric(x)
+        form, g = self._jacobi_form(x, w, u[..., None, :], chart_id)
         den = _g_inner(u, g, u) * _g_inner(w, g, w) - _g_inner(u, g, w) ** 2
-        return self._jacobi_form(x, w, u[..., None, :], chart_id)[..., 0, 0] / den
+        return form[..., 0, 0] / den
 
     def _check_unit(self, theta, tol=1e-8):
         nrm = self.norm(theta.x, theta.v, theta.chart_id)
@@ -466,12 +469,6 @@ def hyperbolic(n=2, c=1.0):
 def ellipsoid(a=1.0, b=1.0, c=2.0):
     sa, sb, sc = float(a), float(b), float(c)
     abc2 = (sa * sb * sc) ** 2
-
-    def gauss(chart, x):
-        p = chart.embed(x)
-        f = p[..., 0] ** 2 / sa**4 + p[..., 1] ** 2 / sb**4 + p[..., 2] ** 2 / sc**4
-        return 1.0 / (abc2 * f**2)
-
     chs = [
         _charts.EllipsoidChart([a, b, c], axes=(0, 1, 2)),
         _charts.EllipsoidChart([a, b, c], axes=(1, 2, 0)),
@@ -485,7 +482,7 @@ def ellipsoid(a=1.0, b=1.0, c=2.0):
         isotropic=False,
         spec_string=f"ellipsoid:a={a},b={b},c={c}",
         # Gauss curvature, extreme at the ends of the longest and shortest axes
-        factors=(CurvatureFactor(slice(0, 2), 2, gauss,
+        factors=(CurvatureFactor(slice(0, 2), 2, _charts.EllipsoidChart.gauss,
                                  min(sa, sb, sc) ** 4 / abc2, max(sa, sb, sc) ** 4 / abc2),),
         base_x=np.array([np.pi / 2, 0.3]),
     )

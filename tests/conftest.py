@@ -32,6 +32,12 @@ def elli():
 
 
 @pytest.fixture(scope="session")
+def elli3():
+    # triaxial: every chart has three different semi-axes
+    return manifolds.ellipsoid(1.0, 1.5, 2.0)
+
+
+@pytest.fixture(scope="session")
 def s2xs2():
     return manifolds.sphere_product(2, 2, 1.0, 1.0)
 

@@ -287,6 +287,16 @@ class TestSphereArcs:
         with pytest.raises(ValueError):
             entropy.sphere_arc_count(np.pi, 1.0)
 
+    def test_array_matches_scalar_calls(self):
+        # the oracle's midpoints, counted in one call and one at a time
+        d = (np.arange(4000) + 0.5) * np.pi / 4000
+        for T in (0.5, np.pi, 7.0, 20.0):
+            counts = entropy.sphere_arc_count(d, T)
+            assert all(type(entropy.sphere_arc_count(di, T)) is int for di in d[::500])
+            np.testing.assert_array_equal(counts, [entropy.sphere_arc_count(di, T) for di in d])
+        with pytest.raises(ValueError):
+            entropy.sphere_arc_count(np.append(d, np.pi), 1.0)
+
     def test_shooting_oracle_matches(self):
         # brute-force shooting over initial directions, matched within 1e-3
         for d in (0.7, np.pi / 2, 2.2):

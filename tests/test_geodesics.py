@@ -267,19 +267,26 @@ class TestJacobiPropagation:
                                        frames0=E[0][None])
             assert np.abs(res2.phi[0, 0] @ phi_s - phi_st).max() < 1e-6
 
-    def test_row_alone_matches_row_in_batch(self, elli):
-        # the batch spans both ellipsoid charts; frame_drift is each row's own
-        states = elli.sample_sphere_bundle(6, seed=5)
+    def test_row_alone_matches_row_in_batch(self, elli, elli3, wavy, s2xs2):
+        # bitwise: a row's result does not depend on the size of its batch;
+        # the batches of the models that switch span more than one chart, and
+        # frame_drift is each row's own
         grid = [1.5, 3.0]
-        batch = geodesics.propagate(elli, states, grid, step=1e-2, record_states=True)
-        assert len({int(c) for cids, *_ in batch.states for c in cids}) >= 2
-        for i, theta in enumerate(states):
-            alone = geodesics.propagate(elli, theta, grid, step=1e-2)
-            for got, want in ((alone.x[0], batch.x[i]), (alone.v[0], batch.v[i]),
-                              (alone.phi[:, 0], batch.phi[:, i]),
-                              (alone.speed_drift[0], batch.speed_drift[i]),
-                              (alone.frame_drift[0], batch.frame_drift[i])):
-                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        for model in (elli, elli3, wavy, manifolds.sphere(3), s2xs2):
+            charts_seen = set()
+            for seed in range(1, 7):
+                states = model.sample_sphere_bundle(6, seed=seed)
+                batch = geodesics.propagate(model, states, grid, step=1e-2, record_states=True)
+                charts_seen |= {int(c) for cids, *_ in batch.states for c in cids}
+                for i, theta in enumerate(states):
+                    alone = geodesics.propagate(model, theta, grid, step=1e-2)
+                    for got, want in ((alone.x[0], batch.x[i]), (alone.v[0], batch.v[i]),
+                                      (alone.phi[:, 0], batch.phi[:, i]),
+                                      (alone.speed_drift[0], batch.speed_drift[i]),
+                                      (alone.frame_drift[0], batch.frame_drift[i])):
+                        np.testing.assert_array_equal(
+                            got, want, err_msg=f"{model.spec_string} seed {seed} row {i}")
+            assert len(charts_seen) >= min(2, len(model.charts)), model.spec_string
 
     def test_split_submultiplicativity_along_flow(self, elli):
         theta = elli.sample_sphere_bundle(1, seed=12)[0]

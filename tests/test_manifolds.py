@@ -44,11 +44,12 @@ class TestMetric:
         with pytest.raises(ChartDomainError):
             elli.metric(np.array([0.0, 0.0]))  # chart pole
 
-    def test_analytic_d_metric_matches_fd(self, s2, h2, elli, s2xs2):
+    def test_analytic_d_metric_matches_fd(self, s2, h2, elli, elli3, s2xs2):
         pts = {
             "s2": (s2, np.array([0.8, 0.3])),
             "h2": (h2, np.array([1.4, 2.0])),
             "elli": (elli, np.array([1.1, 0.9])),
+            "elli3": (elli3, np.array([1.1, 0.9])),
             "s2xs2": (s2xs2, np.array([1.0, 0.2, 2.0, 0.4])),
         }
         for name, (model, x) in pts.items():
@@ -85,18 +86,16 @@ class TestChristoffel:
         assert np.allclose(gam, 0.0, atol=1e-9)
 
     @pytest.mark.parametrize("name", ["s2", "s4", "h2", "h3", "torus2", "s2xs2", "elli",
-                                      "elli-rows"])
+                                      "elli-rows", "elli3", "elli3-chart1", "elli3-rows"])
     def test_closed_form_matches_general_formula(self, name, request):
         # closed-form charts against 0.5 g^-1 (dg + dg - dg) built from metric
         # and d_metric, at 20 points, 5 of them near a pole inside the switch
-        # margin; the horospherical chart has no boundary; "elli-rows" is the
-        # per-row ellipsoid chart, alternating its two pole axes
-        if name == "elli-rows":
-            model = request.getfixturevalue("elli")
-            ch = model.chart(np.arange(20) % 2)
-        else:
-            model = manifolds.hyperbolic(3) if name == "h3" else request.getfixturevalue(name)
-            ch = model.chart(0)
+        # margin; the horospherical chart has no boundary; "-rows" is the
+        # per-row ellipsoid chart, alternating its two pole axes, and
+        # "-chart1" the second chart
+        base, _, which = name.partition("-")
+        model = manifolds.hyperbolic(3) if base == "h3" else request.getfixturevalue(base)
+        ch = model.chart({"": 0, "chart1": 1, "rows": np.arange(20) % 2}[which])
         rng = np.random.default_rng(13)
         x = rng.uniform(0.05, np.pi - 0.05, (20, model.dim))
         x[:5, 0] = rng.uniform(0.01, 0.09, 5)
@@ -111,15 +110,20 @@ class TestChristoffel:
     def test_per_row_chart_matches_each_row_alone(self, all_models):
         # a batch over every chart of the model, each row in its own chart;
         # chart-0 sample points lie in every chart's coordinate domain;
-        # riemann evaluates the metric on a (stencil, rows) batch
+        # riemann evaluates the metric on a (stencil, rows) batch; "factor k"
+        # is the curvature of the model's k-th curvature factor
         def evaluate(ch, method, x):
+            if method.startswith("factor"):
+                return np.broadcast_to(model.factors[int(method[7:])].curvature(ch, x),
+                                       np.shape(x)[:-1])
             return charts.riemann(ch, x) if method == "riemann" else getattr(ch, method)(x)
 
         for name, model in all_models.items():
             X = np.stack([s.x for s in model.sample_sphere_bundle(12, seed=9)])
             ids = np.arange(len(X)) % len(model.charts)
             rows = model.chart(ids)
-            for method in ("metric", "christoffel", "margin", "riemann"):
+            factors = [f"factor {k}" for k in range(len(model.factors))]
+            for method in ["metric", "christoffel", "margin", "riemann"] + factors:
                 got = evaluate(rows, method, X)
                 for r, cid in enumerate(ids):
                     want = evaluate(model.chart(int(cid)), method, X[r])
@@ -159,11 +163,12 @@ class TestCurvature:
         fd = factor_free(s2xs2).curvature_operator(theta)
         assert np.allclose(fd.eigenvalues, expect, atol=1e-6)
 
-    def test_closed_form_matches_fd_path(self, s2, s4, h2, torus2, elli, s2xs2, factor_free):
+    def test_closed_form_matches_fd_path(self, s2, s4, h2, torus2, elli, elli3, s2xs2,
+                                         factor_free):
         # every closed form agrees with the curvature of the metric jet, for
         # the Jacobi operator and for sectional curvature
         rng = np.random.default_rng(4)
-        models = (s2, s4, h2, torus2, elli, s2xs2, manifolds.sphere_product(2, 3))
+        models = (s2, s4, h2, torus2, elli, elli3, s2xs2, manifolds.sphere_product(2, 3))
         for model in models:
             for stt in model.sample_sphere_bundle(20, seed=4):
                 exact = model.curvature_operator(stt).eigenvalues
@@ -173,6 +178,21 @@ class TestCurvature:
                 exact = model.sectional(stt.x, u, w)
                 fd = factor_free(model).sectional(stt.x, u, w)
                 assert np.isclose(exact, fd, atol=1e-5), model.spec_string
+
+    def test_sectional_user_calls_per_point(self, wavy, monkeypatch):
+        # one metric jet per point, 13 stencil points at n = 2; g is its centre
+        ch = wavy.chart(0)
+        func, count = ch.func, [0]
+
+        def counting_func(x):
+            count[0] += 1
+            return func(x)
+
+        X = np.stack([s.x for s in wavy.sample_sphere_bundle(5, seed=2)])
+        U, W = np.random.default_rng(2).standard_normal((2,) + X.shape)
+        monkeypatch.setattr(ch, "func", counting_func)
+        wavy.sectional(X, U, W)
+        assert count[0] == 13 * len(X)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_round_spheres_as_chart_metric(self, n):
