@@ -107,15 +107,14 @@ def first_order_residual(model, theta, delta, step=None):
     return float(np.linalg.norm(polar - first_order, ord=2))
 
 
-def expansion_defect(model, theta, delta, step=None):
-    """|expansion(Phi(delta)) - first_order_expansion(theta, delta)|."""
-    if step is None:
-        step = min(1e-3, delta / 20.0)
-    prop = propagate_jacobi(model, theta, delta, step=step)
+def expansion_defect(model, theta, delta):
+    """|expansion(Phi(delta)) - first_order_expansion(theta, delta)|, with
+    Phi(delta) integrated at step min(1e-3, delta / 20)."""
+    prop = propagate_jacobi(model, theta, delta, step=min(1e-3, delta / 20.0))
     return abs(expansion(prop.phi) - first_order_expansion(model, theta, delta))
 
 
-def expansion_defect_constants(model, thetas, deltas=(1e-2, 5e-3, 2.5e-3), step=None):
+def expansion_defect_constants(model, thetas, deltas=(1e-2, 5e-3, 2.5e-3)):
     """Estimate C in |expansion - first order| <= C delta^2 across states.
 
     Returns per-delta constants (max over the states) plus a flag when the
@@ -126,7 +125,7 @@ def expansion_defect_constants(model, thetas, deltas=(1e-2, 5e-3, 2.5e-3), step=
     for delta in deltas:
         worst = 0.0
         for theta in thetas:
-            defect = expansion_defect(model, theta, delta, step=step)
+            defect = expansion_defect(model, theta, delta)
             worst = max(worst, defect / delta**2)
         consts.append(worst)
     return {

@@ -92,6 +92,7 @@ class Chart:
 
     dim: int
     ambient_dim: int
+    domain = None  # box (n, 2) positions are sampled from; None: [-pi, pi]^n
 
     def metric(self, x):
         raise NotImplementedError
@@ -144,7 +145,7 @@ class DiagonalChart(Chart):
     logarithmic derivatives L_m = d_m log w_{m+1} (..., n-1), so that the
     Jacobian of the diagonal is J[m, k] = d_m d_k = L_m d_k for m < k and 0
     otherwise.  The metric, its derivative and the Christoffel symbols all
-    follow from d and J.
+    follow from d and J; :class:`ProductChart` supplies d and J itself.
     """
 
     def diagonal(self, x):
@@ -196,11 +197,13 @@ class HypersphericalChart(Chart):
     row of the last batch axis (B, d+1); ``rotation`` is Q, (d+1, d+1) or one
     per row (B, d+1, d+1).  The chart poles are where a sine of t_0..t_{d-2}
     vanishes; :meth:`from_embedding` returns canonical angles, t_j in [0, pi]
-    for j < d-1 and t_{d-1} in [0, 2 pi)."""
+    for j < d-1 and t_{d-1} in [0, 2 pi).  Positions are sampled from the
+    ``domain`` [1e-3, pi - 1e-3]^(d-1) x [0, 2 pi]."""
 
     def __init__(self, dim, scale, rotation=None):
         self.dim = dim
         self.ambient_dim = dim + 1
+        self.domain = np.array([[1e-3, np.pi - 1e-3]] * (dim - 1) + [[0.0, 2.0 * np.pi]])
         self.scale = np.asarray(scale, dtype=float)
         self.rotation = np.eye(dim + 1) if rotation is None else np.asarray(rotation, dtype=float)
 
@@ -341,8 +344,10 @@ class EllipsoidChart(HypersphericalChart):
         return 1.0 / (np.prod(self.scale, axis=-1) * f) ** 2
 
 
-class ProductChart(Chart):
-    """Riemannian product of two charts (block metric, independent factors)."""
+class ProductChart(DiagonalChart):
+    """Riemannian product of two diagonal charts: the factors' diagonals side
+    by side, and their P in the diagonal blocks of P.  The row of the first
+    factor's last coordinate is zero, for that angle warps nothing."""
 
     def __init__(self, first, second):
         self.first = first
@@ -355,22 +360,13 @@ class ProductChart(Chart):
         x = np.asarray(x, dtype=float)
         return x[..., : self.split], x[..., self.split:]
 
-    def _blocks(self, method, x, rank):
-        """Block-diagonal array of the factors' ``method``, ``rank`` chart indices."""
+    def diagonal(self, x):
         a, b = self._halves(x)
-        out = np.zeros(np.shape(x)[:-1] + (self.dim,) * rank)
-        out[(...,) + (slice(None, self.split),) * rank] = getattr(self.first, method)(a)
-        out[(...,) + (slice(self.split, None),) * rank] = getattr(self.second, method)(b)
-        return out
-
-    def metric(self, x):
-        return self._blocks("metric", x, 2)
-
-    def d_metric(self, x):
-        return self._blocks("d_metric", x, 3)
-
-    def christoffel(self, x):
-        return self._blocks("christoffel", x, 3)
+        (d1, P1), (d2, P2) = self.first.diagonal(a), self.second.diagonal(b)
+        P = np.zeros(d1.shape[:-1] + (self.dim - 1, self.dim))
+        P[..., : self.split - 1, : self.split] = P1
+        P[..., self.split:, self.split:] = P2
+        return np.concatenate([d1, d2], axis=-1), P
 
     def margin(self, x):
         a, b = self._halves(x)
@@ -489,7 +485,7 @@ def jet_riemann(g, dg, d2g):
     return A - np.swapaxes(A, -3, -2)
 
 
-def require_in_domain(chart, x, floor=1e-9):
+def require_in_domain(chart, x):
     margin = chart.margin(np.asarray(x, dtype=float))
-    if np.any(margin <= floor):
+    if np.any(margin <= 1e-9):
         raise ChartDomainError("chart point outside the admissible chart domain")

@@ -83,8 +83,6 @@ def _default_grid(t_max, points=25):
 
 
 def cmd_estimate(args):
-    if args.samples < 100:
-        raise ValueError("samples must be >= 100")
     model = parse_manifold(args.manifold)
     grid = _default_grid(args.t_max)
     series = mane_series(model, grid, args.samples, args.seed, args.step)

@@ -176,37 +176,37 @@ def _unit_sphere_area(n):
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _directions_at(model, x, count, seed, chart_id=0):
-    """Directions on the g(x)-unit sphere plus their quadrature weights.
+def _directions_at(model, x, count, seed):
+    """Directions on the g(x)-unit sphere, x a chart-0 point, and their weights.
 
     Dimension two uses exact uniform angles; higher dimensions use seeded
     uniform sampling (with a split-half convergence check downstream).
     """
     n = model.dim
     if n == 2:
-        g = model.chart(chart_id).metric(x)
+        g = model.chart(0).metric(x)
         b1 = np.zeros(n)
         b1[0] = 1.0
         b1 = b1 / math.sqrt(float(b1 @ g @ b1))
-        b2 = model.orthonormal_frame(x, b1, chart_id)[0]
+        b2 = model.orthonormal_frame(x, b1)[0]
         beta = 2.0 * math.pi * np.arange(count) / count
         dirs = np.outer(np.cos(beta), b1) + np.outer(np.sin(beta), b2)
         weights = np.full(count, 2.0 * math.pi / count)
         return dirs, weights, "angles"
-    dirs = model.unit_directions(x, count, np.random.default_rng(seed), chart_id)
+    dirs = model.unit_directions(x, count, np.random.default_rng(seed))
     weights = np.full(count, _unit_sphere_area(n) / count)
     return dirs, weights, "monte-carlo"
 
 
-def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0, chart_id=0):
+def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0):
     """Ball-averaged arc count sum_dirs int_0^T |det A_v(rho)| drho dsigma(v)
-    accumulated along one radial propagation per direction."""
+    around the chart-0 point x, along one radial propagation per direction."""
     T_grid = np.asarray(T_grid, dtype=float)
     if np.any(T_grid <= 0.0):
         raise ValueError("grid times must be positive")
     x = np.asarray(x, dtype=float)
-    dirs, weights, rule = _directions_at(model, x, angular_samples, seed, chart_id)
-    states = [model.unit_tangent(x, d, chart_id) for d in dirs]
+    dirs, weights, rule = _directions_at(model, x, angular_samples, seed)
+    states = [model.unit_tangent(x, d) for d in dirs]
     res = propagate(model, states, T_grid, step=step, accumulate_radial=True)
     n_failed, ok = _census(res.failed, "directions")
     w = weights[ok]
@@ -246,18 +246,17 @@ def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0, cha
     )
 
 
-def counting_integral(model, x, T, angular_samples=32, step=1e-3, seed=0, chart_id=0):
+def counting_integral(model, x, T, angular_samples=32, step=1e-3, seed=0):
     """Value of the ball-averaged arc count at radius T."""
     if T <= 0.0:
         raise ValueError("T must be positive")
-    series = counting_series(model, x, [T], angular_samples, step, seed, chart_id)
+    series = counting_series(model, x, [T], angular_samples, step, seed)
     return float(series.metadata["integrals"][0])
 
 
-def counting_growth(model, x, T_grid, angular_samples=32, step=1e-3, seed=0,
-                    chart_id=0, window=None):
+def counting_growth(model, x, T_grid, angular_samples=32, step=1e-3, seed=0, window=None):
     """Growth rate of the log counting integral over the grid."""
-    series = counting_series(model, x, T_grid, angular_samples, step, seed, chart_id)
+    series = counting_series(model, x, T_grid, angular_samples, step, seed)
     return slope(series, window=window)
 
 
@@ -276,13 +275,13 @@ def sphere_arc_count(d, T):
     return int(count) if count.ndim == 0 else count
 
 
-def sphere_counting_oracle(T, quad_points=4000):
+def sphere_counting_oracle(T):
     """Independent value of the ball-averaged arc count on the unit two-sphere:
     integral over the range sphere of the explicit arc count, in polar
-    coordinates around the source point (midpoint rule dodges the jump set)."""
-    d = (np.arange(quad_points) + 0.5) * math.pi / quad_points
+    coordinates around the source point (a 4,000-point midpoint rule dodges the jump set)."""
+    d = (np.arange(4000) + 0.5) * math.pi / 4000
     counts = sphere_arc_count(d, T)
-    return float(np.sum(counts * 2.0 * math.pi * np.sin(d)) * math.pi / quad_points)
+    return float(np.sum(counts * 2.0 * math.pi * np.sin(d)) * math.pi / 4000)
 
 
 def entropy_lower_from_radius(n, delta, R):

@@ -379,9 +379,10 @@ def expansion(m):
     return float(ex) if A.ndim == 2 else ex
 
 
-def trajectory_csv(model, theta, t_end, step, path, samples=200):
-    """Debug export: (t, x..., v...) rows along one geodesic."""
-    grid = np.linspace(t_end / samples, t_end, samples)
+def trajectory_csv(model, theta, t_end, step, path):
+    """Debug export: (t, x..., v...) rows along one geodesic, at t = 0 and
+    at 200 even steps to t_end."""
+    grid = np.linspace(t_end / 200, t_end, 200)
     res = propagate(model, theta, grid, step=step, jacobi=False, record_states=True)
     n = model.dim
     with open(path, "w", newline="") as fh:

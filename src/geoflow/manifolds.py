@@ -139,8 +139,7 @@ class ManifoldModel:
         return gam
 
     def inner(self, x, a, b, chart_id=0):
-        g = self.chart(chart_id).metric(x)
-        return np.einsum("...i,...ij,...j->...", a, g, b)
+        return _g_inner(np.asarray(a), self.chart(chart_id).metric(x), np.asarray(b))
 
     def norm(self, x, a, chart_id=0):
         return np.sqrt(self.inner(x, a, a, chart_id))
@@ -246,9 +245,9 @@ class ManifoldModel:
         den = _g_inner(u, g, u) * _g_inner(w, g, w) - _g_inner(u, g, w) ** 2
         return form[..., 0, 0] / den
 
-    def _check_unit(self, theta, tol=1e-8):
+    def _check_unit(self, theta):
         nrm = self.norm(theta.x, theta.v, theta.chart_id)
-        if abs(float(nrm) - 1.0) > tol:
+        if abs(float(nrm) - 1.0) > 1e-8:
             raise ValueError(f"tangent vector is not unit: |v|={float(nrm)!r}")
 
     # -- curvature extremes -----------------------------------------------------------
@@ -301,13 +300,13 @@ class ManifoldModel:
         rmin = rmin - tol * abs(rmin)
         return float(kmax), float(kmin), float(rmin)
 
-    def _ascend(self, f, parts, direction, rounds=8, step0=0.2):
+    def _ascend(self, f, parts, direction):
         """Shrinking-step coordinate ascent of direction * f(*parts) over the
-        chart point parts[0] and the vectors after it."""
+        chart point parts[0] and the vectors after it: 8 rounds, from step 0.2."""
         parts = [p.copy() for p in parts]
         cur = float(f(*parts))
-        step = step0
-        for _ in range(rounds):
+        step = 0.2
+        for _ in range(8):
             improved = False
             for which in range(len(parts)):
                 for k in range(self.dim):
@@ -346,11 +345,11 @@ class ManifoldModel:
         V = self.unit_directions(X, count, rng)
         return [TangentState(0, X[i], V[i]) for i in range(count)]
 
-    def unit_directions(self, x, count, rng, chart_id=0):
+    def unit_directions(self, x, count, rng):
         """``count`` seeded directions uniform on the g(x)-unit sphere, (count, n);
-        x is one chart point or one per direction."""
+        x is one chart-0 point or one per direction."""
         n = self.dim
-        g = self.chart(chart_id).metric(x)
+        g = self.chart(0).metric(x)
         L = np.linalg.cholesky(g)
         Z = rng.standard_normal((count, n))
         Z = Z / np.linalg.norm(Z, axis=-1, keepdims=True)
@@ -376,17 +375,10 @@ class ManifoldModel:
         return out
 
     def _sample_box(self):
-        """Chart-0 sampling box and an upper bound for sqrt(det g) on it."""
+        """Chart-0 sampling box, the chart's ``domain`` or [-pi, pi]^n, and an
+        upper bound for sqrt(det g) on it."""
         ch = self.chart(0)
-        if self.kind == "sphere":
-            box = np.array([[1e-3, np.pi - 1e-3]] * (self.dim - 1) + [[0.0, _TWO_PI]])
-            return box, ch.radius**self.dim * 1.0001
-        if self.kind == "ellipsoid":
-            box = np.array([[1e-3, np.pi - 1e-3], [0.0, _TWO_PI]])
-        elif getattr(ch, "domain", None) is not None:
-            box = ch.domain
-        else:
-            box = np.array([[-np.pi, np.pi]] * self.dim)
+        box = np.array([[-np.pi, np.pi]] * self.dim) if ch.domain is None else ch.domain
         # numeric bound with a safety factor
         grid = np.stack(
             np.meshgrid(*[np.linspace(b[0] + 1e-6, b[1] - 1e-6, 13) for b in box], indexing="ij"),
@@ -394,12 +386,6 @@ class ManifoldModel:
         ).reshape(-1, self.dim)
         dens = np.sqrt(np.abs(np.linalg.det(ch.metric(grid))))
         return box, float(dens.max()) * 1.5
-
-    # -- misc -------------------------------------------------------------------------
-
-    def position_embedding(self, x, chart_id=0):
-        """Chart-independent ambient representative of a chart point."""
-        return self.chart(chart_id).embed(np.asarray(x, dtype=float))
 
 
 # -- factories --------------------------------------------------------------------------

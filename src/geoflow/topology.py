@@ -262,10 +262,14 @@ def neg_log_r_upper(n, k=1.0):
     return math.pi * math.sqrt(n - 1) / 2.0 * ((n - 1) * s - 1.0 / s)
 
 
+def _log10_power(n, x):
+    """log10 of (1 + e^x)^n, computed stably."""
+    return n * (x * LOG10_E + math.log1p(math.exp(-x)) * LOG10_E)
+
+
 def homology_dim_bound_log10(n):
     """log10 of (1 + exp(pi sqrt(n-1)(n-2)/2))^n, computed stably."""
-    B = neg_log_r_upper(n, 1.0)
-    return n * (B * LOG10_E + math.log1p(math.exp(-B)) * LOG10_E)
+    return _log10_power(n, neg_log_r_upper(n, 1.0))
 
 
 def homology_dim_bound(n):
@@ -368,8 +372,7 @@ def homology_dim_from_entropy(n, delta, h):
         raise ValueError("delta must be positive")
     if h < 0.0:
         raise ValueError("h must be non-negative")
-    expo = math.pi * h * math.sqrt((n - 1) / delta)
-    lg = n * (expo * LOG10_E + math.log1p(math.exp(-expo)) * LOG10_E)
+    lg = _log10_power(n, math.pi * h * math.sqrt((n - 1) / delta))
     return math.inf if lg > 308.0 else 10.0**lg
 
 

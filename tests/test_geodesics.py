@@ -126,15 +126,15 @@ class TestGeodesicIntegration:
     def test_sphere_great_circle_closes(self, s2):
         theta = s2.unit_tangent(np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]))
         end = geodesics.integrate_geodesic(s2, theta, 2 * np.pi, step=1e-3)
-        p0 = s2.position_embedding(theta.x, 0)
-        p1 = s2.position_embedding(end.x, end.chart_id)
+        p0 = s2.chart(0).embed(theta.x)
+        p1 = s2.chart(end.chart_id).embed(end.x)
         assert np.linalg.norm(p1 - p0) < 1e-6
 
     def test_geodesic_through_pole_switches_chart(self, s2):
         theta = s2.unit_tangent(np.array([np.pi / 2, 0.0]), np.array([-1.0, 0.0]))
         end = geodesics.integrate_geodesic(s2, theta, np.pi, step=1e-3)
-        p0 = s2.position_embedding(theta.x, 0)
-        p1 = s2.position_embedding(end.x, end.chart_id)
+        p0 = s2.chart(0).embed(theta.x)
+        p1 = s2.chart(end.chart_id).embed(end.x)
         assert np.isclose(p0 @ p1, -1.0, atol=1e-8)  # antipode reached
 
     def test_start_heading_into_pole(self, elli):

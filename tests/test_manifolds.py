@@ -136,6 +136,22 @@ class TestChristoffel:
                 gam = model.christoffel(s.x)
                 assert np.allclose(gam, np.swapaxes(gam, -1, -2), atol=1e-8), name
 
+    @pytest.mark.parametrize("p, q, r1", [(2, 2, 1.0), (3, 2, 2.0)])
+    def test_product_kernel_is_block_diagonal(self, p, q, r1):
+        # g, dg and Gamma of a product chart are exactly the factor charts'
+        # own results in the diagonal blocks and zero off them, so no factor's
+        # warp reaches the other factor's coordinates
+        model = manifolds.sphere_product(p, q, r1, 1.0)
+        x = np.random.default_rng(21).uniform(0.05, np.pi - 0.05, (64, p + q))
+        for cid in (0, len(model.charts) - 1):
+            ch = model.chart(cid)
+            for method, rank in [("metric", 2), ("d_metric", 3), ("christoffel", 3)]:
+                want = np.zeros((64,) + (p + q,) * rank)
+                want[(...,) + (slice(None, p),) * rank] = getattr(ch.first, method)(x[:, :p])
+                want[(...,) + (slice(p, None),) * rank] = getattr(ch.second, method)(x[:, p:])
+                np.testing.assert_array_equal(getattr(ch, method)(x), want,
+                                              err_msg=f"chart {cid} {method}")
+
 
 class TestCurvature:
     def test_space_forms_constant(self, s2, s4, h2, torus2):
@@ -298,14 +314,15 @@ class TestSampling:
         X = np.stack([s.x for s in states])
         assert np.all(X == s2xs2.base_x)
 
-    def test_sphere_position_density(self, s2):
-        # polar angle density on the 2-sphere is proportional to sin(rho);
-        # under it E[cos rho] = 0
-        model = manifolds.sphere(2, 1.0)
-        model = manifolds.ManifoldModel(**{**model.__dict__, "homogeneous": False})
-        states = model.sample_sphere_bundle(4000, seed=13)
-        c = np.cos([s.x[0] for s in states])
-        assert abs(c.mean()) < 3.0 / np.sqrt(4000)
+    def test_sphere_position_density(self):
+        # the density of the first polar angle on the n-sphere is proportional
+        # to sin^(n-1)(rho); under it E[cos rho] = 0
+        for n in (2, 3):
+            model = manifolds.sphere(n, 1.0)
+            model = manifolds.ManifoldModel(**{**model.__dict__, "homogeneous": False})
+            states = model.sample_sphere_bundle(4000, seed=13)
+            c = np.cos([s.x[0] for s in states])
+            assert abs(c.mean()) < 3.0 / np.sqrt(4000), n
 
     def test_deterministic(self, elli):
         a = elli.sample_sphere_bundle(64, seed=5)
@@ -332,6 +349,16 @@ class TestUnitTangent:
             return
         theta = model.unit_tangent(np.array([rho, phi]), np.array([a, b]))
         assert abs(model.norm(theta.x, theta.v) - 1.0) < 1e-10
+
+    def test_inner_row_alone_matches_row_in_batch(self, elli3):
+        # a row's g-inner product must not depend on the batch it is in
+        for seed in range(20):
+            X = np.stack([s.x for s in elli3.sample_sphere_bundle(6, seed=seed)])
+            V = np.random.default_rng(seed).standard_normal(X.shape)
+            batch = elli3.inner(X, V, V)
+            for i in range(len(X)):
+                np.testing.assert_array_equal(batch[i], elli3.inner(X[i], V[i], V[i]),
+                                              err_msg=f"seed {seed} row {i}")
 
 
 class TestParse:
