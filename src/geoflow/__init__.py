@@ -17,7 +17,7 @@ from .errors import (ChartDomainError, DeltaTooLargeError, EstimatorError,
                      ProfileValidationError)
 from .geodesics import (GeodesicState, JacobiPropagation, exp_ball_jacobian,
                         expansion, integrate_geodesic, propagate,
-                        propagate_jacobi, trajectory_csv)
+                        propagate_jacobi)
 from .manifolds import (CurvatureSpectrum, ManifoldModel, TangentState,
                         chart_metric, ellipsoid, flat_torus, hyperbolic,
                         parse_manifold, sphere, sphere_product)

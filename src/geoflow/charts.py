@@ -339,8 +339,11 @@ class EllipsoidChart(HypersphericalChart):
         return gam.reshape(gam.shape[:-1] + (2, 2))
 
     def gauss(self, x):
-        """Gauss curvature 1 / (abc sum_m u_m^2 / scale_m^2)^2 at u = sphere_embed(x)."""
-        f = np.sum((sphere_embed(x) / self.scale) ** 2, axis=-1)
+        """Gauss curvature 1 / (abc sum_m u_m^2 / scale_m^2)^2 at
+        u = (cos u, sin u cos phi, sin u sin phi), the :func:`sphere_embed` of x."""
+        s, c = np.sin(x), np.cos(x)
+        u = (c[..., 0], s[..., 0] * c[..., 1], s[..., 0] * s[..., 1])
+        f = sum((u[m] / self.scale[..., m]) ** 2 for m in range(3))
         return 1.0 / (np.prod(self.scale, axis=-1) * f) ** 2
 
 

@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -200,6 +201,7 @@ def cmd_gromov(args):
     return 0, {"table": rows, "curvature_bound_smaller_everywhere": all_smaller}, text, csv_lines
 
 
+@functools.lru_cache(maxsize=None)  # one build costs about as much as a certify job
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="geoflow",

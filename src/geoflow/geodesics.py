@@ -21,7 +21,6 @@ whole batch; it is rebuilt only when a chart id changes.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -378,17 +377,3 @@ def expansion(m):
     ex = np.max(np.cumprod(np.linalg.svd(A, compute_uv=False), axis=-1), axis=-1)
     return float(ex) if A.ndim == 2 else ex
 
-
-def trajectory_csv(model, theta, t_end, step, path):
-    """Debug export: (t, x..., v...) rows along one geodesic, at t = 0 and
-    at 200 even steps to t_end."""
-    grid = np.linspace(t_end / 200, t_end, 200)
-    res = propagate(model, theta, grid, step=step, jacobi=False, record_states=True)
-    n = model.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)])
-        writer.writerow([0.0] + list(theta.x) + list(theta.v))
-        for gi, (cids, X, V, _) in enumerate(res.states):
-            writer.writerow([grid[gi]] + list(X[0]) + list(V[0]))
-    return path

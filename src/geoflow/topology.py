@@ -126,17 +126,12 @@ def _poly_deriv(p):
 def _poly_divmod(a, b):
     a = list(a)
     q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        a = _poly_trim(a)
-        if len(a) < len(b):
-            break
-        coef = a[-1] / b[-1]
-        deg = len(a) - len(b)
-        q[deg] = coef
-        for i, bi in enumerate(b):
-            a[deg + i] -= coef * bi
-        a = a[:-1]
-    return _poly_trim(q), _poly_trim(a if a else [Fraction(0)])
+    for deg in range(len(a) - len(b), -1, -1):
+        if a[deg + len(b) - 1]:  # Poincare polynomials are often sparse
+            q[deg] = coef = a[deg + len(b) - 1] / b[-1]
+            for i, bi in enumerate(b):
+                a[deg + i] -= coef * bi
+    return _poly_trim(q), _poly_trim(a[: len(b) - 1] or [Fraction(0)])
 
 
 def _poly_gcd(a, b):
@@ -144,12 +139,12 @@ def _poly_gcd(a, b):
     while len(b) > 1 or b[0] != 0:
         _, r = _poly_divmod(a, b)
         a, b = b, r
-    a = _poly_trim(a)
     return [c / a[-1] for c in a]  # monic
 
 
 def square_free_factors(coeffs):
-    """Yun decomposition of an integer polynomial: [(factor, multiplicity)].
+    """Musser's square-free decomposition of an integer polynomial:
+    [(factor, multiplicity)], each factor monic and square-free.
 
     Exact arithmetic over the rationals, so repeated roots are separated
     before any floating-point eigenvalue work.
@@ -157,24 +152,19 @@ def square_free_factors(coeffs):
     p = _poly_trim([Fraction(c) for c in coeffs])
     if len(p) <= 1:
         return []
-    dp = _poly_deriv(p)
-    a = _poly_gcd(p, dp)
-    if len(a) == 1:
+    g = _poly_gcd(p, _poly_deriv(p))
+    if len(g) == 1:
         return [(p, 1)]
-    b, _ = _poly_divmod(p, a)
-    c, _ = _poly_divmod(dp, a)
-    d = _poly_trim([ci - bi for ci, bi in
-                    zip(c + [Fraction(0)] * len(b), _poly_deriv(b) + [Fraction(0)] * len(c))])
+    # for p = prod a_i^i: w = prod_{i >= mult} a_i and g = prod_{i > mult} a_i^(i - mult)
+    w = [c / p[-1] for c in _poly_divmod(p, g)[0]]
     out = []
     mult = 1
-    while len(b) > 1:
-        ai = _poly_gcd(b, d)
-        if len(ai) > 1:
-            out.append((ai, mult))
-        b, _ = _poly_divmod(b, ai)
-        cnext, _ = _poly_divmod(d, ai)
-        d = _poly_trim([x - y for x, y in
-                        zip(cnext + [Fraction(0)] * len(b), _poly_deriv(b) + [Fraction(0)] * len(cnext))])
+    while len(w) > 1:
+        y = _poly_gcd(w, g)
+        z, _ = _poly_divmod(w, y)
+        if len(z) > 1:
+            out.append((z, mult))
+        w, g = y, _poly_divmod(g, y)[0]
         mult += 1
     return out
 
@@ -217,16 +207,14 @@ def poincare_roots(profile: BettiProfile):
     """All n complex roots of the Poincare polynomial sum b_i t^i.
 
     Duality pairs the roots into reciprocal pairs {z, 1/z}; multiple roots are
-    isolated exactly (Yun) so reciprocity survives in floating point.
+    isolated exactly (Musser) so reciprocity survives in floating point.
     """
     profile.validate()
     if profile.betti[-1] != 1:
         raise ProfileValidationError("Poincare polynomial must be monic (b_n = 1)")
     roots = []
     for factor, mult in square_free_factors(profile.betti):
-        rs = _companion_roots(factor)
-        for z in rs:
-            roots.extend([z] * mult)
+        roots.extend(np.repeat(_companion_roots(factor), mult))
     return np.array(sorted(roots, key=lambda z: (abs(z), z.real, z.imag)), dtype=complex)
 
 
@@ -383,22 +371,30 @@ def homology_dim_from_entropy(n, delta, h):
 class ObstructionTest:
     name: str
     applicable: bool
-    relation: str  # "<=" or ">="
+    relation: str  # "<=", ">=" or "in" (lo < observed <= hi)
     threshold: float | list | None
     observed: float | None
     passed: bool | None
     note: str = ""
 
     def to_json_dict(self):
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "relation": self.relation,
-            "threshold": self.threshold,
-            "observed": self.observed,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return dict(vars(self))
+
+
+def _test(name, relation, applicable, threshold=None, observed=None, note=""):
+    """One obstruction test.  An applicable test passes when the observed
+    value (compared exactly, reported as a float) satisfies ``relation``
+    against the threshold; a non-applicable one has ``passed = None``."""
+    passed = None
+    if applicable:
+        if relation == "<=":
+            passed = observed <= threshold
+        elif relation == ">=":
+            passed = observed >= threshold
+        else:
+            passed = threshold[0] < observed <= threshold[1]
+    return ObstructionTest(name, applicable, relation, threshold,
+                           None if observed is None else float(observed), passed, note)
 
 
 @dataclass
@@ -429,18 +425,13 @@ class ObstructionReport:
     def render_text(self):
         lines = [f"obstruction report (n = {self.profile.n})"]
         for t in self.tests:
-            if not t.applicable:
-                status = "n/a "
-            else:
-                status = "PASS" if t.passed else "FAIL"
+            status = "n/a " if not t.applicable else "PASS" if t.passed else "FAIL"
             detail = ""
             if t.observed is not None:
                 detail = f" observed {_fmt6(t.observed)} {t.relation} threshold {_fmt6(t.threshold)}"
             note = f"  [{t.note}]" if t.note else ""
             lines.append(f"  {status}  {t.name}{detail}{note}")
-        lines.append(f"verdict: {self.verdict}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
+        lines += [f"verdict: {self.verdict}"] + [f"note: {note}" for note in self.notes]
         return "\n".join(lines)
 
 
@@ -463,103 +454,62 @@ def certify(profile: BettiProfile):
     (a radius below one, or dimension four with b_2 > 2).
     """
     profile.validate()
-    n = profile.n
-    b = profile.betti
-    tests = []
-    notes = []
+    n, b, p, formal = profile.n, profile.betti, profile.connected_p, profile.formal
     B = neg_log_r_upper(n, 1.0)
-
-    hyperbolic_known = (profile.radius is not None and profile.radius < 1.0) or (
-        n == 4 and b[2] > 2)
-    if n == 4 and b[2] > 2:
-        notes.append("b_2 > 2 in dimension four establishes rational hyperbolicity")
+    tests = []
+    dim4_hyperbolic = n == 4 and b[2] > 2
+    notes = (["b_2 > 2 in dimension four establishes rational hyperbolicity"]
+             if dim4_hyperbolic else [])
+    hyperbolic_known = dim4_hyperbolic or (profile.radius is not None and profile.radius < 1.0)
 
     # total homology vs the formality bound (elliptic case covered by 2^n <= bound)
-    if profile.formal:
-        thr = homology_dim_bound(n)
-        tests.append(ObstructionTest(
-            name="betti-sum-bound", applicable=True, relation="<=",
-            threshold=thr, observed=float(profile.total_homology),
-            passed=profile.total_homology <= thr))
+    if formal:
+        tests.append(_test("betti-sum-bound", "<=", True, homology_dim_bound(n),
+                           profile.total_homology))
     else:
-        tests.append(ObstructionTest(
-            name="betti-sum-bound", applicable=False, relation="<=",
-            threshold=None, observed=float(profile.total_homology),
-            passed=None, note="needs the formality flag"))
+        tests.append(_test("betti-sum-bound", "<=", False, observed=profile.total_homology,
+                           note="needs the formality flag"))
 
     # first possibly non-zero Betti number of a (p-1)-connected formal profile
-    p = profile.connected_p
-    if profile.formal and b[p] >= 1 and p <= n:
-        thr = betti_p_bound(n, p)
-        tests.append(ObstructionTest(
-            name="betti-p-bound", applicable=True, relation="<=",
-            threshold=thr, observed=float(b[p]), passed=b[p] <= thr,
-            note=f"p = {p}"))
+    if formal and b[p] >= 1:
+        tests.append(_test("betti-p-bound", "<=", True, betti_p_bound(n, p), b[p],
+                           note=f"p = {p}"))
     else:
-        tests.append(ObstructionTest(
-            name="betti-p-bound", applicable=False, relation="<=",
-            threshold=None, observed=None, passed=None,
-            note="needs formality and b_p >= 1"))
+        tests.append(_test("betti-p-bound", "<=", False, note="needs formality and b_p >= 1"))
 
     # dimension-four b_2 cap from the reciprocal-radius lower bound
     if n == 4 and b[2] >= 3:
-        thr = math.exp(B)
-        obs = babenko_inv_r_lower(b[2])
-        tests.append(ObstructionTest(
-            name="babenko-b2", applicable=True, relation="<=",
-            threshold=thr, observed=obs, passed=obs <= thr))
+        tests.append(_test("babenko-b2", "<=", True, math.exp(B), babenko_inv_r_lower(b[2])))
     else:
-        tests.append(ObstructionTest(
-            name="babenko-b2", applicable=False, relation="<=",
-            threshold=None, observed=None, passed=None,
-            note="dimension four with b_2 >= 3 only"))
+        tests.append(_test("babenko-b2", "<=", False, note="dimension four with b_2 >= 3 only"))
 
     # dimension-four Gauss-Bonnet style tests
     if n == 4 and profile.chi is not None and profile.tau is not None:
         checks = dim4_gauss_bonnet_checks(profile.chi, profile.tau)
-        tests.append(ObstructionTest(
-            name="hitchin", applicable=True, relation=">=",
-            threshold=checks["hitchin"]["threshold"],
-            observed=checks["hitchin"]["observed"],
-            passed=checks["hitchin"]["passed"]))
-        tests.append(ObstructionTest(
-            name="gursky-lebrun", applicable=True, relation="in",
-            threshold=checks["gursky_lebrun"]["threshold"],
-            observed=checks["gursky_lebrun"]["observed"],
-            passed=checks["gursky_lebrun"]["passed"]))
+        tests.append(_test("hitchin", ">=", True, checks["hitchin"]["threshold"], profile.chi))
+        tests.append(_test("gursky-lebrun", "in", True, checks["gursky_lebrun"]["threshold"],
+                           profile.chi))
     else:
-        for nm in ("hitchin", "gursky-lebrun"):
-            tests.append(ObstructionTest(
-                name=nm, applicable=False, relation=">=",
-                threshold=None, observed=None, passed=None,
-                note="dimension four with chi and tau only"))
+        tests += [_test(nm, ">=", False, note="dimension four with chi and tau only")
+                  for nm in ("hitchin", "gursky-lebrun")]
 
     # user-supplied homotopy radius against the curvature bound
     if profile.radius is not None and not math.isinf(profile.radius):
-        obs = -math.log(profile.radius)
-        tests.append(ObstructionTest(
-            name="homotopy-radius", applicable=True, relation="<=",
-            threshold=B, observed=obs, passed=obs <= B))
+        tests.append(_test("homotopy-radius", "<=", True, B, -math.log(profile.radius)))
     else:
-        tests.append(ObstructionTest(
-            name="homotopy-radius", applicable=False, relation="<=",
-            threshold=B, observed=None, passed=None,
-            note="needs a supplied radius of convergence"))
+        tests.append(_test("homotopy-radius", "<=", False, B,
+                           note="needs a supplied radius of convergence"))
 
     # Poincare-polynomial root radius (formal + rationally hyperbolic only)
     min_root = felix_thomas_r_upper(profile)
     thr = math.exp(-B)
-    if profile.formal and hyperbolic_known:
-        tests.append(ObstructionTest(
-            name="poincare-root-radius", applicable=True, relation=">=",
-            threshold=thr, observed=min_root, passed=min_root >= thr))
+    if formal and hyperbolic_known:
+        tests.append(_test("poincare-root-radius", ">=", True, thr, min_root))
     else:
         note = "needs formality and established rational hyperbolicity"
-        if profile.formal and min_root < thr:
+        if formal and min_root < thr:
             note += "; would obstruct under rational hyperbolicity"
-        tests.append(ObstructionTest(
-            name="poincare-root-radius", applicable=False, relation=">=",
-            threshold=thr, observed=min_root, passed=None, note=note))
+        tests.append(_test("poincare-root-radius", ">=", False, thr, min_root, note))
 
     return ObstructionReport(profile=profile, tests=tests, notes=notes)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -212,6 +213,24 @@ class TestOutputContract:
     def test_missing_spec_exit_2(self, command, capsys):
         assert run([command]) == 2
         assert capsys.readouterr().err == "error: a manifold spec is required\n"
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    # a parser build costs about as much as a dimension-four certify job
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    profile = '{"n":4,"betti":[1,0,57,0,1],"formal":true}'
+    assert run(["gromov", "--n-max", "4", "--out", str(tmp_path / "g")]) == 0
+    for name in ("a", "b"):
+        assert run(["certify", "--profile", profile, "--out", str(tmp_path / name)]) == 0
+    assert built.count("geoflow") == 1
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_readme_command_examples(tmp_path, monkeypatch):

@@ -392,10 +392,3 @@ class TestExpBallJacobian:
         with pytest.raises(ValueError):
             geodesics.exp_ball_jacobian(s2, s2.base_x, np.array([1.0, 0.0]), -1.0)
 
-
-def test_trajectory_csv_export(tmp_path, s2):
-    theta = s2.unit_tangent(np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]))
-    path = geodesics.trajectory_csv(s2, theta, 1.0, 1e-2, tmp_path / "traj.csv")
-    rows = open(path).read().strip().split("\n")
-    assert rows[0] == "t,x0,x1,v0,v1"
-    assert len(rows) == 202

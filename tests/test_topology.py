@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -75,6 +76,19 @@ class TestProfileValidation:
         p = topology.BettiProfile(5, [1, 0, 3, 3, 0, 1], formal=True)
         q = topology.BettiProfile.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
         assert q.betti == p.betti and q.formal and q.n == 5
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    ([1, 0, 2, 0, 1], [([1, 0, 1], 2)]),                        # (1 + t^2)^2
+    ([1, 3, 3, 6, 3, 3, 1], [([1, 3, 1], 1), ([1, 0, 1], 2)]),  # (1 + t^2)^2 (1 + 3t + t^2)
+    ([1, 2, 6, 8, 13, 12, 13, 8, 6, 2, 1],                      # (1 + t^2)^3 (1 + t + t^2)^2
+     [([1, 1, 1], 2), ([1, 0, 1], 3)]),
+    ([1, 0, 3, 0, 1], [([1, 0, 3, 0, 1], 1)]),                  # square-free dimension four
+])
+def test_square_free_factors(coeffs, expected):
+    got = topology.square_free_factors(coeffs)
+    assert got == [([Fraction(c) for c in f], m) for f, m in expected]
+    assert all(isinstance(c, Fraction) for f, _ in got for c in f)
 
 
 class TestPoincareRoots:
