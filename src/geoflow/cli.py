@@ -178,6 +178,8 @@ def cmd_certify(args):
 
 
 def cmd_gromov(args):
+    if args.n_max < 2:
+        raise ValueError(f"--n-max must be >= 2, got {args.n_max}")
     rows = []
     for n in range(2, args.n_max + 1):
         rows.append({

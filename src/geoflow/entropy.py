@@ -204,6 +204,8 @@ def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0):
     T_grid = np.asarray(T_grid, dtype=float)
     if np.any(T_grid <= 0.0):
         raise ValueError("grid times must be positive")
+    if angular_samples < 2:
+        raise ValueError(f"angular_samples must be >= 2, got {angular_samples}")
     x = np.asarray(x, dtype=float)
     dirs, weights, rule = _directions_at(model, x, angular_samples, seed)
     states = [model.unit_tangent(x, d) for d in dirs]

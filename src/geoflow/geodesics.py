@@ -28,7 +28,7 @@ import numpy as np
 
 from . import charts as _charts
 from .errors import IntegrationError
-from .manifolds import ManifoldModel, TangentState, _g_inner, gram_schmidt
+from .manifolds import MARGIN_FLOOR, ManifoldModel, TangentState, _g_inner, gram_schmidt
 
 log = logging.getLogger(__name__)
 
@@ -36,9 +36,8 @@ log = logging.getLogger(__name__)
 CHECK_EVERY = 10
 #: steps between frame re-orthonormalizations
 ORTHO_EVERY = 100
-#: switch charts below this margin; give up below the hard floor
+#: switch charts below this margin; give up below MARGIN_FLOOR
 SWITCH_MARGIN = 0.2
-MARGIN_FLOOR = 0.02
 
 
 @dataclass
@@ -137,33 +136,21 @@ def _park(model, chart_ids, Y, i, jacobi, lost):
 
 
 def _switch_charts(model, chart_ids, Y, failed, lost, jacobi):
-    """Move trajectories that approach a chart boundary to a better chart, in
-    place; returns whether any chart id changed."""
+    """Move rows below the switch margin to their ``ManifoldModel.best_chart``,
+    in place; a row left in its chart below MARGIN_FLOOR fails and is
+    parked.  Returns whether any chart id changed."""
     X, W, _ = _unpack(Y, model.dim, jacobi)
     before = chart_ids.copy()
     margins = model.chart(chart_ids).margin(X)
     margins[failed] = 1.0
     for i in np.nonzero(margins < SWITCH_MARGIN)[0]:
-        cid = int(chart_ids[i])
-        ch = model.chart(cid)
-        best, best_m, best_x = cid, float(margins[i]), X[i]
-        p = ch.embed(X[i])
-        for j, cand in enumerate(model.charts):
-            if j == cid:
-                continue
-            xc = cand.from_embedding(p)
-            mc = float(cand.margin(xc))
-            if mc > best_m + 1e-12:
-                best, best_m, best_x = j, mc, xc
-        if best == cid:
-            if best_m < MARGIN_FLOOR:
-                failed[i] = True
-                log.warning("trajectory %d exhausted all charts (margin %.3g)", i, best_m)
-                _park(model, chart_ids, Y, i, jacobi, lost)
-            continue
-        W[i] = model.chart(best).tangent_from_ambient(best_x, ch.tangent_to_ambient(X[i], W[i]))
-        X[i] = best_x
-        chart_ids[i] = best
+        cid, m, X[i], W[i] = model.best_chart(int(chart_ids[i]), X[i], W[i])
+        if cid == chart_ids[i] and m < MARGIN_FLOOR:
+            failed[i] = True
+            log.warning("trajectory %d exhausted all charts (margin %.3g)", i, m)
+            _park(model, chart_ids, Y, i, jacobi, lost)
+        else:
+            chart_ids[i] = cid
     return not np.array_equal(chart_ids, before)
 
 

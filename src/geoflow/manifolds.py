@@ -21,6 +21,8 @@ from . import charts as _charts
 from .errors import NumericsError
 
 _TWO_PI = 2.0 * np.pi
+#: no chart is used below this margin, by trajectories or curvature extremes
+MARGIN_FLOOR = 0.02
 
 
 @dataclass
@@ -182,6 +184,24 @@ class ManifoldModel:
         cand = np.take_along_axis(eye, kept[..., None], axis=-2)
         return gram_schmidt(g, v, cand)
 
+    def best_chart(self, chart_id, x, vecs):
+        """The chart of the largest margin at the point x of chart ``chart_id``:
+        (its id, its margin, x and the tangent vectors ``vecs`` (..., n) in
+        it).  Another chart is taken only if its margin is larger by more
+        than 1e-12; otherwise x and ``vecs`` come back as they are."""
+        ch = self.chart(chart_id)
+        best, best_m, best_x = chart_id, float(ch.margin(x)), x
+        p = ch.embed(x) if len(self.charts) > 1 else None
+        for j, cand in enumerate(self.charts):
+            if j != chart_id:
+                xc = cand.from_embedding(p)
+                mc = float(cand.margin(xc))
+                if mc > best_m + 1e-12:
+                    best, best_m, best_x = j, mc, xc
+        if best != chart_id:
+            vecs = self.chart(best).tangent_from_ambient(best_x, ch.tangent_to_ambient(x, vecs))
+        return best, best_m, best_x, vecs
+
     # -- curvature ------------------------------------------------------------------
 
     def curvature_frame_matrix(self, x, v, frame, chart_id=0):
@@ -233,10 +253,7 @@ class ManifoldModel:
 
     def ricci(self, theta):
         """Ricci curvature in the direction of a unit tangent vector."""
-        self._check_unit(theta)
-        frame = self.orthonormal_frame(theta.x, theta.v, theta.chart_id)
-        K = self.curvature_frame_matrix(theta.x, theta.v, frame, theta.chart_id)
-        return float(np.trace(K))
+        return self.curvature_operator(theta).ricci
 
     def sectional(self, x, u, w, chart_id=0):
         """Sectional curvature of the plane spanned by u, w at x."""
@@ -255,10 +272,13 @@ class ManifoldModel:
     def extremal_curvatures(self, sample_count=200, seed=0):
         """(K_max, K_min, min_ricci).
 
-        Closed forms from the curvature factors; otherwise sampled 2-planes and
-        directions refined by shrinking-step coordinate ascent, with the
-        returned extremes inflated by a 1e-3 relative safety factor so K_max
-        stays an upper bound (and K_min / min_ricci lower bounds) at the
+        Closed forms from the curvature factors.  Otherwise the extremes of the
+        Jacobi spectrum over sampled unit tangent states: the states with the
+        top 1% of each objective move to the chart of the largest margin, and
+        a shrinking-step coordinate ascent refines them, over the point alone
+        in dimension two and over the point and the direction above it.  The
+        returned extremes are inflated by a 1e-3 relative safety factor so
+        K_max stays an upper bound (and K_min / min_ricci lower bounds) at the
         sampled resolution.
         """
         if sample_count < 1:
@@ -272,59 +292,50 @@ class ManifoldModel:
             return max(f.k_max for f in fs), k_min, min((f.dim - 1) * f.k_min for f in fs)
         return self._sampled_extremes(sample_count, seed)
 
+    def _spectrum(self, x, v, chart_id=0):
+        """Ascending eigenvalues (..., n-1) of the Jacobi operator of the
+        direction v at x, nan where the operator is not finite."""
+        with np.errstate(all="ignore"):
+            v = v / self.norm(x, v, chart_id)[..., None]
+            K = self.curvature_frame_matrix(x, v, self.orthonormal_frame(x, v, chart_id), chart_id)
+        # eigvalsh reads a nan matrix as finite
+        return np.where(np.isfinite(K).all(axis=(-2, -1))[..., None], np.linalg.eigvalsh(K), np.nan)
+
     def _sampled_extremes(self, sample_count, seed):
-        rng = np.random.default_rng(seed)
         states = self.sample_sphere_bundle(10 * sample_count, seed)
         X = np.stack([s.x for s in states])
         V = np.stack([s.v for s in states])
-        # random unit vector in the complement of V: combine frame vectors
-        frame = self.orthonormal_frame(X, V)
-        coeff = rng.standard_normal(X.shape[:-1] + (self.dim - 1,))
-        coeff = coeff / np.linalg.norm(coeff, axis=-1, keepdims=True)
-        W = np.einsum("...k,...ki->...i", coeff, frame)
-        K = self.sectional(X, V, W)
-        ric = np.trace(self.curvature_frame_matrix(X, V, frame), axis1=-2, axis2=-1)
+        # one row per maximized objective, its weights on the spectrum: the
+        # top eigenvalue, minus the bottom one and minus the trace (Ricci)
+        n, top = self.dim, max(1, len(states) // 100)
+        W = np.array([np.eye(n - 1)[-1], -np.eye(n - 1)[0], -np.ones(n - 1)])
+        rows = np.argsort(-(self._spectrum(X, V) @ W.T), axis=0)[:top].T.ravel()
+        W = np.repeat(W, top, axis=0)
+        starts = [self.best_chart(0, X[i], V[i]) for i in rows]
+        chart = self.chart(np.array([b[0] for b in starts]))
+        P = np.array([(b[2], b[3]) for b in starts])  # rows (x, v)
 
-        def ricci(x, v):
-            return self.ricci(self.unit_tangent(x, v))
+        def value(P):
+            val = np.sum(W * self._spectrum(P[:, 0], P[:, 1], chart), axis=-1)
+            return np.where((chart.margin(P[:, 0]) > MARGIN_FLOOR) & np.isfinite(val), val, -np.inf)
 
-        top = max(1, len(states) // 100)
-        kmax = max(self._ascend(self.sectional, (X[i], V[i], W[i]), +1.0)
-                   for i in np.argsort(K)[::-1][:top])
-        kmin = min(self._ascend(self.sectional, (X[i], V[i], W[i]), -1.0)
-                   for i in np.argsort(K)[:top])
-        rmin = min(self._ascend(ricci, (X[i], V[i]), -1.0) for i in np.argsort(ric)[:top])
-        tol = 1e-3
-        kmax = kmax + tol * abs(kmax)
-        kmin = kmin - tol * abs(kmin)
-        rmin = rmin - tol * abs(rmin)
-        return float(kmax), float(kmin), float(rmin)
-
-    def _ascend(self, f, parts, direction):
-        """Shrinking-step coordinate ascent of direction * f(*parts) over the
-        chart point parts[0] and the vectors after it: 8 rounds, from step 0.2."""
-        parts = [p.copy() for p in parts]
-        cur = float(f(*parts))
-        step = 0.2
+        # coordinate ascent of every row at once, over x (and v above
+        # dimension two); a row halves its step after a round without gain
+        cur = value(P)
+        step = np.full(len(P), 0.2)
         for _ in range(8):
-            improved = False
-            for which in range(len(parts)):
-                for k in range(self.dim):
-                    for sgn in (+1.0, -1.0):
-                        trial = [p.copy() for p in parts]
-                        trial[which][k] += sgn * step
-                        if which == 0 and float(self.chart(0).margin(trial[0])) <= 1e-6:
-                            continue
-                        try:
-                            val = float(f(*trial))
-                        except (ValueError, NumericsError, FloatingPointError):
-                            continue
-                        if direction * val > direction * cur + 1e-14:
-                            parts, cur = trial, val
-                            improved = True
-            if not improved:
-                step *= 0.5
-        return cur
+            improved = np.zeros(len(P), dtype=bool)
+            for move in np.eye(2 * n).reshape(-1, 2, n)[: n if n == 2 else 2 * n]:
+                for sgn in (+1.0, -1.0):
+                    trial = P + sgn * step[:, None, None] * move
+                    val = value(trial)
+                    up = val > cur + 1e-14
+                    P[up], cur[up] = trial[up], val[up]
+                    improved |= up
+            step[~improved] *= 0.5
+        best = cur.reshape(3, top).max(axis=1)
+        kmax, kmin, rmin = np.array([1.0, -1.0, -1.0]) * (best + 1e-3 * np.abs(best))
+        return float(kmax), float(kmin), float(rmin)
 
     # -- sampling ---------------------------------------------------------------------
 

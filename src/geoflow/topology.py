@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,6 +49,12 @@ class BettiProfile:
         self.validate()
 
     def validate(self):
+        for key, flag in (("formal", self.formal), ("simply_connected", self.simply_connected)):
+            if not isinstance(flag, bool):
+                raise ProfileValidationError(f"{key} must be true or false, got {flag!r}")
+        for key, val in (("chi", self.chi), ("tau", self.tau), ("R", self.radius)):
+            if val is not None and (isinstance(val, bool) or not isinstance(val, numbers.Real)):
+                raise ProfileValidationError(f"{key} must be a number, got {val!r}")
         b = self.betti
         n = self.n
         if n < 2:
@@ -87,16 +94,19 @@ class BettiProfile:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(
-            n=int(data["n"]),
-            betti=list(data["betti"]),
-            formal=bool(data.get("formal", False)),
-            connected_p=int(data.get("connected_p", 2)),
-            simply_connected=bool(data.get("simply_connected", True)),
-            chi=data.get("chi"),
-            tau=data.get("tau"),
-            radius=data.get("R"),
-        )
+        try:
+            return cls(
+                n=int(data["n"]),
+                betti=list(data["betti"]),
+                formal=data.get("formal", False),
+                connected_p=int(data.get("connected_p", 2)),
+                simply_connected=data.get("simply_connected", True),
+                chi=data.get("chi"),
+                tau=data.get("tau"),
+                radius=data.get("R"),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ProfileValidationError(f"malformed profile: {exc!r}") from exc
 
     def to_json_dict(self):
         return {

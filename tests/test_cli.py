@@ -215,6 +215,29 @@ class TestOutputContract:
         assert capsys.readouterr().err == "error: a manifold spec is required\n"
 
 
+_PROFILE = '{"n": 4, "betti": [1, 0, 2, 0, 1], '
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["certify", "--profile", _PROFILE + '"formal": "no"}'], "formal"),
+    (["certify", "--profile", _PROFILE + '"simply_connected": 1}'], "simply_connected"),
+    (["certify", "--profile", _PROFILE + '"tau": "1"}'], "tau"),
+    (["certify", "--profile", _PROFILE + '"R": "0.5"}'], "R"),
+    (["certify", "--profile", _PROFILE + '"chi": "5"}'], "chi"),
+    (["certify", "--profile", '{"betti": [1, 0, 2, 0, 1]}'], "'n'"),
+    (["certify", "--profile", '{"n": null, "betti": [1, 0, 2, 0, 1]}'], "malformed"),
+    (["count", "sphere:n=2", "--samples", "0", "--t-max", "1", "--step", "0.1"], "samples"),
+    (["count", "sphere:n=3", "--samples", "1", "--t-max", "1", "--step", "0.1"], "samples"),
+    (["gromov", "--n-max", "1"], "--n-max"),
+])
+def test_bad_input_exits_2_with_one_error_line(argv, key, capsys):
+    # exit 2, nothing on stdout, one error line naming the bad input
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert key in captured.err and captured.out == ""
+
+
 def test_parser_built_once_per_process(tmp_path, monkeypatch):
     # a parser build costs about as much as a dimension-four certify job
     built, init = [], argparse.ArgumentParser.__init__

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,6 +290,26 @@ class TestExtremes:
         assert k_min <= 0.25 + 1e-6 and k_min > 0.2
         assert min_ric <= 0.25 + 1e-6 and min_ric > 0.2
 
+    @pytest.mark.parametrize("axes", [(1.0, 1.0, 2.0), (1.0, 1.5, 2.0)])
+    def test_factor_free_ellipsoid_finds_closed_forms(self, axes, factor_free):
+        # the metric-jet route, as every chart-metric model takes it
+        model = manifolds.ellipsoid(*axes)
+        for seed in (1, 2, 3):
+            got = factor_free(model).extremal_curvatures(150, seed)
+            assert np.allclose(got, model.extremal_curvatures(), rtol=0.01, atol=0.0), seed
+
+    def test_factor_free_sphere_finds_closed_forms(self, factor_free):
+        # positions sampled over the chart, and an ascent over the direction too
+        model = factor_free(dataclasses.replace(manifolds.sphere(3), homogeneous=False))
+        for seed in (1, 2, 3):
+            got = model.extremal_curvatures(30, seed)
+            assert np.allclose(got, (1.0, 1.0, 2.0), rtol=0.01, atol=0.0), seed
+
+    def test_chart_metric_extremes(self, wavy):
+        # values of the free-plane ascent this route replaced, at seed 1
+        got = wavy.extremal_curvatures(20, seed=1)
+        assert np.allclose(got, (0.082898, -0.123962, -0.123962), rtol=1e-3, atol=0.0)
+
     def test_sample_count_validated(self, s2):
         with pytest.raises(ValueError):
             s2.extremal_curvatures(sample_count=0)
@@ -402,6 +424,28 @@ class TestChartTransitions:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_hyperbolic_has_one_chart(self, n):
         assert len(manifolds.hyperbolic(n).charts) == 1
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "sphereprod"])
+    def test_best_chart_leaves_a_pole(self, name, all_models):
+        model = all_models[name]
+        x = model.base_x.copy()
+        x[0] = 1e-3  # next to a pole of chart 0
+        vecs = np.random.default_rng(5).standard_normal((model.dim, model.dim))
+        cid, m, y, w = model.best_chart(0, x, vecs)
+        ch0, ch = model.chart(0), model.chart(cid)
+        assert cid != 0 and m == float(ch.margin(y)) and m > float(ch0.margin(x))
+        assert np.allclose(ch.embed(y), ch0.embed(x), rtol=0.0, atol=1e-12)
+        assert np.allclose(ch.tangent_to_ambient(y, w), ch0.tangent_to_ambient(x, vecs),
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "sphereprod", "chart-metric"])
+    def test_best_chart_keeps_a_point_in_its_best_chart(self, name, all_models):
+        model = all_models[name]
+        x = model.base_x.copy()
+        vecs = np.random.default_rng(6).standard_normal((model.dim, model.dim))
+        cid, m, y, w = model.best_chart(0, x, vecs)
+        assert cid == 0 and m == float(model.chart(0).margin(x))
+        assert y.tobytes() == x.tobytes() and w.tobytes() == vecs.tobytes()
 
     def test_margin_flags_poles(self, s2):
         assert s2.chart(0).margin(np.array([0.01, 0.0])) < 0.1
