@@ -171,18 +171,11 @@ class ManifoldModel:
         Deterministic: coordinate directions are Gram-Schmidt'ed against v in
         the order of increasing alignment with v.
         """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        n = self.dim
+        x, v = (np.asarray(a, dtype=float) for a in (x, v))
         g = self.chart(chart_id).metric(x)
-        batch = x.shape[:-1]
-        eye = np.broadcast_to(np.eye(n), batch + (n, n))
-        gdiag = np.einsum("...ii->...i", g)
-        scores = np.abs(np.einsum("...ij,...j->...i", g, v)) / np.sqrt(gdiag)
-        order = np.argsort(scores, axis=-1)  # ascending: least aligned first
-        kept = order[..., : n - 1]
-        cand = np.take_along_axis(eye, kept[..., None], axis=-2)
-        return gram_schmidt(g, v, cand)
+        scores = np.abs(np.einsum("...ij,...j->...i", g, v)) / np.sqrt(np.einsum("...ii->...i", g))
+        kept = np.argsort(scores, axis=-1)[..., : self.dim - 1]
+        return gram_schmidt(g, v, np.eye(self.dim)[kept])
 
     def best_chart(self, chart_id, x, vecs):
         """The chart of the largest margin at the point x of chart ``chart_id``:
@@ -253,7 +246,10 @@ class ManifoldModel:
 
     def ricci(self, theta):
         """Ricci curvature in the direction of a unit tangent vector."""
-        return self.curvature_operator(theta).ricci
+        self._check_unit(theta)
+        frame = self.orthonormal_frame(theta.x, theta.v, theta.chart_id)
+        K = self.curvature_frame_matrix(theta.x, theta.v, frame, theta.chart_id)
+        return float(np.trace(K))
 
     def sectional(self, x, u, w, chart_id=0):
         """Sectional curvature of the plane spanned by u, w at x."""
@@ -311,13 +307,16 @@ class ManifoldModel:
         W = np.array([np.eye(n - 1)[-1], -np.eye(n - 1)[0], -np.ones(n - 1)])
         rows = np.argsort(-(self._spectrum(X, V) @ W.T), axis=0)[:top].T.ravel()
         W = np.repeat(W, top, axis=0)
-        starts = [self.best_chart(0, X[i], V[i]) for i in rows]
-        chart = self.chart(np.array([b[0] for b in starts]))
-        P = np.array([(b[2], b[3]) for b in starts])  # rows (x, v)
+        ids, _, x, v = zip(*(self.best_chart(0, X[i], V[i]) for i in rows))
+        ids, P = np.array(ids), np.stack([x, v], axis=1)  # rows (x, v)
 
         def value(P):
-            val = np.sum(W * self._spectrum(P[:, 0], P[:, 1], chart), axis=-1)
-            return np.where((chart.margin(P[:, 0]) > MARGIN_FLOOR) & np.isfinite(val), val, -np.inf)
+            # the metric is evaluated only on rows above the floor
+            val = np.full(len(P), -np.inf)
+            ok = self.chart(ids).margin(P[:, 0]) > MARGIN_FLOOR
+            if ok.any():
+                val[ok] = np.sum(W[ok] * self._spectrum(P[ok, 0], P[ok, 1], self.chart(ids[ok])), axis=-1)
+            return np.where(np.isfinite(val), val, -np.inf)
 
         # coordinate ascent of every row at once, over x (and v above
         # dimension two); a row halves its step after a round without gain

@@ -310,6 +310,22 @@ class TestExtremes:
         got = wavy.extremal_curvatures(20, seed=1)
         assert np.allclose(got, (0.082898, -0.123962, -0.123962), rtol=1e-3, atol=0.0)
 
+    def test_chart_metric_extremes_stay_in_the_box(self):
+        # K = 0.02 exp(0.02 x0^2) grows to the edge of the box, so the ascent
+        # of K_max ends at the floor; no trial may evaluate the metric outside
+        def metric(x):
+            if np.any(np.abs(x) > 8.0):
+                raise RuntimeError("metric evaluated outside its box")
+            return np.exp(-0.02 * x[0] ** 2) * np.eye(2)
+
+        model = manifolds.chart_metric(metric, 2, domain=[[-8.0, 8.0], [-8.0, 8.0]], name="edge")
+        # the floor's margin 0.02 is 0.16 inside the edge
+        k_edge = 0.02 * np.exp(0.02 * 7.84**2)
+        for seed in (1, 2, 3):
+            kmax, kmin, rmin = model.extremal_curvatures(20, seed)
+            assert 0.99 * k_edge <= kmax <= 1.001 * k_edge, seed
+            assert np.isclose(kmin, 0.02, rtol=0.01) and rmin == kmin, seed
+
     def test_sample_count_validated(self, s2):
         with pytest.raises(ValueError):
             s2.extremal_curvatures(sample_count=0)
