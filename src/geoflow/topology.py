@@ -26,6 +26,8 @@ from .errors import ProfileValidationError
 LOG10_E = math.log10(math.e)
 #: floats above this are reported alongside their log10 form
 BIG = 1e15
+#: prime of the square-free test; below 2^30, so every residue is a one-digit int
+PRIME = 1_000_000_007
 
 
 # -- profiles ----------------------------------------------------------------------
@@ -45,8 +47,8 @@ class BettiProfile:
     radius: float | None = None  # radius of convergence of the homotopy series
 
     def __post_init__(self):
-        self.betti = [int(b) for b in self.betti]
         self.validate()
+        self.betti = [int(b) for b in self.betti]
 
     def validate(self):
         for key, flag in (("formal", self.formal), ("simply_connected", self.simply_connected)):
@@ -55,6 +57,11 @@ class BettiProfile:
         for key, val in (("chi", self.chi), ("tau", self.tau), ("R", self.radius)):
             if val is not None and (isinstance(val, bool) or not isinstance(val, numbers.Real)):
                 raise ProfileValidationError(f"{key} must be a number, got {val!r}")
+        for key, val in (("n", self.n), ("connected_p", self.connected_p),
+                         *((f"b_{i}", bi) for i, bi in enumerate(self.betti))):
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+                raise ProfileValidationError(
+                    f"malformed profile: {key} must be an integer, got {val!r}")
         b = self.betti
         n = self.n
         if n < 2:
@@ -96,10 +103,10 @@ class BettiProfile:
     def from_json_dict(cls, data):
         try:
             return cls(
-                n=int(data["n"]),
+                n=data["n"],
                 betti=list(data["betti"]),
                 formal=data.get("formal", False),
-                connected_p=int(data.get("connected_p", 2)),
+                connected_p=data.get("connected_p", 2),
                 simply_connected=data.get("simply_connected", True),
                 chi=data.get("chi"),
                 tau=data.get("tau"),
@@ -152,16 +159,39 @@ def _poly_gcd(a, b):
     return [c / a[-1] for c in a]  # monic
 
 
-def square_free_factors(coeffs):
-    """Musser's square-free decomposition of an integer polynomial:
-    [(factor, multiplicity)], each factor monic and square-free.
+def _coprime_mod_prime(a, b):
+    """Whether gcd(a, b) over GF(PRIME) is a non-zero constant, for integer
+    coefficient lists a and b (lowest degree first)."""
+    a, b = _poly_trim([c % PRIME for c in a]), _poly_trim([c % PRIME for c in b])
+    while b[-1]:
+        inv = pow(b[-1], -1, PRIME)
+        for deg in range(len(a) - len(b), -1, -1):
+            coef = a[deg + len(b) - 1] * inv % PRIME
+            if coef:
+                for i, bi in enumerate(b):
+                    a[deg + i] = (a[deg + i] - coef * bi) % PRIME
+        a, b = b, _poly_trim(a[: len(b) - 1] or [0])
+    return len(a) == 1 and a[0] != 0
 
-    Exact arithmetic over the rationals, so repeated roots are separated
-    before any floating-point eigenvalue work.
+
+def square_free_factors(coeffs):
+    """Exact square-free decomposition [(factor, multiplicity)] of a
+    polynomial with rational coefficients, lowest degree first: [(p, 1)]
+    when p is square-free, monic Fraction factors otherwise.
+
+    An integer p whose leading coefficient PRIME does not divide is tested
+    mod PRIME first: a constant gcd(p, p') there proves p square-free (by
+    Gauss's lemma a repeated factor f^2 | p can be taken primitive, and f
+    mod PRIME keeps its degree and divides p and p').  Otherwise Musser's
+    loop runs over Q.
     """
     p = _poly_trim([Fraction(c) for c in coeffs])
     if len(p) <= 1:
         return []
+    ints = [c.numerator for c in p]
+    if (all(c.denominator == 1 for c in p) and ints[-1] % PRIME
+            and _coprime_mod_prime(ints, _poly_deriv(ints))):
+        return [(p, 1)]
     g = _poly_gcd(p, _poly_deriv(p))
     if len(g) == 1:
         return [(p, 1)]
@@ -217,11 +247,11 @@ def poincare_roots(profile: BettiProfile):
     """All n complex roots of the Poincare polynomial sum b_i t^i.
 
     Duality pairs the roots into reciprocal pairs {z, 1/z}; multiple roots are
-    isolated exactly (Musser) so reciprocity survives in floating point.
+    isolated exactly by :func:`square_free_factors`, whose test mod a prime
+    applies to every validated profile (integer b_i, b_n = 1), so
+    reciprocity survives in floating point.
     """
     profile.validate()
-    if profile.betti[-1] != 1:
-        raise ProfileValidationError("Poincare polynomial must be monic (b_n = 1)")
     roots = []
     for factor, mult in square_free_factors(profile.betti):
         roots.extend(np.repeat(_companion_roots(factor), mult))

@@ -229,6 +229,9 @@ _PROFILE = '{"n": 4, "betti": [1, 0, 2, 0, 1], '
     (["count", "sphere:n=2", "--samples", "0", "--t-max", "1", "--step", "0.1"], "samples"),
     (["count", "sphere:n=3", "--samples", "1", "--t-max", "1", "--step", "0.1"], "samples"),
     (["gromov", "--n-max", "1"], "--n-max"),
+    # non-integral values are rejected, not truncated
+    (["certify", "--profile", '{"n": 4.9, "betti": [1, 0, 2.7, 0, 1], "formal": true}'], "4.9"),
+    (["certify", "--profile", _PROFILE + '"connected_p": 2.0}'], "connected_p"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, key, capsys):
     # exit 2, nothing on stdout, one error line naming the bad input

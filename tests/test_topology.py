@@ -91,6 +91,114 @@ def test_square_free_factors(coeffs, expected):
     assert all(isinstance(c, Fraction) for f, _ in got for c in f)
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_profile_betti(rng, n, slot):
+    """Betti numbers drawn by the rule of the benchmark's random certify
+    profiles: b_2 with up to 1.1 times the digits of the middle-Betti bound
+    (at most 12), the other free entries two-digit."""
+    betti = [0] * (n + 1)
+    betti[0] = betti[n] = 1
+    top = min(1.1 * topology.betti_p_bound_log10(n, 2), 12.0)
+    digits = max(1, round(top * (slot + 1) / 3))
+    betti[2] = betti[n - 2] = int(rng.integers(10 ** (digits - 1), 10**digits))
+    for i in range(3, n // 2 + 1):
+        betti[i] = betti[n - i] = int(rng.integers(10, 100))
+    return betti
+
+
+def _random_profiles_betti(rounds):
+    rng = np.random.default_rng(53366851)
+    return [_random_profile_betti(rng, n, slot)
+            for _ in range(rounds) for n in range(4, 25) for slot in range(3)]
+
+
+def _criterion_9_betti():
+    rng = np.random.default_rng(11)
+    out = []
+    for _ in range(200):
+        n = int(rng.integers(4, 10))
+        half = (n - 2) // 2 - (1 if n % 2 == 0 else 0) + 1
+        out.append(symmetric_profile(n, [int(rng.integers(0, 10)) for _ in range(half)]).betti)
+    return out
+
+
+class TestSquareFreeModPrime:
+    """The test mod ``topology.PRIME`` in front of Musser's loop returns only
+    what the loop alone returns, and spares the loop on square-free input."""
+
+    def test_agrees_with_musser_loop(self, monkeypatch):
+        q = topology.PRIME
+        polys = ([[1, 0, b2, 0, 1] for b2 in range(301)]
+                 + [[1, 0, b2, b2, 0, 1] for b2 in (DIM5_B2_THRESHOLD, DIM5_B2_THRESHOLD + 1)]
+                 + _criterion_9_betti() + _random_profiles_betti(3)
+                 # no answer mod q: q + t^2, q t^2 + 1 and (1 + q t)^2 (q | lc),
+                 # (t + q)^2; repeated factors with lc 1, 2 and 3; and
+                 # (t + 1/2)^2, whose numerators mod q are square-free
+                 + [[q, 0, 1], [1, 0, q], [1, 2 * q, q * q], [q * q, 2 * q, 1],
+                    [1, 0, 2, 0, 1], [2, 4, 2], [3, 0, 6, 0, 3], [Fraction(1, 4), 1, 1]])
+        assert len(polys) == 303 + 200 + 189 + 8
+        got = [topology.square_free_factors(p) for p in polys]
+        monkeypatch.setattr(topology, "_coprime_mod_prime", lambda a, b: False)
+        for p, fast in zip(polys, got):
+            oracle = topology.square_free_factors(p)
+            assert fast == oracle, p
+            assert all(type(c) is Fraction for f, _ in fast for c in f)
+
+    @pytest.fixture
+    def gcd_calls(self, monkeypatch):
+        calls, poly_gcd = [0], topology._poly_gcd
+
+        def counting_poly_gcd(*args):
+            calls[0] += 1
+            return poly_gcd(*args)
+
+        monkeypatch.setattr(topology, "_poly_gcd", counting_poly_gcd)
+        return calls
+
+    def test_square_free_profiles_skip_the_rational_loop(self, gcd_calls):
+        profiles = ([[1, 0, b2, 0, 1] for b2 in range(1, 301) if b2 != 2]
+                    + _random_profiles_betti(1))
+        assert len(profiles) == 299 + 63
+        for betti in profiles:
+            topology.certify(topology.BettiProfile(len(betti) - 1, betti, formal=True))
+        assert gcd_calls[0] == 0
+        # (1 + t^2)^2 has a repeated factor, which only the loop over Q splits
+        topology.certify(topology.BettiProfile(4, [1, 0, 2, 0, 1], formal=True))
+        assert gcd_calls[0] >= 1
+
+
+_small_monic = st.integers(0, 4).flatmap(
+    lambda d: st.lists(st.integers(-4, 4), min_size=d, max_size=d).map(lambda c: c + [1]))
+
+
+@given(_small_monic, _small_monic)
+@settings(max_examples=150, deadline=None)
+def test_square_free_factors_of_f_squared_g(f, g):
+    # f = 1 often leaves p = g square-free (the test mod a prime answers);
+    # any other f puts a square in p (Musser's loop splits it)
+    p = _poly_mul(_poly_mul(f, f), g)
+    factors = topology.square_free_factors(p)
+    product = [Fraction(1)]
+    for factor, mult in factors:
+        assert len(factor) > 1 and factor[-1] == 1 and mult >= 1
+        assert len(topology._poly_gcd(factor, topology._poly_deriv(factor))) == 1
+        for _ in range(mult):
+            product = _poly_mul(product, factor)
+    assert product == [Fraction(c, p[-1]) for c in p]
+    for i, (a, _) in enumerate(factors):
+        for b, _ in factors[i + 1:]:
+            assert len(topology._poly_gcd(a, b)) == 1
+    if len(f) > 1:
+        assert max(m for _, m in factors) >= 2
+
+
 class TestPoincareRoots:
     def test_sphere_profile_unimodular(self):
         p = topology.BettiProfile(4, [1, 0, 0, 0, 1])
