@@ -97,9 +97,6 @@ class Chart:
     def metric(self, x):
         raise NotImplementedError
 
-    def d_metric(self, x):
-        raise NotImplementedError
-
     def margin(self, x):
         """Normalized distance from the chart boundary: 1 deep inside, 0 on it."""
         x = np.asarray(x, dtype=float)
@@ -124,11 +121,6 @@ class Chart:
         g = self.metric(x)
         return np.linalg.solve(g, JtV[..., None])[..., 0]
 
-    def christoffel(self, x):
-        """Levi-Civita symbols g^lm Gamma_mij, shape (..., n, n, n) indexed
-        [l, i, j], from the metric and its derivative."""
-        return _raised(self.metric(x), self.d_metric(x))
-
     def per_row(self, charts, ids):
         """One chart that evaluates row r of a batch in ``charts[ids[r]]``: its
         metric, Christoffel symbols, margin and curvature.  By default this
@@ -144,8 +136,8 @@ class DiagonalChart(Chart):
     depends on x_m alone.  Subclasses supply :meth:`warps`: w (..., n) and the
     logarithmic derivatives L_m = d_m log w_{m+1} (..., n-1), so that the
     Jacobian of the diagonal is J[m, k] = d_m d_k = L_m d_k for m < k and 0
-    otherwise.  The metric, its derivative and the Christoffel symbols all
-    follow from d and J; :class:`ProductChart` supplies d and J itself.
+    otherwise.  The metric and the Christoffel symbols both follow from d and
+    J; :class:`ProductChart` supplies d and J itself.
     """
 
     def diagonal(self, x):
@@ -158,35 +150,28 @@ class DiagonalChart(Chart):
         d, _ = self.diagonal(x)
         return d[..., None] * np.eye(self.dim)
 
-    def d_metric(self, x):
-        _, P = self.diagonal(x)
-        n = self.dim
-        J = np.zeros(P.shape[:-2] + (n, n))
-        J[..., :-1, :] = np.where(_diagonal_tables(n)[1], P, 0.0)
-        return J[..., None] * np.eye(n)
-
     def christoffel(self, x):
         d, P = self.diagonal(x)
         n = self.dim
         batch = d.shape[:-1]
-        T = P.reshape(batch + ((n - 1) * n,)) @ _diagonal_tables(n)[0]
+        T = P.reshape(batch + ((n - 1) * n,)) @ _diagonal_table(n)
         return ((0.5 / d)[..., None] * T.reshape(batch + (n, n * n))).reshape(batch + (n,) * 3)
 
 
 @functools.lru_cache(maxsize=None)
-def _diagonal_tables(n):
-    """Constants of the diagonal-metric formulas in dimension n: the map from
-    P to 2 d_l Gamma^l_ij = delta_lj J[i,l] + delta_li J[j,l] - delta_ij J[l,i],
-    shape ((n-1)*n, n**3), and the mask of m < k, shape (n-1, n).  Each entry
-    of the map's image is one entry of J up to sign, so the product is exact.
+def _diagonal_table(n):
+    """The map from P to 2 d_l Gamma^l_ij = delta_lj J[i,l] + delta_li J[j,l]
+    - delta_ij J[l,i] in dimension n, shape ((n-1)*n, n**3); it reads P only
+    where m < k.  Each entry of its image is one entry of J up to sign, so the
+    product is exact.
     """
     e = np.eye(n)
     gamma = (np.einsum("mi,kl,lj->mklij", e, e, e) + np.einsum("mj,kl,li->mklij", e, e, e)
              - np.einsum("ml,ki,ij->mklij", e, e, e))
-    upper = np.triu(np.ones((n - 1, n), dtype=bool), 1)
+    upper = np.triu(np.ones((n - 1, n)), 1)
     gamma = (gamma[:-1] * upper[..., None, None, None]).reshape((n - 1) * n, n**3)
-    gamma.flags.writeable = upper.flags.writeable = False
-    return gamma, upper
+    gamma.flags.writeable = False
+    return gamma
 
 
 class HypersphericalChart(Chart):
@@ -274,9 +259,6 @@ class FlatTorusChart(DiagonalChart):
     def warps(self, x):
         return np.ones(x.shape), np.zeros(x.shape[:-1] + (self.dim - 1,))
 
-    def wrap(self, x):
-        return np.mod(np.asarray(x, dtype=float), self.periods)
-
 
 class EllipsoidChart(HypersphericalChart):
     """Two-dimensional ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1.
@@ -287,9 +269,9 @@ class EllipsoidChart(HypersphericalChart):
     row of the last batch axis (shape (B, 3)), as in the chart :meth:`per_row`
     builds to evaluate each row in its own chart.  So the scale is the
     semi-axes in the order ``axes[2], axes[0], axes[1]``, and Q puts them on
-    those axes.  The metric, its derivative, the Christoffel symbols and the
-    Gauss curvature do not depend on Q; they come from the embedding in
-    standard position, E = scale * sphere_embed(x).
+    those axes.  The metric, the Christoffel symbols and the Gauss curvature
+    do not depend on Q; they come from the embedding in standard position,
+    E = scale * sphere_embed(x).
     """
 
     def __init__(self, semi_axes, axes=(0, 1, 2)):
@@ -325,17 +307,15 @@ class EllipsoidChart(HypersphericalChart):
         dE, _ = self._jet(x)
         return dE @ np.swapaxes(dE, -1, -2)
 
-    def d_metric(self, x):
-        dE, d2E = self._jet(x)
-        term = d2E @ np.swapaxes(dE, -1, -2)[..., None, :, :]   # [k, i, j] = d_k d_i E . d_j E
-        return term + np.swapaxes(term, -2, -1)
-
     def christoffel(self, x):
         # the tangential part of d_i d_j E is Gamma^l_ij d_l E: solve
-        # g Gamma[:, i, j] = dE . d_i d_j E with g = dE dE^T
+        # g Gamma[:, i, j] = dE . d_i d_j E, g = dE dE^T, by the 2x2 adjugate
         dE, d2E = self._jet(x)
-        H = np.swapaxes(d2E.reshape(d2E.shape[:-3] + (4, 3)), -1, -2)
-        gam = np.linalg.solve(dE @ np.swapaxes(dE, -1, -2), dE @ H)
+        g = dE @ np.swapaxes(dE, -1, -2)
+        rhs = dE @ np.swapaxes(d2E.reshape(d2E.shape[:-3] + (4, 3)), -1, -2)
+        adj = g[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+        gam = (adj @ rhs) / det[..., None, None]
         return gam.reshape(gam.shape[:-1] + (2, 2))
 
     def gauss(self, x):

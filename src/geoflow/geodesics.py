@@ -15,8 +15,8 @@ coordinates {(E_i, 0), (0, E_i)}.  Trajectories hop between overlapping charts
 when they approach a chart boundary; the frame coordinates (and hence Phi) are
 chart-independent, so only positions, velocities, and frames are re-expressed.
 One chart, ``ManifoldModel.chart(chart_ids)``, evaluates every row in its own
-chart, so each RK4 stage makes one Christoffel and one curvature call for the
-whole batch; it is rebuilt only when a chart id changes.
+chart, so each RK4 stage makes one ``ManifoldModel.stage_geometry`` call for
+the whole batch; it is rebuilt only when a chart id changes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import charts as _charts
 from .errors import IntegrationError
 from .manifolds import MARGIN_FLOOR, ManifoldModel, TangentState, _g_inner, gram_schmidt
 
@@ -103,13 +102,12 @@ def _derivatives(model, chart, Y, jacobi):
     dY = np.empty_like(Y)
     dX, dW, dPhi = _unpack(dY, model.dim, jacobi)
     dX[:] = W[:, 0]
-    gam = _charts.christoffel(chart, X)
+    gam, K = model.stage_geometry(chart, X, W)
     # geodesic spray and frame transport: (v, E)' = -Gamma(v, (v, E))
     dW[:] = -np.einsum("blij,bi,baj->bal", gam, W[:, 0], W)
     if jacobi:
-        K = model.curvature_frame_matrix(X, W[:, 0], W[:, 1:], chart)
         dPhi[:, :k] = Phi[:, k:]
-        dPhi[:, k:] = -np.einsum("bij,bjk->bik", K, Phi[:, :k])
+        dPhi[:, k:] = -(K @ Phi[:, :k])
     return dY
 
 

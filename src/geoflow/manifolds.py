@@ -97,6 +97,15 @@ def gram_schmidt(g, v, vectors):
     return out
 
 
+def _jet_form(jet, W):
+    """<R(E_i, v)v, E_j>, symmetrized, for W = [v; E_1..E_m], and g from a
+    metric jet (g, dg, d2g)."""
+    v, E = W[..., 0, :], W[..., 1:, :]
+    Rv = np.einsum("...labc,...ka,...b,...c->...kl", _charts.jet_riemann(*jet), E, v, v)
+    K = np.einsum("...kl,...jl->...kj", Rv, E)
+    return 0.5 * (K + np.swapaxes(K, -1, -2)), jet[0]
+
+
 @dataclass
 class ManifoldModel:
     kind: str
@@ -197,12 +206,24 @@ class ManifoldModel:
 
     # -- curvature ------------------------------------------------------------------
 
+    def stage_geometry(self, chart, x, W):
+        """The geometry of one RK4 stage at the chart points x (..., n), with
+        ``chart`` evaluating every row: the Christoffel symbols and, when the
+        vectors W = [v; E_1..E_k] (..., 1 + k, n) hold a frame, its
+        :meth:`curvature_frame_matrix` (else None).  A model without curvature
+        factors takes both from one metric jet."""
+        frame = W.shape[-2] > 1
+        if self.factors:
+            gam, v, E = _charts.christoffel(chart, x), W[..., 0, :], W[..., 1:, :]
+            return gam, self.curvature_frame_matrix(x, v, E, chart) if frame else None
+        jet = _charts.metric_jet(chart.metric, x)
+        return _charts._raised(*jet[:2]), _jet_form(jet, W)[0] if frame else None
+
     def curvature_frame_matrix(self, x, v, frame, chart_id=0):
         """Matrix K_ij = <R(E_i, v)v, E_j> of the Jacobi operator in a frame,
         g-orthonormal and orthogonal to the unit vector v.  With one curvature
         factor it is that factor's curvature times the identity; otherwise it
-        is :meth:`_jacobi_form`, which a model without factors takes from the
-        metric jet."""
+        is :meth:`_jacobi_form`."""
         if len(self.factors) == 1:
             # R(E_i, v)v = K (E_i - <E_i, v> v) = K E_i on such a frame
             k = self.dim - 1
@@ -211,28 +232,26 @@ class ManifoldModel:
             K = self.factors[0].curvature(self.chart(chart_id), x)
             out[..., idx, idx] = np.asarray(K)[..., None]
             return out
-        return self._jacobi_form(x, v, frame, chart_id)[0]
+        return self._jacobi_form(x, np.concatenate([v[..., None, :], frame], axis=-2), chart_id)[0]
 
-    def _jacobi_form(self, x, v, E, chart_id=0):
-        """<R(E_i, v)v, E_j> for any vectors E (..., m, n), and g at x.  The
-        form comes from the curvature factors, or if there are none from the
-        metric jet, which then also gives g."""
+    def _jacobi_form(self, x, W, chart_id=0):
+        """<R(E_i, v)v, E_j> for the vectors W = [v; E_1..E_m] (..., 1 + m, n),
+        and g at x.  The form comes from the curvature factors, or if there
+        are none from the metric jet, which then also gives g."""
         ch = self.chart(chart_id)
         if not self.factors:
-            jet = _charts.metric_jet(ch.metric, x)
-            Rv = np.einsum("...labc,...ka,...b,...c->...kl", _charts.jet_riemann(*jet), E, v, v)
-            K = np.einsum("...kl,...jl->...kj", Rv, E)
-            return 0.5 * (K + np.swapaxes(K, -1, -2)), jet[0]
+            return _jet_form(_charts.metric_jet(ch.metric, x), W)
+        # per factor f, K_f (|v_f|^2 E_f.E_f - (E_f.v_f)(E_f.v_f)^T) from the
+        # Gram matrix G of W in the factor's block of g; a product metric is
+        # block diagonal, so one W g serves every factor
         g = ch.metric(x)
+        Wg = W @ g
         out = 0.0
         for f in self.factors:
-            sl = f.coords
-            gf, vf, Ef = g[..., sl, sl], v[..., sl], E[..., sl]
-            vv = _g_inner(vf, gf, vf)
-            Ev = np.einsum("...ki,...ij,...j->...k", Ef, gf, vf)
-            EE = np.einsum("...ki,...ij,...lj->...kl", Ef, gf, Ef)
-            Kf = np.asarray(f.curvature(ch, x))[..., None, None]
-            out = out + Kf * (vv[..., None, None] * EE - Ev[..., :, None] * Ev[..., None, :])
+            G = Wg[..., f.coords] @ np.swapaxes(W[..., f.coords], -1, -2)
+            Ev = G[..., 1:, :1]
+            form = G[..., :1, :1] * G[..., 1:, 1:] - Ev * np.swapaxes(Ev, -1, -2)
+            out = out + np.asarray(f.curvature(ch, x))[..., None, None] * form
         return out, g
 
     def curvature_operator(self, theta):
@@ -254,7 +273,7 @@ class ManifoldModel:
     def sectional(self, x, u, w, chart_id=0):
         """Sectional curvature of the plane spanned by u, w at x."""
         x, u, w = (np.asarray(a, dtype=float) for a in (x, u, w))
-        form, g = self._jacobi_form(x, w, u[..., None, :], chart_id)
+        form, g = self._jacobi_form(x, np.stack(np.broadcast_arrays(w, u), axis=-2), chart_id)
         den = _g_inner(u, g, u) * _g_inner(w, g, w) - _g_inner(u, g, w) ** 2
         return form[..., 0, 0] / den
 

@@ -48,6 +48,7 @@ class BettiProfile:
 
     def __post_init__(self):
         self.validate()
+        self.n, self.connected_p = int(self.n), int(self.connected_p)
         self.betti = [int(b) for b in self.betti]
 
     def validate(self):

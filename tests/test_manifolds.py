@@ -18,6 +18,27 @@ def fd_metric_derivative(chart, x, h=1e-6):
     return out
 
 
+def d_metric(chart, x):
+    """Oracle: d_k g_ij [..., k, i, j] in closed form, from the ellipsoid's
+    embedding jet or from the Jacobian J of a diagonal chart's diagonal
+    (P where m < k, zero elsewhere)."""
+    if isinstance(chart, charts.EllipsoidChart):
+        dE, d2E = chart._jet(x)
+        term = d2E @ np.swapaxes(dE, -1, -2)[..., None, :, :]   # [k, i, j] = d_k d_i E . d_j E
+        return term + np.swapaxes(term, -2, -1)
+    _, P = chart.diagonal(x)
+    n = chart.dim
+    J = np.zeros(P.shape[:-2] + (n, n))
+    J[..., :-1, :] = np.where(np.triu(np.ones((n - 1, n), dtype=bool), 1), P, 0.0)
+    return J[..., None] * np.eye(n)
+
+
+def general_christoffel(chart, x):
+    """Oracle: g^lm 0.5 (d_i g_mj + d_j g_mi - d_m g_ij) from the metric and
+    :func:`d_metric`."""
+    return charts._raised(chart.metric(x), d_metric(chart, x))
+
+
 class TestMetric:
     def test_torus_identity(self, torus2):
         g = torus2.metric(np.array([0.3, 5.1]))
@@ -57,7 +78,7 @@ class TestMetric:
         for name, (model, x) in pts.items():
             ch = model.chart(0)
             fd = fd_metric_derivative(ch, x)
-            for dg in (ch.d_metric(x), charts.metric_jet(ch.metric, x)[1]):
+            for dg in (d_metric(ch, x), charts.metric_jet(ch.metric, x)[1]):
                 assert np.allclose(dg, fd, atol=1e-7), name
 
 
@@ -90,11 +111,12 @@ class TestChristoffel:
     @pytest.mark.parametrize("name", ["s2", "s4", "h2", "h3", "torus2", "s2xs2", "elli",
                                       "elli-rows", "elli3", "elli3-chart1", "elli3-rows"])
     def test_closed_form_matches_general_formula(self, name, request):
-        # closed-form charts against 0.5 g^-1 (dg + dg - dg) built from metric
-        # and d_metric, at 20 points, 5 of them near a pole inside the switch
-        # margin; the horospherical chart has no boundary; "-rows" is the
-        # per-row ellipsoid chart, alternating its two pole axes, and
-        # "-chart1" the second chart
+        # closed-form charts (the ellipsoid's by a 2x2 adjugate solve) against
+        # 0.5 g^-1 (dg + dg - dg) built from metric and d_metric, at 20
+        # points, 5 of them near a pole inside the switch margin; the
+        # horospherical chart has no boundary; "-rows" is the per-row
+        # ellipsoid chart, alternating its two pole axes, and "-chart1" the
+        # second chart
         base, _, which = name.partition("-")
         model = manifolds.hyperbolic(3) if base == "h3" else request.getfixturevalue(base)
         ch = model.chart({"": 0, "chart1": 1, "rows": np.arange(20) % 2}[which])
@@ -102,7 +124,7 @@ class TestChristoffel:
         x = rng.uniform(0.05, np.pi - 0.05, (20, model.dim))
         x[:5, 0] = rng.uniform(0.01, 0.09, 5)
         gam = charts.christoffel(ch, x)
-        oracle = charts.Chart.christoffel(ch, x)
+        oracle = general_christoffel(ch, x)
         if model.kind == "torus":
             assert np.array_equal(gam, np.zeros_like(gam))
         elif model.kind != "hyperbolic":
@@ -145,13 +167,16 @@ class TestChristoffel:
         # warp reaches the other factor's coordinates
         model = manifolds.sphere_product(p, q, r1, 1.0)
         x = np.random.default_rng(21).uniform(0.05, np.pi - 0.05, (64, p + q))
+        kernels = {"metric": lambda c, y: c.metric(y), "d_metric": d_metric,
+                   "christoffel": charts.christoffel}
         for cid in (0, len(model.charts) - 1):
             ch = model.chart(cid)
             for method, rank in [("metric", 2), ("d_metric", 3), ("christoffel", 3)]:
+                kernel = kernels[method]
                 want = np.zeros((64,) + (p + q,) * rank)
-                want[(...,) + (slice(None, p),) * rank] = getattr(ch.first, method)(x[:, :p])
-                want[(...,) + (slice(p, None),) * rank] = getattr(ch.second, method)(x[:, p:])
-                np.testing.assert_array_equal(getattr(ch, method)(x), want,
+                want[(...,) + (slice(None, p),) * rank] = kernel(ch.first, x[:, :p])
+                want[(...,) + (slice(p, None),) * rank] = kernel(ch.second, x[:, p:])
+                np.testing.assert_array_equal(kernel(ch, x), want,
                                               err_msg=f"chart {cid} {method}")
 
 
@@ -196,6 +221,55 @@ class TestCurvature:
                 exact = model.sectional(stt.x, u, w)
                 fd = factor_free(model).sectional(stt.x, u, w)
                 assert np.isclose(exact, fd, atol=1e-5), model.spec_string
+
+    def test_product_form_matches_einsum_oracle(self, s2xs2):
+        # the factor Jacobi form by batched products against the three-einsum
+        # form it replaced, at 64 states on the per-row chart, 16 of them
+        # near a pole of the first factor
+        def einsum_form(model, ch, x, v, E):
+            g = ch.metric(x)
+            out = 0.0
+            for f in model.factors:
+                sl = f.coords
+                gf, vf, Ef = g[..., sl, sl], v[..., sl], E[..., sl]
+                vv = np.einsum("...i,...ij,...j->...", vf, gf, vf)
+                Ev = np.einsum("...ki,...ij,...j->...k", Ef, gf, vf)
+                EE = np.einsum("...ki,...ij,...lj->...kl", Ef, gf, Ef)
+                Kf = np.asarray(f.curvature(ch, x))[..., None, None]
+                out = out + Kf * (vv[..., None, None] * EE - Ev[..., :, None] * Ev[..., None, :])
+            return out
+
+        rng = np.random.default_rng(17)
+        X = rng.uniform(0.05, np.pi - 0.05, (64, 4))
+        X[:16, 0] = rng.uniform(0.02, 0.05, 16)
+        ids = np.arange(64) % len(s2xs2.charts)
+        ch = s2xs2.chart(ids)
+        V = s2xs2.unit_directions(X, 64, rng)
+        E = s2xs2.orthonormal_frame(X, V, ids)
+        assert np.sum(ch.margin(X) < 0.05) >= 16
+        K = s2xs2.curvature_frame_matrix(X, V, E, ch)
+        np.testing.assert_allclose(K, einsum_form(s2xs2, ch, X, V, E), rtol=0.0, atol=1e-15)
+
+    def test_stage_geometry_of_chart_metric_is_one_jet(self, wavy, monkeypatch):
+        # one metric jet gives the same Christoffel symbols and Jacobi matrix
+        # as the pointwise queries, bit for bit, from half the user calls
+        ch = wavy.chart(0)
+        func, count = ch.func, [0]
+
+        def counting_func(x):
+            count[0] += 1
+            return func(x)
+
+        states = wavy.sample_sphere_bundle(5, seed=6)
+        X = np.stack([s.x for s in states])
+        V = np.stack([s.v for s in states])
+        W = np.concatenate([V[:, None], wavy.orthonormal_frame(X, V)], axis=1)
+        monkeypatch.setattr(ch, "func", counting_func)
+        gam, K = wavy.stage_geometry(ch, X, W)
+        assert count[0] == 13 * len(X)
+        np.testing.assert_array_equal(gam, charts.christoffel(ch, X))
+        np.testing.assert_array_equal(K, wavy.curvature_frame_matrix(X, V, W[:, 1:], ch))
+        assert wavy.stage_geometry(ch, X, W[:, :1])[1] is None
 
     def test_sectional_user_calls_per_point(self, wavy, monkeypatch):
         # one metric jet per point, 13 stencil points at n = 2; g is its centre

@@ -16,3 +16,21 @@ def test_scripts_run(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr)
     for name in ("sw.json", "sw_mane.csv", "sw_count.csv"):
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+def test_report_digest_repeats(tmp_path):
+    # two runs of the same command lines print the same digests
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    lines = tmp_path / "commands.txt"
+    lines.write_text("# one bound and one count\n"
+                     "geoflow bound sphere:n=2\n"
+                     "count sphere:n=2 --t-max 0.5 --samples 4 --step 1e-2\n")
+    runs = [subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digest.py"),
+                            str(lines)], env=env, capture_output=True, text=True, timeout=300)
+            for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+    out = runs[0].stdout.splitlines()
+    assert runs[1].stdout.splitlines() == out
+    assert [line.split("  ", 2)[1:] for line in out] == [
+        ["0", "bound sphere:n=2"], ["0", "count sphere:n=2 --t-max 0.5 --samples 4 --step 1e-2"]]
+    assert all(len(line.split("  ")[0]) == 64 for line in out)

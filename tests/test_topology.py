@@ -77,6 +77,15 @@ class TestProfileValidation:
         q = topology.BettiProfile.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
         assert q.betti == p.betti and q.formal and q.n == 5
 
+    def test_numpy_integers_serialize_as_plain_ints(self):
+        plain = topology.BettiProfile(4, [1, 0, 3, 0, 1], formal=True, connected_p=2)
+        numpy_ints = topology.BettiProfile(np.int64(4), [1, 0, 3, 0, 1], formal=True,
+                                           connected_p=np.int32(2))
+        for p in (plain, numpy_ints):
+            assert type(p.n) is int and type(p.connected_p) is int
+        assert (json.dumps(topology.certify(numpy_ints).to_json_dict())
+                == json.dumps(topology.certify(plain).to_json_dict()))
+
 
 @pytest.mark.parametrize("coeffs, expected", [
     ([1, 0, 2, 0, 1], [([1, 0, 1], 2)]),                        # (1 + t^2)^2
