@@ -15,9 +15,7 @@ from .entropy import (EntropyEstimate, GrowthSeries, counting_growth,
 from .errors import (ChartDomainError, DeltaTooLargeError, EstimatorError,
                      GeoflowError, IntegrationError, NumericsError,
                      ProfileValidationError)
-from .geodesics import (GeodesicState, JacobiPropagation, exp_ball_jacobian,
-                        expansion, integrate_geodesic, propagate,
-                        propagate_jacobi)
+from .geodesics import expansion, propagate
 from .manifolds import (CurvatureSpectrum, ManifoldModel, TangentState,
                         chart_metric, ellipsoid, flat_torus, hyperbolic,
                         parse_manifold, sphere, sphere_product)

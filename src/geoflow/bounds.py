@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeltaTooLargeError
-from .geodesics import expansion, propagate_jacobi
+from .errors import DeltaTooLargeError, IntegrationError
+from .geodesics import expansion, propagate
 from .manifolds import ManifoldModel, TangentState
 
 
@@ -85,6 +85,11 @@ def symmetric_sqrt(mat):
     return (V * np.sqrt(w)) @ V.T
 
 
+def _jacobi_step(delta):
+    """RK4 step of a Jacobi run to time delta: 1e-3, or 20 steps if fewer."""
+    return min(1e-3, delta / 20.0)
+
+
 def first_order_residual(model, theta, delta, step=None):
     """Operator-norm distance between the polar factor of the time-delta flow
     differential and its first-order curvature form.
@@ -97,21 +102,13 @@ def first_order_residual(model, theta, delta, step=None):
         raise ValueError("delta must be non-negative")
     if delta == 0.0:
         return 0.0
-    if step is None:
-        step = min(1e-3, delta / 20.0)
-    prop = propagate_jacobi(model, theta, delta, step=step)
-    K = model.curvature_frame_matrix(theta.x, theta.v, prop.frame0, theta.chart_id)
+    res = propagate(model, theta, [delta], step=_jacobi_step(delta) if step is None else step)
+    phi = res.phi[0, 0]
+    K = model.curvature_frame_matrix(theta.x, theta.v, res.frames0[0], theta.chart_id)
     gen = generator_matrix(K)
     first_order = np.eye(gen.shape[0]) + 0.5 * delta * (gen + gen.T)
-    polar = symmetric_sqrt(prop.phi.T @ prop.phi)
+    polar = symmetric_sqrt(phi.T @ phi)
     return float(np.linalg.norm(polar - first_order, ord=2))
-
-
-def expansion_defect(model, theta, delta):
-    """|expansion(Phi(delta)) - first_order_expansion(theta, delta)|, with
-    Phi(delta) integrated at step min(1e-3, delta / 20)."""
-    prop = propagate_jacobi(model, theta, delta, step=min(1e-3, delta / 20.0))
-    return abs(expansion(prop.phi) - first_order_expansion(model, theta, delta))
 
 
 def expansion_defect_constants(model, thetas, deltas=(1e-2, 5e-3, 2.5e-3)):
@@ -119,15 +116,19 @@ def expansion_defect_constants(model, thetas, deltas=(1e-2, 5e-3, 2.5e-3)):
 
     Returns per-delta constants (max over the states) plus a flag when the
     constant exceeds 100, which marks models where the quadratic remainder is
-    badly conditioned.
+    badly conditioned.  All states are integrated to each delta in one batch;
+    :class:`IntegrationError` is raised if any of them fails.
     """
     consts = []
     for delta in deltas:
-        worst = 0.0
-        for theta in thetas:
-            defect = expansion_defect(model, theta, delta)
-            worst = max(worst, defect / delta**2)
-        consts.append(worst)
+        res = propagate(model, thetas, [delta], step=_jacobi_step(delta))
+        if res.failed.any():
+            raise IntegrationError(
+                f"{int(res.failed.sum())} of {len(res.failed)} states failed "
+                f"before delta = {delta:g}")
+        first = np.array([first_order_expansion(model, theta, delta) for theta in thetas])
+        defects = np.abs(expansion(res.phi[0]) - first) / delta**2
+        consts.append(float(np.max(defects, initial=0.0)))
     return {
         "deltas": list(deltas),
         "constants": consts,

@@ -452,15 +452,11 @@ def christoffel(chart, x):
     return chart.christoffel(np.asarray(x, dtype=float))
 
 
-def riemann(chart, x):
+def jet_riemann(g, dg, d2g):
     """Curvature tensor with its first index lowered by g,
     R_labc = g(R(d_a, d_b)d_c, d_l), shape (..., n, n, n, n) indexed
-    [l, a, b, c], in closed form from the metric jet of ``chart``."""
-    return jet_riemann(*metric_jet(chart.metric, x))
-
-
-def jet_riemann(g, dg, d2g):
-    """:func:`riemann` from a metric jet (g, dg, d2g) of :func:`metric_jet`."""
+    [l, a, b, c], in closed form from a metric jet (g, dg, d2g) of
+    :func:`metric_jet`."""
     # g_lm (d_a Gamma^m_bc + Gamma^m_ap Gamma^p_bc) = d_a Gamma_lbc - Gamma_pal Gamma^p_bc,
     # for d_a g_lp = Gamma_lap + Gamma_pal; R_labc is its part antisymmetric in a, b
     A = (np.swapaxes(_lowered(d2g), -4, -3)

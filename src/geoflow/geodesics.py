@@ -40,33 +40,6 @@ SWITCH_MARGIN = 0.2
 
 
 @dataclass
-class GeodesicState:
-    """Endpoint of a geodesic integration."""
-
-    t: float
-    chart_id: int
-    x: np.ndarray
-    v: np.ndarray
-    speed_drift: float
-
-
-@dataclass
-class JacobiPropagation:
-    """Fundamental solution of the Jacobi system along one geodesic."""
-
-    theta: TangentState
-    t: float
-    chart_id: int
-    x: np.ndarray
-    v: np.ndarray
-    frame0: np.ndarray
-    frame: np.ndarray
-    phi: np.ndarray
-    speed_drift: float
-    frame_drift: float
-
-
-@dataclass
 class PropagationResult:
     """Batch propagation record on a time grid."""
 
@@ -188,8 +161,13 @@ def propagate(
     """Advance a batch of unit tangent states, recording at the grid times.
 
     ``states`` is a list of :class:`TangentState` (or a single one).  The grid
-    must be non-negative and strictly increasing.  Identical inputs produce
-    bit-identical outputs.
+    must be non-negative and strictly increasing; a grid point at 0 takes no
+    step, so ``phi`` there is the identity.  ``phi[g, b]`` is the fundamental
+    solution of row b on [0, t_grid[g]], from the frame ``frames0[b]`` to the
+    transported one (``frames[b]`` at the last grid time).  A row that runs
+    out of charts or turns non-finite is flagged in ``failed`` and parked at
+    the base state; :class:`IntegrationError` is raised only when every row
+    fails.  Identical inputs produce bit-identical outputs.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -199,6 +177,8 @@ def propagate(
     if np.any(t_grid < 0.0) or np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be non-negative and strictly increasing")
     B = len(states)
+    if B == 0:
+        raise ValueError("states must hold at least one tangent state")
     n = model.dim
     k = n - 1
     chart_ids = np.array([s.chart_id for s in states], dtype=int)
@@ -283,64 +263,6 @@ def propagate(
         frame_drift=frame_drift,
         states=rec_states,
     )
-
-
-def integrate_geodesic(model, theta, t_end, step=1e-3):
-    """Integrate the geodesic with initial condition ``theta`` to time t_end."""
-    if t_end < 0.0:
-        raise ValueError("t_end must be non-negative")
-    if t_end == 0.0:
-        return GeodesicState(0.0, theta.chart_id, theta.x.copy(), theta.v.copy(), 0.0)
-    res = propagate(model, theta, [t_end], step=step, jacobi=False)
-    return GeodesicState(
-        t=float(t_end),
-        chart_id=int(res.chart_ids[0]),
-        x=res.x[0],
-        v=res.v[0],
-        speed_drift=float(res.speed_drift[0]),
-    )
-
-
-def propagate_jacobi(model, theta, t_end, step=1e-3):
-    """Fundamental solution of the Jacobi system on [0, t_end] along theta."""
-    if t_end < 0.0:
-        raise ValueError("t_end must be non-negative")
-    k = model.dim - 1
-    if t_end == 0.0:
-        frame = model.orthonormal_frame(theta.x, theta.v, theta.chart_id)
-        return JacobiPropagation(theta, 0.0, theta.chart_id, theta.x.copy(),
-                                 theta.v.copy(), frame, frame.copy(),
-                                 np.eye(2 * k), 0.0, 0.0)
-    res = propagate(model, theta, [t_end], step=step)
-    return JacobiPropagation(
-        theta=theta,
-        t=float(t_end),
-        chart_id=int(res.chart_ids[0]),
-        x=res.x[0],
-        v=res.v[0],
-        frame0=res.frames0[0],
-        frame=res.frames[0],
-        phi=res.phi[0, 0],
-        speed_drift=float(res.speed_drift[0]),
-        frame_drift=float(res.frame_drift[0]),
-    )
-
-
-def exp_ball_jacobian(model, x, v, rho, step=1e-3, chart_id=0):
-    """|det A_v(rho)| where A collects the Jacobi fields with J(0)=0, J'(0)=E_i.
-
-    This is the radial Jacobian density of the exponential map, so that the
-    ball-averaged arc count equals the iterated integral of this density over
-    directions and radius.
-    """
-    if rho < 0.0:
-        raise ValueError("rho must be non-negative")
-    if rho == 0.0:
-        return 0.0
-    theta = model.unit_tangent(x, v, chart_id)
-    prop = propagate_jacobi(model, theta, rho, step=step)
-    k = model.dim - 1
-    return float(np.abs(np.linalg.det(prop.phi[:k, k:])))
 
 
 # -- expansion of a linear map -------------------------------------------------------

@@ -156,7 +156,7 @@ class ManifoldModel:
         return np.sqrt(self.inner(x, a, a, chart_id))
 
     def unit_tangent(self, x, v, chart_id=0):
-        """Normalized TangentState; the one place a vector is rescaled."""
+        """The TangentState of v rescaled to unit length at x in the chart."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         nrm = self.norm(x, v, chart_id)

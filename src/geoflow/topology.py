@@ -50,15 +50,18 @@ class BettiProfile:
         self.validate()
         self.n, self.connected_p = int(self.n), int(self.connected_p)
         self.betti = [int(b) for b in self.betti]
+        self.chi, self.tau = (None if v is None else int(v) for v in (self.chi, self.tau))
 
     def validate(self):
         for key, flag in (("formal", self.formal), ("simply_connected", self.simply_connected)):
             if not isinstance(flag, bool):
                 raise ProfileValidationError(f"{key} must be true or false, got {flag!r}")
-        for key, val in (("chi", self.chi), ("tau", self.tau), ("R", self.radius)):
-            if val is not None and (isinstance(val, bool) or not isinstance(val, numbers.Real)):
-                raise ProfileValidationError(f"{key} must be a number, got {val!r}")
-        for key, val in (("n", self.n), ("connected_p", self.connected_p),
+        if self.radius is not None and (isinstance(self.radius, bool)
+                                        or not isinstance(self.radius, numbers.Real)):
+            raise ProfileValidationError(f"R must be a number, got {self.radius!r}")
+        optional = [(key, val) for key, val in (("chi", self.chi), ("tau", self.tau))
+                    if val is not None]
+        for key, val in (("n", self.n), ("connected_p", self.connected_p), *optional,
                          *((f"b_{i}", bi) for i, bi in enumerate(self.betti))):
             if isinstance(val, bool) or not isinstance(val, numbers.Integral):
                 raise ProfileValidationError(
@@ -93,8 +96,9 @@ class BettiProfile:
             if self.chi != alt:
                 raise ProfileValidationError(
                     f"Euler characteristic {self.chi} != alternating Betti sum {alt}")
-        if self.radius is not None and self.radius <= 0.0:
-            raise ProfileValidationError("radius of convergence must be positive")
+        if self.radius is not None and not self.radius > 0.0:  # NaN fails too
+            raise ProfileValidationError(
+                f"radius of convergence R must be positive, got {self.radius!r}")
 
     @property
     def total_homology(self):
@@ -301,13 +305,17 @@ def homology_dim_bound_log10(n):
     return _log10_power(n, neg_log_r_upper(n, 1.0))
 
 
+def _pow10(lg):
+    """10^lg, or inf when that exceeds double range."""
+    return math.inf if lg > 308.0 else 10.0**lg
+
+
 def homology_dim_bound(n):
     """Total-homology bound (1 + exp(pi sqrt(n-1)(n-2)/2))^n for formal
     profiles; inf when it exceeds double range (use the log10 variant)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    lg = homology_dim_bound_log10(n)
-    return math.inf if lg > 308.0 else 10.0**lg
+    return _pow10(homology_dim_bound_log10(n))
 
 
 def homology_dim_from_radius(n, R):
@@ -341,8 +349,7 @@ def betti_p_bound_log10(n, p):
 def betti_p_bound(n, p):
     """Middle-Betti bound (n/p) exp(p pi sqrt(n-1)(n-2)/2) for formal
     (p-1)-connected profiles; dimension five with p = 2 gives (5/2) e^{6 pi}."""
-    lg = betti_p_bound_log10(n, p)
-    return math.inf if lg > 308.0 else 10.0**lg
+    return _pow10(betti_p_bound_log10(n, p))
 
 
 def babenko_inv_r_lower(b2):
@@ -365,22 +372,11 @@ def babenko_max_b2():
 def dim4_gauss_bonnet_checks(chi, tau):
     """Euler characteristic / signature tests special to dimension four.
 
-    Returns the two verdicts: chi >= (3/2)^{3/2} |tau|, and 9 >= chi > (15/4)|tau|.
+    Returns the two :class:`ObstructionTest`s: ``hitchin``, chi >= (3/2)^{3/2}
+    |tau|, and ``gursky-lebrun``, 9 >= chi > (15/4)|tau|.
     """
-    hitchin_thr = 1.5**1.5 * abs(tau)
-    gl_lower = 15.0 / 4.0 * abs(tau)
-    return {
-        "hitchin": {
-            "threshold": hitchin_thr,
-            "observed": float(chi),
-            "passed": chi >= hitchin_thr,
-        },
-        "gursky_lebrun": {
-            "threshold": [gl_lower, 9.0],
-            "observed": float(chi),
-            "passed": (chi <= 9.0) and (chi > gl_lower),
-        },
-    }
+    return (_test("hitchin", ">=", True, 1.5**1.5 * abs(tau), chi),
+            _test("gursky-lebrun", "in", True, [15.0 / 4.0 * abs(tau), 9.0], chi))
 
 
 def gromov_log10_c(n):
@@ -401,8 +397,7 @@ def homology_dim_from_entropy(n, delta, h):
         raise ValueError("delta must be positive")
     if h < 0.0:
         raise ValueError("h must be non-negative")
-    lg = _log10_power(n, math.pi * h * math.sqrt((n - 1) / delta))
-    return math.inf if lg > 308.0 else 10.0**lg
+    return _pow10(_log10_power(n, math.pi * h * math.sqrt((n - 1) / delta)))
 
 
 # -- certifier -----------------------------------------------------------------------
@@ -526,10 +521,7 @@ def certify(profile: BettiProfile):
 
     # dimension-four Gauss-Bonnet style tests
     if n == 4 and profile.chi is not None and profile.tau is not None:
-        checks = dim4_gauss_bonnet_checks(profile.chi, profile.tau)
-        tests.append(_test("hitchin", ">=", True, checks["hitchin"]["threshold"], profile.chi))
-        tests.append(_test("gursky-lebrun", "in", True, checks["gursky_lebrun"]["threshold"],
-                           profile.chi))
+        tests += dim4_gauss_bonnet_checks(profile.chi, profile.tau)
     else:
         tests += [_test(nm, ">=", False, note="dimension four with chi and tau only")
                   for nm in ("hitchin", "gursky-lebrun")]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoflow import bounds, geodesics, manifolds
-from geoflow.errors import DeltaTooLargeError
+from geoflow.errors import DeltaTooLargeError, IntegrationError
 
 
 class TestJacobiGenerator:
@@ -132,6 +132,34 @@ class TestExpansionDefect:
             assert consts.max() < 10.0, name
             assert ratio <= 2.0 or consts.max() <= floor, (name, consts)
             assert not out["flagged"], name
+
+    def test_batch_matches_per_state_oracle(self, all_models):
+        # bitwise: one propagate call per state and delta, as the constants
+        # were computed before the states were batched
+        deltas = (1e-2, 5e-3, 2.5e-3)
+        for name, model in all_models.items():
+            thetas = model.sample_sphere_bundle(3, seed=17)
+            oracle = []
+            for delta in deltas:
+                worst = 0.0
+                for theta in thetas:
+                    res = geodesics.propagate(model, theta, [delta], step=min(1e-3, delta / 20.0))
+                    defect = abs(geodesics.expansion(res.phi[0, 0])
+                                 - bounds.first_order_expansion(model, theta, delta))
+                    worst = max(worst, defect / delta**2)
+                oracle.append(worst)
+            out = bounds.expansion_defect_constants(model, thetas, deltas)
+            assert out["constants"] == oracle, name
+
+    def test_failed_state_raises(self, elli):
+        # two copies of one ellipsoid chart: the state heading into its pole
+        # runs out of charts while the other state of the batch integrates
+        model = manifolds.ManifoldModel(**{**elli.__dict__,
+                                           "charts": [elli.chart(0), elli.chart(0)]})
+        doomed = model.unit_tangent(np.array([0.3, 0.3]), np.array([-1.0, 0.0]))
+        fine = model.unit_tangent(np.array([1.5, 0.3]), np.array([0.0, 1.0]))
+        with pytest.raises(IntegrationError):
+            bounds.expansion_defect_constants(model, [fine, doomed], deltas=(0.6,))
 
 
 class TestClosedFormBounds:

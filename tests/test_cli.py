@@ -232,6 +232,13 @@ _PROFILE = '{"n": 4, "betti": [1, 0, 2, 0, 1], '
     # non-integral values are rejected, not truncated
     (["certify", "--profile", '{"n": 4.9, "betti": [1, 0, 2.7, 0, 1], "formal": true}'], "4.9"),
     (["certify", "--profile", _PROFILE + '"connected_p": 2.0}'], "connected_p"),
+    # non-finite or fractional chi, tau and R are rejected, not read as obstructions
+    (["certify", "--profile", _PROFILE + '"formal": true, "R": NaN}'], "R"),
+    (["certify", "--profile", '{"n": 4, "betti": [1, 0, 1, 0, 1], "chi": 3, "tau": NaN}'], "tau"),
+    (["certify", "--profile", '{"n": 4, "betti": [1, 0, 1, 0, 1], "chi": 3, "tau": Infinity}'],
+     "tau"),
+    (["certify", "--profile", _PROFILE + '"chi": 4, "tau": 0.5}'], "tau"),
+    (["certify", "--profile", _PROFILE + '"chi": 4.0, "tau": 0}'], "chi"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, key, capsys):
     # exit 2, nothing on stdout, one error line naming the bad input
@@ -269,3 +276,12 @@ def test_readme_command_examples(tmp_path, monkeypatch):
     for line in lines:
         argv = shlex.split(line)[1:]
         assert run(argv) == (1 if argv[0] == "certify" else 0), line
+
+
+def test_readme_library_example(capsys):
+    # the README's "Library" block runs as written, so a name deleted from
+    # the API cannot stay in it; its certify example (b_2 = 231) is obstructed
+    block = README.read_text().split("## Library", 1)[1].split("```python", 1)[1]
+    exec(compile(block.split("```", 1)[0], str(README), "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "no Einstein metric of non-negative sectional curvature"

@@ -116,25 +116,25 @@ class TestExpansion:
 class TestGeodesicIntegration:
     def test_torus_straight_line(self, torus2):
         theta = torus2.unit_tangent(np.zeros(2), np.array([1.0, 0.0]))
-        end = geodesics.integrate_geodesic(torus2, theta, 1.0, step=1e-2)
-        assert np.allclose(end.x, [1.0, 0.0], atol=1e-12)
+        end = geodesics.propagate(torus2, theta, [1.0], step=1e-2, jacobi=False)
+        assert np.allclose(end.x[0], [1.0, 0.0], atol=1e-12)
         # wrap at a full period
-        end = geodesics.integrate_geodesic(torus2, theta, 2 * np.pi, step=1e-2)
-        wrapped = np.mod(end.x, torus2.chart(0).periods)
+        end = geodesics.propagate(torus2, theta, [2 * np.pi], step=1e-2, jacobi=False)
+        wrapped = np.mod(end.x[0], torus2.chart(0).periods)
         assert np.allclose(wrapped, [0.0, 0.0], atol=1e-9)
 
     def test_sphere_great_circle_closes(self, s2):
         theta = s2.unit_tangent(np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]))
-        end = geodesics.integrate_geodesic(s2, theta, 2 * np.pi, step=1e-3)
+        end = geodesics.propagate(s2, theta, [2 * np.pi], step=1e-3, jacobi=False)
         p0 = s2.chart(0).embed(theta.x)
-        p1 = s2.chart(end.chart_id).embed(end.x)
+        p1 = s2.chart(int(end.chart_ids[0])).embed(end.x[0])
         assert np.linalg.norm(p1 - p0) < 1e-6
 
     def test_geodesic_through_pole_switches_chart(self, s2):
         theta = s2.unit_tangent(np.array([np.pi / 2, 0.0]), np.array([-1.0, 0.0]))
-        end = geodesics.integrate_geodesic(s2, theta, np.pi, step=1e-3)
+        end = geodesics.propagate(s2, theta, [np.pi], step=1e-3, jacobi=False)
         p0 = s2.chart(0).embed(theta.x)
-        p1 = s2.chart(end.chart_id).embed(end.x)
+        p1 = s2.chart(int(end.chart_ids[0])).embed(end.x[0])
         assert np.isclose(p0 @ p1, -1.0, atol=1e-8)  # antipode reached
 
     def test_start_heading_into_pole(self, elli):
@@ -144,12 +144,13 @@ class TestGeodesicIntegration:
         g = elli.metric(x)
         v = np.array([-np.cos(0.01) / np.sqrt(g[0, 0]), np.sin(0.01) / np.sqrt(g[1, 1])])
         theta = elli.unit_tangent(x, v)
-        prop = geodesics.propagate_jacobi(elli, theta, 0.5, step=1e-2)
-        assert np.all(np.isfinite(prop.phi))
-        assert prop.speed_drift <= 1e-6
-        assert abs(np.linalg.det(prop.phi) - 1.0) <= 1e-6
+        res = geodesics.propagate(elli, theta, [0.5], step=1e-2)
+        phi, frame0 = res.phi[0, 0], res.frames0[0]
+        assert np.all(np.isfinite(phi))
+        assert res.speed_drift[0] <= 1e-6
+        assert abs(np.linalg.det(phi) - 1.0) <= 1e-6
         # the initial frame stays in the caller's chart
-        k = prop.frame0 @ g @ np.concatenate([prop.frame0, theta.v[None]]).T
+        k = frame0 @ g @ np.concatenate([frame0, theta.v[None]]).T
         assert np.allclose(k, [[1.0, 0.0]], atol=1e-12)
 
     def test_unit_speed_preserved(self, all_models):
@@ -157,20 +158,24 @@ class TestGeodesicIntegration:
         # step 1e-3 and is spot-checked there on the sphere below
         for name, model in all_models.items():
             theta = model.sample_sphere_bundle(1, seed=4)[0]
-            end = geodesics.integrate_geodesic(model, theta, 5.0, step=5e-3)
-            assert end.speed_drift <= 1e-7, name
+            end = geodesics.propagate(model, theta, [5.0], step=5e-3, jacobi=False)
+            assert end.speed_drift[0] <= 1e-7, name
 
     def test_unit_speed_default_step_long_run(self, s2):
         theta = s2.unit_tangent(np.array([np.pi / 2, 0.2]), np.array([0.5, 1.0]))
-        end = geodesics.integrate_geodesic(s2, theta, 20.0, step=1e-3)
-        assert end.speed_drift <= 1e-8
+        end = geodesics.propagate(s2, theta, [20.0], step=1e-3, jacobi=False)
+        assert end.speed_drift[0] <= 1e-8
 
     def test_step_validation(self, s2):
         theta = s2.base_state()
         with pytest.raises(ValueError):
-            geodesics.integrate_geodesic(s2, theta, 1.0, step=0.0)
+            geodesics.propagate(s2, theta, [1.0], step=0.0, jacobi=False)
         with pytest.raises(ValueError):
-            geodesics.integrate_geodesic(s2, theta, -1.0)
+            geodesics.propagate(s2, theta, [-1.0], jacobi=False)
+
+    def test_empty_batch_rejected(self, s2):
+        with pytest.raises(ValueError, match="at least one"):
+            geodesics.propagate(s2, [], [1.0])
 
     def test_chart_exhaustion(self, elli):
         # two copies of one ellipsoid chart: heading straight into its pole,
@@ -180,7 +185,7 @@ class TestGeodesicIntegration:
         x = np.array([0.3, 0.3])
         theta = model.unit_tangent(x, np.array([-1.0, 0.0]))
         with pytest.raises(IntegrationError) as err:
-            geodesics.integrate_geodesic(model, theta, 0.6, step=1e-3)
+            geodesics.propagate(model, theta, [0.6], step=1e-3, jacobi=False)
         chart_ids, x, v = err.value.last_state
         assert model.chart(0).margin(x[0]) < geodesics.MARGIN_FLOOR
 
@@ -188,51 +193,52 @@ class TestGeodesicIntegration:
     def test_hyperbolic_long_geodesic(self, h2, v):
         # the one horospherical chart reaches t = 300 along d_t and sideways
         theta = h2.unit_tangent(h2.base_x, np.array(v))
-        end = geodesics.integrate_geodesic(h2, theta, 300.0, step=5e-2)
-        assert end.chart_id == 0 and np.all(np.isfinite(end.x))
-        assert end.speed_drift <= 1e-6
+        end = geodesics.propagate(h2, theta, [300.0], step=5e-2, jacobi=False)
+        assert end.chart_ids[0] == 0 and np.all(np.isfinite(end.x[0]))
+        assert end.speed_drift[0] <= 1e-6
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_hyperbolic_overflow_fails(self, h2):
         # e^{2t} overflows past t = 354, and the trajectory is dropped
         with pytest.raises(IntegrationError):
-            geodesics.integrate_geodesic(h2, h2.base_state(), 400.0, step=5e-2)
+            geodesics.propagate(h2, h2.base_state(), [400.0], step=5e-2, jacobi=False)
 
     def test_fourth_order_convergence(self, s2):
         theta = s2.unit_tangent(np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]))
         errs = []
         for h in (0.02, 0.01):
-            prop = geodesics.propagate_jacobi(s2, theta, 2.0, step=h)
+            phi = geodesics.propagate(s2, theta, [2.0], step=h).phi[0, 0]
             closed = np.array([[np.cos(2.0), np.sin(2.0)],
                                [-np.sin(2.0), np.cos(2.0)]])
-            errs.append(np.abs(prop.phi - closed).max())
+            errs.append(np.abs(phi - closed).max())
         assert errs[0] / errs[1] >= 14.0
 
 
 class TestJacobiPropagation:
     def test_phi0_is_identity(self, s2):
-        prop = geodesics.propagate_jacobi(s2, s2.base_state(), 0.0)
-        assert np.array_equal(prop.phi, np.eye(2))
+        res = geodesics.propagate(s2, s2.base_state(), [0.0])
+        assert np.array_equal(res.phi[0, 0], np.eye(2))
+        assert np.array_equal(res.frames0, res.frames)
 
     def test_torus_shear_blocks(self, torus2):
         theta = torus2.unit_tangent(np.zeros(2), np.array([1.0, 0.0]))
-        prop = geodesics.propagate_jacobi(torus2, theta, 2.5, step=1e-2)
-        assert np.allclose(prop.phi, [[1.0, 2.5], [0.0, 1.0]], atol=1e-12)
+        phi = geodesics.propagate(torus2, theta, [2.5], step=1e-2).phi[0, 0]
+        assert np.allclose(phi, [[1.0, 2.5], [0.0, 1.0]], atol=1e-12)
 
     def test_sphere_rotation_blocks(self, s2):
         theta = s2.unit_tangent(np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]))
         for t in (1.0, 4.0, 10.0):
-            prop = geodesics.propagate_jacobi(s2, theta, t, step=1e-3)
+            phi = geodesics.propagate(s2, theta, [t], step=1e-3).phi[0, 0]
             closed = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-            assert np.abs(prop.phi - closed).max() < 1e-6
+            assert np.abs(phi - closed).max() < 1e-6
 
     def test_hyperbolic_cosh_blocks(self, h2):
         theta = h2.base_state()
         for t in (1.0, 3.0):
-            prop = geodesics.propagate_jacobi(h2, theta, t, step=1e-3)
+            phi = geodesics.propagate(h2, theta, [t], step=1e-3).phi[0, 0]
             closed = np.array([[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]])
-            assert np.abs(prop.phi / closed - 1.0).max() < 1e-6
+            assert np.abs(phi / closed - 1.0).max() < 1e-6
 
     def test_unit_determinant_all_models(self, all_models):
         for name, model in all_models.items():
@@ -389,22 +395,31 @@ class TestKernelCalls:
         assert (totals[1] - totals[0]) / (2 * 4 * len(states)) == 13
 
 
+def radial_density(phi):
+    """|det A| for a Jacobi fundamental solution phi = [[., A], [., .]]: A
+    collects the Jacobi fields with J(0) = 0, J'(0) = E_i, so |det A(rho)|
+    is the radial Jacobian density of the exponential map."""
+    k = len(phi) // 2
+    return float(np.abs(np.linalg.det(phi[:k, k:])))
+
+
 class TestExpBallJacobian:
     def test_zero_radius(self, s2):
-        assert geodesics.exp_ball_jacobian(s2, s2.base_x, np.array([1.0, 0.0]), 0.0) == 0.0
+        theta = s2.unit_tangent(s2.base_x, np.array([1.0, 0.0]))
+        assert radial_density(geodesics.propagate(s2, theta, [0.0]).phi[0, 0]) == 0.0
 
     def test_sphere_sine(self, s2):
+        theta = s2.unit_tangent(np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]))
         for rho in (0.5, 1.5, 3.0):
-            val = geodesics.exp_ball_jacobian(
-                s2, np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]), rho, step=1e-3)
+            val = radial_density(geodesics.propagate(s2, theta, [rho], step=1e-3).phi[0, 0])
             assert np.isclose(val, abs(np.sin(rho)), atol=1e-6)
 
     def test_torus_linear(self, torus2):
-        val = geodesics.exp_ball_jacobian(
-            torus2, np.zeros(2), np.array([1.0, 0.0]), 2.0, step=1e-2)
+        theta = torus2.unit_tangent(np.zeros(2), np.array([1.0, 0.0]))
+        val = radial_density(geodesics.propagate(torus2, theta, [2.0], step=1e-2).phi[0, 0])
         assert np.isclose(val, 2.0, atol=1e-10)
 
     def test_negative_radius_rejected(self, s2):
+        theta = s2.unit_tangent(s2.base_x, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            geodesics.exp_ball_jacobian(s2, s2.base_x, np.array([1.0, 0.0]), -1.0)
-
+            geodesics.propagate(s2, theta, [-1.0])

@@ -134,13 +134,15 @@ class TestChristoffel:
     def test_per_row_chart_matches_each_row_alone(self, all_models):
         # a batch over every chart of the model, each row in its own chart;
         # chart-0 sample points lie in every chart's coordinate domain;
-        # riemann evaluates the metric on a (stencil, rows) batch; "factor k"
-        # is the curvature of the model's k-th curvature factor
+        # the curvature tensor evaluates the metric on a (stencil, rows) batch;
+        # "factor k" is the curvature of the model's k-th curvature factor
         def evaluate(ch, method, x):
             if method.startswith("factor"):
                 return np.broadcast_to(model.factors[int(method[7:])].curvature(ch, x),
                                        np.shape(x)[:-1])
-            return charts.riemann(ch, x) if method == "riemann" else getattr(ch, method)(x)
+            if method == "riemann":
+                return charts.jet_riemann(*charts.metric_jet(ch.metric, x))
+            return getattr(ch, method)(x)
 
         for name, model in all_models.items():
             X = np.stack([s.x for s in model.sample_sphere_bundle(12, seed=9)])

@@ -78,11 +78,14 @@ class TestProfileValidation:
         assert q.betti == p.betti and q.formal and q.n == 5
 
     def test_numpy_integers_serialize_as_plain_ints(self):
-        plain = topology.BettiProfile(4, [1, 0, 3, 0, 1], formal=True, connected_p=2)
+        plain = topology.BettiProfile(4, [1, 0, 3, 0, 1], formal=True, connected_p=2,
+                                      chi=5, tau=1)
         numpy_ints = topology.BettiProfile(np.int64(4), [1, 0, 3, 0, 1], formal=True,
-                                           connected_p=np.int32(2))
+                                           connected_p=np.int32(2), chi=np.int64(5),
+                                           tau=np.int16(1))
         for p in (plain, numpy_ints):
             assert type(p.n) is int and type(p.connected_p) is int
+            assert type(p.chi) is int and type(p.tau) is int
         assert (json.dumps(topology.certify(numpy_ints).to_json_dict())
                 == json.dumps(topology.certify(plain).to_json_dict()))
 
@@ -313,13 +316,13 @@ class TestClosedFormBounds:
         assert topology.babenko_max_b2() == 230
 
     def test_dim4_checks(self):
-        out = topology.dim4_gauss_bonnet_checks(2, 0)
-        assert out["hitchin"]["passed"] and out["gursky_lebrun"]["passed"]
-        out = topology.dim4_gauss_bonnet_checks(10, 0)
-        assert out["hitchin"]["passed"] and not out["gursky_lebrun"]["passed"]
-        out = topology.dim4_gauss_bonnet_checks(4, 2)
-        assert out["hitchin"]["threshold"] == pytest.approx(1.5**1.5 * 2)
-        assert out["hitchin"]["passed"] and not out["gursky_lebrun"]["passed"]
+        hitchin, gursky_lebrun = topology.dim4_gauss_bonnet_checks(2, 0)
+        assert hitchin.passed and gursky_lebrun.passed
+        hitchin, gursky_lebrun = topology.dim4_gauss_bonnet_checks(10, 0)
+        assert hitchin.passed and not gursky_lebrun.passed
+        hitchin, gursky_lebrun = topology.dim4_gauss_bonnet_checks(4, 2)
+        assert hitchin.threshold == pytest.approx(1.5**1.5 * 2)
+        assert hitchin.passed and not gursky_lebrun.passed
 
     def test_gromov_constant(self):
         # n = 2: M = 8^2 10^12 exactly; log10 C = 10^4 (log10 3 + M log10 2)
