@@ -67,14 +67,19 @@ def first_order_expansion(model, theta, delta):
     lambda_i) of the symmetrized generator, and the absolute value extends it
     to eigenvalues above 1, whose expanding direction is (e_i, -e_i).
     """
+    return float(_first_order(model.curvature_operator(theta).eigenvalues, delta))
+
+
+def _first_order(lam, delta):
+    """prod_i (1 + (delta/2)|1 - lambda_i|) over the last axis of the
+    eigenvalues ``lam``; raises if any factor would not be positive."""
     if delta < 0.0:
         raise ValueError("delta must be non-negative")
-    lam = model.curvature_operator(theta).eigenvalues
     if delta > 0.0 and 0.5 * delta * float(np.max(np.abs(1.0 - lam))) >= 1.0:
         raise DeltaTooLargeError(
             "delta too large: a first-order factor 1 + (delta/2)(1 - lambda) "
             "would not be positive")
-    return float(np.prod(1.0 + 0.5 * delta * np.abs(1.0 - lam)))
+    return np.prod(1.0 + 0.5 * delta * np.abs(1.0 - lam), axis=-1)
 
 
 def symmetric_sqrt(mat):
@@ -117,17 +122,26 @@ def expansion_defect_constants(model, thetas, deltas=(1e-2, 5e-3, 2.5e-3)):
     Returns per-delta constants (max over the states) plus a flag when the
     constant exceeds 100, which marks models where the quadratic remainder is
     badly conditioned.  All states are integrated to each delta in one batch;
-    :class:`IntegrationError` is raised if any of them fails.
+    :class:`IntegrationError` is raised if any of them fails, with the failed
+    states' last states.  The first-order expansions of
+    :func:`first_order_expansion` come from one batched frame and spectrum.
     """
+    ids = np.array([theta.chart_id for theta in thetas])
+    x, v = (np.stack([getattr(theta, a) for theta in thetas]) for a in ("x", "v"))
+    chart = model.chart(ids)
+    if np.any(np.abs(model.norm(x, v, chart) - 1.0) > 1e-8):
+        raise ValueError("tangent vectors must be unit")
+    frame = model.orthonormal_frame(x, v, chart)
+    lam = np.linalg.eigh(model.curvature_frame_matrix(x, v, frame, chart))[0]
     consts = []
     for delta in deltas:
         res = propagate(model, thetas, [delta], step=_jacobi_step(delta))
         if res.failed.any():
             raise IntegrationError(
                 f"{int(res.failed.sum())} of {len(res.failed)} states failed "
-                f"before delta = {delta:g}")
-        first = np.array([first_order_expansion(model, theta, delta) for theta in thetas])
-        defects = np.abs(expansion(res.phi[0]) - first) / delta**2
+                f"before delta = {delta:g}",
+                last_state=tuple(a[res.failed] for a in res.lost))
+        defects = np.abs(expansion(res.phi[0]) - _first_order(lam, delta)) / delta**2
         consts.append(float(np.max(defects, initial=0.0)))
     return {
         "deltas": list(deltas),

@@ -137,8 +137,13 @@ class DiagonalChart(Chart):
     logarithmic derivatives L_m = d_m log w_{m+1} (..., n-1), so that the
     Jacobian of the diagonal is J[m, k] = d_m d_k = L_m d_k for m < k and 0
     otherwise.  The metric and the Christoffel symbols both follow from d and
-    J; :class:`ProductChart` supplies d and J itself.
+    J; :class:`ProductChart` supplies d and J itself.  The metric reads d
+    alone, from :meth:`metric_diagonal`.
     """
+
+    def metric_diagonal(self, x):
+        """d (..., n)."""
+        return np.multiply.accumulate(self.warps(np.asarray(x, dtype=float))[0], axis=-1)
 
     def diagonal(self, x):
         """d (..., n) and P (..., n-1, n), P[m, k] = L_m d_k: J where m < k."""
@@ -147,8 +152,7 @@ class DiagonalChart(Chart):
         return d, L[..., :, None] * d[..., None, :]
 
     def metric(self, x):
-        d, _ = self.diagonal(x)
-        return d[..., None] * np.eye(self.dim)
+        return self.metric_diagonal(x)[..., None] * np.eye(self.dim)
 
     def christoffel(self, x):
         d, P = self.diagonal(x)
@@ -350,6 +354,11 @@ class ProductChart(DiagonalChart):
         P[..., : self.split - 1, : self.split] = P1
         P[..., self.split:, self.split:] = P2
         return np.concatenate([d1, d2], axis=-1), P
+
+    def metric_diagonal(self, x):
+        a, b = self._halves(x)
+        return np.concatenate([self.first.metric_diagonal(a), self.second.metric_diagonal(b)],
+                              axis=-1)
 
     def margin(self, x):
         a, b = self._halves(x)

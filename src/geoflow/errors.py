@@ -16,8 +16,9 @@ class NumericsError(GeoflowError, ArithmeticError):
 class IntegrationError(GeoflowError):
     """Trajectory integration failed.
 
-    ``last_state`` is (chart ids, x, v), one row per trajectory, taken when
-    each failed: where it ran out of charts, or where it was found non-finite.
+    ``last_state`` is (chart ids, x, v), one row per failed trajectory, taken
+    when each failed: where it ran out of charts, or where it was found
+    non-finite.
     """
 
     def __init__(self, message, last_state=None):

@@ -17,6 +17,13 @@ chart-independent, so only positions, velocities, and frames are re-expressed.
 One chart, ``ManifoldModel.chart(chart_ids)``, evaluates every row in its own
 chart, so each RK4 stage makes one ``ManifoldModel.stage_geometry`` call for
 the whole batch; it is rebuilt only when a chart id changes.
+
+A stage is contiguous batched products.  Gamma is symmetric in i, j, so the
+spray and the frame transport are one stacked matvec A = Gamma(., v, .) and
+one product (v, E) A^T.  The state advances in place: ``propagate`` allocates
+three stage buffers once (the stage input, the running sum of the stage
+derivatives and the latest one) and binds their views once, and every stage
+writes its derivatives into them.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ class PropagationResult:
     failed: np.ndarray              # (B,) bool
     speed_drift: np.ndarray
     frame_drift: np.ndarray
+    # chart id, x and v of each failed row when it failed; -1 and nan on the others
+    lost: tuple
     states: list = field(default_factory=list)  # per grid point, if recorded
 
 
@@ -68,28 +77,56 @@ def _unpack(Y, n, jacobi):
     return Y[:, :n], W, Phi
 
 
-def _derivatives(model, chart, Y, jacobi):
-    """dY/dt with ``chart`` evaluating every row in its own chart."""
-    k = model.dim - 1
-    X, W, Phi = _unpack(Y, model.dim, jacobi)
-    dY = np.empty_like(Y)
-    dX, dW, dPhi = _unpack(dY, model.dim, jacobi)
-    dX[:] = W[:, 0]
+def _derivatives(model, chart, Y, dY, jacobi):
+    """dY/dt of a stage input into a stage buffer, both as their
+    :func:`_unpack` views Y = (X, W, Phi) and dY; ``chart`` evaluates every
+    row in its own chart."""
+    X, W, Phi = Y
+    dX, dW, dPhi = dY
+    B, n = X.shape
+    v = W[:, 0]
+    dX[:] = v
     gam, K = model.stage_geometry(chart, X, W)
-    # geodesic spray and frame transport: (v, E)' = -Gamma(v, (v, E))
-    dW[:] = -np.einsum("blij,bi,baj->bal", gam, W[:, 0], W)
+    # geodesic spray and frame transport, (v, E)' = -Gamma(v, (v, E)): Gamma
+    # is symmetric in i, j, so A = Gamma(., v, .) is one stacked matvec and
+    # the transport one product (v, E) A^T
+    A = (gam.reshape(B, n * n, n) @ v[..., None]).reshape(B, n, n)
+    np.negative(np.matmul(W, np.swapaxes(A, -1, -2), out=dW), out=dW)
     if jacobi:
+        k = n - 1
         dPhi[:, :k] = Phi[:, k:]
-        dPhi[:, k:] = -(K @ Phi[:, :k])
-    return dY
+        np.negative(np.matmul(K, Phi[:, :k], out=dPhi[:, k:]), out=dPhi[:, k:])
 
 
-def _rk4_step(model, chart, Y, h, jacobi):
-    k1 = _derivatives(model, chart, Y, jacobi)
-    k2 = _derivatives(model, chart, Y + (h / 2.0) * k1, jacobi)
-    k3 = _derivatives(model, chart, Y + (h / 2.0) * k2, jacobi)
-    k4 = _derivatives(model, chart, Y + h * k3, jacobi)
-    return Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _stage_buffers(Y, n, jacobi):
+    """The RK4 buffers of the state Y, allocated once: the :func:`_unpack`
+    views of Y, then (array, its views) for the stage input, the running
+    weighted sum of the stage derivatives and the latest stage derivative."""
+    bufs = [np.empty_like(Y) for _ in range(3)]
+    return _unpack(Y, n, jacobi), *((b, _unpack(b, n, jacobi)) for b in bufs)
+
+
+def _rk4_step(model, chart, Y, h, jacobi, stages):
+    """One RK4 step of size h, in place on Y, through the buffers ``stages``
+    that :func:`_stage_buffers` bound to Y.  It keeps the order of operations
+    of Y + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so it is bit for bit the step
+    with freshly allocated stages."""
+    y, (S, s), (acc, a), (k, kv) = stages
+    _derivatives(model, chart, y, a, jacobi)
+    np.multiply(acc, h / 2.0, out=S)
+    S += Y
+    _derivatives(model, chart, s, kv, jacobi)
+    for c in (h / 2.0, h):
+        # the next stage input from k = k2 (then k3) before k is doubled
+        # into the sum and overwritten by the next stage
+        np.multiply(k, c, out=S)
+        S += Y
+        k *= 2.0
+        acc += k
+        _derivatives(model, chart, s, kv, jacobi)
+    acc += k
+    acc *= h / 6.0
+    Y += acc
 
 
 def _park(model, chart_ids, Y, i, jacobi, lost):
@@ -200,7 +237,7 @@ def propagate(
     rec_states = []
     failed = np.zeros(B, dtype=bool)
     # chart id, x and v of each failed row at the moment it failed
-    lost = (chart_ids.copy(), np.empty((B, n)), np.empty((B, n)))
+    lost = (np.full(B, -1), np.full((B, n), np.nan), np.full((B, n), np.nan))
     frame_drift = np.zeros(B)
     multi_chart = len(model.charts) > 1
     if multi_chart:
@@ -209,6 +246,7 @@ def propagate(
         _switch_charts(model, chart_ids, Y, failed, lost, jacobi)
     # evaluates every row in its own chart; rebuilt when a chart id changes
     chart = model.chart(chart_ids)
+    stages = _stage_buffers(Y, n, jacobi)
 
     t = 0.0
     nsteps = 0
@@ -217,11 +255,11 @@ def propagate(
     for gi, target in enumerate(t_grid):
         while t < target - 1e-12:
             h = min(step, target - t)
-            Y = _rk4_step(model, chart, Y, h, jacobi)
+            _rk4_step(model, chart, Y, h, jacobi, stages)
             t += h
             nsteps += 1
             if accumulate_radial:
-                f_cur = np.abs(np.linalg.det(_unpack(Y, n, jacobi)[2][:, :k, k:]))
+                f_cur = np.abs(np.linalg.det(Phi[:, :k, k:]))
                 acc = acc + 0.5 * h * (f_prev + f_cur)
                 f_prev = f_cur
             if (multi_chart and nsteps % CHECK_EVERY == 0
@@ -237,7 +275,6 @@ def propagate(
         if bad.any():
             failed |= bad
             chart = model.chart(chart_ids)
-        X, W, Phi = _unpack(Y, n, jacobi)
         if jacobi:
             phi_rec[gi] = Phi
         if accumulate_radial:
@@ -261,6 +298,7 @@ def propagate(
         failed=failed,
         speed_drift=speed_drift,
         frame_drift=frame_drift,
+        lost=lost,
         states=rec_states,
     )
 

@@ -242,17 +242,24 @@ class ManifoldModel:
         if not self.factors:
             return _jet_form(_charts.metric_jet(ch.metric, x), W)
         # per factor f, K_f (|v_f|^2 E_f.E_f - (E_f.v_f)(E_f.v_f)^T) from the
-        # Gram matrix G of W in the factor's block of g; a product metric is
-        # block diagonal, so one W g serves every factor
+        # Gram matrix G_f of W in the factor's block of g.  A product metric
+        # is block diagonal, so the rows of W g restricted to each factor,
+        # stacked over the factors, give every G_f from one product with W^T
         g = ch.metric(x)
         Wg = W @ g
-        out = 0.0
-        for f in self.factors:
-            G = Wg[..., f.coords] @ np.swapaxes(W[..., f.coords], -1, -2)
-            Ev = G[..., 1:, :1]
-            form = G[..., :1, :1] * G[..., 1:, 1:] - Ev * np.swapaxes(Ev, -1, -2)
-            out = out + np.asarray(f.curvature(ch, x))[..., None, None] * form
-        return out, g
+        F, m, n = len(self.factors), W.shape[-2], self.dim
+        M = np.zeros(Wg.shape[:-2] + (F, m, n))
+        for i, f in enumerate(self.factors):
+            M[..., i, :, f.coords] = Wg[..., f.coords]
+        Wt = np.ascontiguousarray(np.swapaxes(W, -1, -2))
+        G = (M.reshape(M.shape[:-3] + (F * m, n)) @ Wt).reshape(M.shape[:-1] + (m,))
+        Ev = G[..., 1:, :1]
+        form = G[..., :1, :1] * G[..., 1:, 1:] - Ev * np.swapaxes(Ev, -1, -2)
+        # sum_f K_f form_f, one product over the factor axis
+        Kf = np.stack(np.broadcast_arrays(*(np.asarray(f.curvature(ch, x), dtype=float)
+                                            for f in self.factors)), axis=-1)
+        out = Kf[..., None, :] @ form.reshape(form.shape[:-2] + (-1,))
+        return out.reshape(form.shape[:-3] + form.shape[-2:]), g
 
     def curvature_operator(self, theta):
         """Eigen-decomposition of the Jacobi operator at a unit tangent state."""

@@ -158,8 +158,14 @@ class TestExpansionDefect:
                                            "charts": [elli.chart(0), elli.chart(0)]})
         doomed = model.unit_tangent(np.array([0.3, 0.3]), np.array([-1.0, 0.0]))
         fine = model.unit_tangent(np.array([1.5, 0.3]), np.array([0.0, 1.0]))
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError) as err:
             bounds.expansion_defect_constants(model, [fine, doomed], deltas=(0.6,))
+        # the doomed state alone, as it failed: in chart 0, down its meridian
+        # phi = 0.3 to below the margin floor
+        ids, x, v = err.value.last_state
+        assert ids.tolist() == [0] and x.shape == v.shape == (1, 2)
+        assert x[0, 0] < 0.3 and x[0, 1] == pytest.approx(0.3)
+        assert model.chart(0).margin(x[0]) < manifolds.MARGIN_FLOOR
 
 
 class TestClosedFormBounds:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -393,6 +395,90 @@ class TestKernelCalls:
             geodesics.propagate(wavy, states, [steps / 64], step=1 / 64)
             totals.append(count[0])
         assert (totals[1] - totals[0]) / (2 * 4 * len(states)) == 13
+
+
+def packed_state(model, states, jacobi):
+    """The packed batch [x | v | E_1..E_k | Phi] that propagate integrates,
+    with the frames of ``orthonormal_frame`` and a seeded random Phi."""
+    n, k = model.dim, model.dim - 1
+    Y = np.zeros((len(states), n + n * n + 4 * k * k if jacobi else 2 * n))
+    X, W, Phi = geodesics._unpack(Y, n, jacobi)
+    X[:] = [s.x for s in states]
+    W[:, 0] = [s.v for s in states]
+    if jacobi:
+        W[:, 1:] = model.orthonormal_frame(X, W[:, 0], 0)
+        Phi[:] = np.random.default_rng(0).standard_normal(Phi.shape)
+    return Y
+
+
+class TestStage:
+    """One RK4 stage: the spray as a stacked matvec and one product, and the
+    stage buffers that ``propagate`` allocates once."""
+
+    @staticmethod
+    def derivatives(model, chart, Y, jacobi):
+        # dY/dt into a freshly allocated array
+        dY = np.empty_like(Y)
+        geodesics._derivatives(model, chart, geodesics._unpack(Y, model.dim, jacobi),
+                               geodesics._unpack(dY, model.dim, jacobi), jacobi)
+        return dY
+
+    @pytest.mark.parametrize("batch", [1, 100])
+    def test_spray_matches_einsum_oracle(self, all_models, batch):
+        # the einsum the spray replaced is the oracle; the bound, fixed before
+        # the first run, is 1e-14 of the sum of the terms' magnitudes
+        for name, model in all_models.items():
+            n = model.dim
+            Y = packed_state(model, model.sample_sphere_bundle(batch, seed=5), True)
+            chart = model.chart(np.zeros(batch, dtype=int))
+            X, W, _ = geodesics._unpack(Y, n, True)
+            dW = geodesics._unpack(self.derivatives(model, chart, Y, True), n, True)[1]
+            gam, _ = model.stage_geometry(chart, X, W)
+            oracle = -np.einsum("blij,bi,baj->bal", gam, W[:, 0], W)
+            scale = np.einsum("blij,bi,baj->bal", np.abs(gam), np.abs(W[:, 0]), np.abs(W))
+            assert np.all(np.abs(dW - oracle) <= 1e-14 * scale), name
+
+    @pytest.mark.parametrize("jacobi", [True, False])
+    @pytest.mark.parametrize("batch", [1, 100])
+    def test_buffered_step_matches_allocating_stages(self, all_models, batch, jacobi):
+        # bitwise: two steps through one set of bound buffers against
+        # Y + (h/6)(k1 + 2 k2 + 2 k3 + k4) from stages allocated afresh
+        h = 0.05
+        for name, model in all_models.items():
+            Y = packed_state(model, model.sample_sphere_bundle(batch, seed=8), jacobi)
+            chart = model.chart(np.zeros(batch, dtype=int))
+            got = Y.copy()
+            stages = geodesics._stage_buffers(got, model.dim, jacobi)
+            for _ in range(2):
+                k1 = self.derivatives(model, chart, Y, jacobi)
+                k2 = self.derivatives(model, chart, Y + (h / 2.0) * k1, jacobi)
+                k3 = self.derivatives(model, chart, Y + (h / 2.0) * k2, jacobi)
+                k4 = self.derivatives(model, chart, Y + h * k3, jacobi)
+                Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                geodesics._rk4_step(model, chart, got, h, jacobi, stages)
+                np.testing.assert_array_equal(got, Y, err_msg=name)
+
+    def test_second_call_leaves_first_result(self, s2xs2, elli):
+        # no buffer of one propagate call is shared with a result of another
+        def arrays(obj):
+            if isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from arrays(item)
+            elif obj is not None:
+                yield np.asarray(obj)
+
+        for model in (s2xs2, elli):
+            kw = dict(step=1e-2, accumulate_radial=True, record_states=True)
+            first = geodesics.propagate(model, model.sample_sphere_bundle(4, seed=2),
+                                        [0.2, 0.4], **kw)
+            before = {f.name: [a.copy() for a in arrays(getattr(first, f.name))]
+                      for f in dataclasses.fields(first)}
+            geodesics.propagate(model, model.sample_sphere_bundle(4, seed=3), [0.2, 0.4], **kw)
+            for name, want in before.items():
+                got = list(arrays(getattr(first, name)))
+                assert len(got) == len(want) > 0, name
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w, err_msg=f"{model.spec_string} {name}")
 
 
 def radial_density(phi):

@@ -109,14 +109,17 @@ class TestChristoffel:
         assert np.allclose(gam, 0.0, atol=1e-9)
 
     @pytest.mark.parametrize("name", ["s2", "s4", "h2", "h3", "torus2", "s2xs2", "elli",
-                                      "elli-rows", "elli3", "elli3-chart1", "elli3-rows"])
+                                      "elli-rows", "elli3", "elli3-chart1", "elli3-rows",
+                                      "wavy"])
     def test_closed_form_matches_general_formula(self, name, request):
         # closed-form charts (the ellipsoid's by a 2x2 adjugate solve) against
         # 0.5 g^-1 (dg + dg - dg) built from metric and d_metric, at 20
         # points, 5 of them near a pole inside the switch margin; the
         # horospherical chart has no boundary; "-rows" is the per-row
         # ellipsoid chart, alternating its two pole axes, and "-chart1" the
-        # second chart
+        # second chart.  Every chart's Gamma is symmetric in i, j bit for
+        # bit, which the matvec spray of geodesics relies on; the wavy
+        # chart-metric model's Gamma is the general formula on its metric jet
         base, _, which = name.partition("-")
         model = manifolds.hyperbolic(3) if base == "h3" else request.getfixturevalue(base)
         ch = model.chart({"": 0, "chart1": 1, "rows": np.arange(20) % 2}[which])
@@ -124,6 +127,9 @@ class TestChristoffel:
         x = rng.uniform(0.05, np.pi - 0.05, (20, model.dim))
         x[:5, 0] = rng.uniform(0.01, 0.09, 5)
         gam = charts.christoffel(ch, x)
+        np.testing.assert_array_equal(gam, np.swapaxes(gam, -1, -2))
+        if model.kind == "chart-metric":
+            return
         oracle = general_christoffel(ch, x)
         if model.kind == "torus":
             assert np.array_equal(gam, np.zeros_like(gam))
@@ -227,7 +233,8 @@ class TestCurvature:
     def test_product_form_matches_einsum_oracle(self, s2xs2):
         # the factor Jacobi form by batched products against the three-einsum
         # form it replaced, at 64 states on the per-row chart, 16 of them
-        # near a pole of the first factor
+        # near a pole of the first factor; S^3(1) x S^2(2) has blocks of
+        # different sizes and curvatures
         def einsum_form(model, ch, x, v, E):
             g = ch.metric(x)
             out = 0.0
@@ -241,16 +248,18 @@ class TestCurvature:
                 out = out + Kf * (vv[..., None, None] * EE - Ev[..., :, None] * Ev[..., None, :])
             return out
 
-        rng = np.random.default_rng(17)
-        X = rng.uniform(0.05, np.pi - 0.05, (64, 4))
-        X[:16, 0] = rng.uniform(0.02, 0.05, 16)
-        ids = np.arange(64) % len(s2xs2.charts)
-        ch = s2xs2.chart(ids)
-        V = s2xs2.unit_directions(X, 64, rng)
-        E = s2xs2.orthonormal_frame(X, V, ids)
-        assert np.sum(ch.margin(X) < 0.05) >= 16
-        K = s2xs2.curvature_frame_matrix(X, V, E, ch)
-        np.testing.assert_allclose(K, einsum_form(s2xs2, ch, X, V, E), rtol=0.0, atol=1e-15)
+        for model in (s2xs2, manifolds.sphere_product(3, 2, 1.0, 2.0)):
+            rng = np.random.default_rng(17)
+            X = rng.uniform(0.05, np.pi - 0.05, (64, model.dim))
+            X[:16, 0] = rng.uniform(0.02, 0.05, 16)
+            ids = np.arange(64) % len(model.charts)
+            ch = model.chart(ids)
+            V = model.unit_directions(X, 64, rng)
+            E = model.orthonormal_frame(X, V, ids)
+            assert np.sum(ch.margin(X) < 0.05) >= 16
+            K = model.curvature_frame_matrix(X, V, E, ch)
+            np.testing.assert_allclose(K, einsum_form(model, ch, X, V, E), rtol=0.0, atol=1e-15,
+                                       err_msg=model.spec_string)
 
     def test_stage_geometry_of_chart_metric_is_one_jet(self, wavy, monkeypatch):
         # one metric jet gives the same Christoffel symbols and Jacobi matrix

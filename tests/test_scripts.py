@@ -22,15 +22,19 @@ def test_report_digest_repeats(tmp_path):
     # two runs of the same command lines print the same digests
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     lines = tmp_path / "commands.txt"
-    lines.write_text("# one bound and one count\n"
-                     "geoflow bound sphere:n=2\n"
-                     "count sphere:n=2 --t-max 0.5 --samples 4 --step 1e-2\n")
+    # the two estimates run the batched RK4 stage on a sphere product and an
+    # ellipsoid
+    cmds = ["bound sphere:n=2",
+            "count sphere:n=2 --t-max 0.5 --samples 4 --step 1e-2",
+            "estimate sphereprod:p=2,q=2 --samples 100 --t-max 0.5 --step 2e-2",
+            "estimate ellipsoid --samples 100 --t-max 0.5 --step 2e-2"]
+    lines.write_text("# one bound, one count and two estimates\n"
+                     f"geoflow {cmds[0]}\n" + "".join(f"{c}\n" for c in cmds[1:]))
     runs = [subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digest.py"),
                             str(lines)], env=env, capture_output=True, text=True, timeout=300)
             for _ in range(2)]
     assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
     out = runs[0].stdout.splitlines()
     assert runs[1].stdout.splitlines() == out
-    assert [line.split("  ", 2)[1:] for line in out] == [
-        ["0", "bound sphere:n=2"], ["0", "count sphere:n=2 --t-max 0.5 --samples 4 --step 1e-2"]]
+    assert [line.split("  ", 2)[1:] for line in out] == [["0", c] for c in cmds]
     assert all(len(line.split("  ")[0]) == 64 for line in out)
