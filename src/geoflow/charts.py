@@ -136,7 +136,9 @@ class DiagonalChart(Chart):
     depends on x_m alone.  Subclasses supply :meth:`warps`: w (..., n) and the
     logarithmic derivatives L_m = d_m log w_{m+1} (..., n-1), so that the
     Jacobian of the diagonal is J[m, k] = d_m d_k = L_m d_k for m < k and 0
-    otherwise.  The metric and the Christoffel symbols both follow from d and
+    otherwise.  Where L is the same at every point (the horospherical and
+    flat-torus charts) it is one read-only row (n-1,), which broadcasts over
+    the batch.  The metric and the Christoffel symbols both follow from d and
     J; :class:`ProductChart` supplies d and J itself.  The metric reads d
     alone, from :meth:`metric_diagonal`.
     """
@@ -146,7 +148,8 @@ class DiagonalChart(Chart):
         return np.multiply.accumulate(self.warps(np.asarray(x, dtype=float))[0], axis=-1)
 
     def diagonal(self, x):
-        """d (..., n) and P (..., n-1, n), P[m, k] = L_m d_k: J where m < k."""
+        """d (..., n) and P (..., n-1, n), P[m, k] = L_m d_k: J where m < k;
+        L may be one row shared by every point."""
         w, L = self.warps(np.asarray(x, dtype=float))
         d = np.multiply.accumulate(w, axis=-1)
         return d, L[..., :, None] * d[..., None, :]
@@ -243,14 +246,15 @@ class HyperbolicChart(DiagonalChart):
     def __init__(self, dim, curvature_scale):
         self.dim = dim
         self.kappa = float(np.sqrt(curvature_scale))
+        # L = (2 kappa, 0, ..., 0) at every point
+        self.log_warps = 2.0 * self.kappa * np.eye(dim - 1)[0]
+        self.log_warps.flags.writeable = False
 
     def warps(self, x):
-        # w = (1, e^{2 kappa t}, 1, ..., 1), so L = (2 kappa, 0, ..., 0)
+        # w = (1, e^{2 kappa t}, 1, ..., 1)
         w = np.ones(x.shape)
         w[..., 1] = np.exp(2.0 * self.kappa * x[..., 0])
-        L = np.zeros(x.shape[:-1] + (self.dim - 1,))
-        L[..., 0] = 2.0 * self.kappa
-        return w, L
+        return w, self.log_warps
 
 
 class FlatTorusChart(DiagonalChart):
@@ -259,9 +263,11 @@ class FlatTorusChart(DiagonalChart):
     def __init__(self, periods):
         self.periods = np.asarray(periods, dtype=float)
         self.dim = len(self.periods)
+        self.log_warps = np.zeros(self.dim - 1)
+        self.log_warps.flags.writeable = False
 
     def warps(self, x):
-        return np.ones(x.shape), np.zeros(x.shape[:-1] + (self.dim - 1,))
+        return np.ones(x.shape), self.log_warps
 
 
 class EllipsoidChart(HypersphericalChart):

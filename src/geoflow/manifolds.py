@@ -10,6 +10,7 @@ extremes, and seeded sampling of the unit sphere bundle.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Callable
@@ -63,18 +64,42 @@ class CurvatureFactor:
     dimension.  Every plane tangent to the factor at chart point x has
     sectional curvature ``curvature(chart, x)``; planes spanned by vectors of
     two different factors are flat.  ``k_min`` and ``k_max`` are the closed-form
-    extremes of ``curvature`` over the factor.
+    extremes of ``curvature`` over the factor.  A constant factor has no
+    ``function``: its curvature is the number k_min = k_max, and the model's
+    Jacobi matrices are built from that number once, not in every stage.
     """
 
     coords: slice
     dim: int
-    curvature: Callable
     k_min: float
     k_max: float
+    function: Callable | None = None
+
+    @property
+    def constant(self):
+        return self.function is None
+
+    def curvature(self, chart, x):
+        """The sectional curvature at the chart points x: the constant, or
+        ``function(chart, x)``."""
+        return self.k_max if self.function is None else self.function(chart, x)
 
 
-def _constant_factor(coords, dim, K):
-    return CurvatureFactor(coords, dim, lambda chart, x: K, K, K)
+@functools.lru_cache(maxsize=64)
+def _constant_jacobi(k, K):
+    """K times the k x k identity, read-only, built once per (k, K): the
+    Jacobi matrix of a constant factor in any orthonormal frame."""
+    out = np.diag(np.full(k, float(K)))
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _constant_curvatures(ks):
+    """The curvatures ``ks`` of constant factors as one read-only (F,) vector."""
+    out = np.array(ks, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _g_inner(a, g, b):
@@ -112,14 +137,22 @@ class ManifoldModel:
     dim: int
     charts: list
     params: dict = field(default_factory=dict)
-    homogeneous: bool = False
-    isotropic: bool = False
     spec_string: str = ""
     # closed-form curvature, one entry per factor; empty when it comes from
     # the metric jet (charts.metric_jet)
     factors: tuple = ()
     # chart-0 coordinates of a generic base point
     base_x: np.ndarray | None = None
+
+    @property
+    def homogeneous(self):
+        """Curvature factors that are all constant: every point looks alike."""
+        return bool(self.factors) and all(f.constant for f in self.factors)
+
+    @property
+    def isotropic(self):
+        """One constant curvature factor: every direction looks alike too."""
+        return len(self.factors) == 1 and self.factors[0].constant
 
     # -- basic pointwise evaluators ------------------------------------------------
 
@@ -221,16 +254,19 @@ class ManifoldModel:
 
     def curvature_frame_matrix(self, x, v, frame, chart_id=0):
         """Matrix K_ij = <R(E_i, v)v, E_j> of the Jacobi operator in a frame,
-        g-orthonormal and orthogonal to the unit vector v.  With one curvature
-        factor it is that factor's curvature times the identity; otherwise it
-        is :meth:`_jacobi_form`."""
+        g-orthonormal and orthogonal to the unit vector v, (..., k, k) for
+        k = n - 1.  With one curvature factor it is that factor's curvature
+        times the identity; of a constant factor it is one read-only (k, k)
+        matrix, whatever the batch shape of x, which broadcasts over the
+        batch.  Otherwise it is :meth:`_jacobi_form`."""
         if len(self.factors) == 1:
             # R(E_i, v)v = K (E_i - <E_i, v> v) = K E_i on such a frame
-            k = self.dim - 1
+            f, k = self.factors[0], self.dim - 1
+            if f.constant:
+                return _constant_jacobi(k, f.k_max)
             out = np.zeros(np.shape(x)[:-1] + (k, k))
             idx = np.arange(k)
-            K = self.factors[0].curvature(self.chart(chart_id), x)
-            out[..., idx, idx] = np.asarray(K)[..., None]
+            out[..., idx, idx] = np.asarray(f.curvature(self.chart(chart_id), x))[..., None]
             return out
         return self._jacobi_form(x, np.concatenate([v[..., None, :], frame], axis=-2), chart_id)[0]
 
@@ -256,8 +292,11 @@ class ManifoldModel:
         Ev = G[..., 1:, :1]
         form = G[..., :1, :1] * G[..., 1:, 1:] - Ev * np.swapaxes(Ev, -1, -2)
         # sum_f K_f form_f, one product over the factor axis
-        Kf = np.stack(np.broadcast_arrays(*(np.asarray(f.curvature(ch, x), dtype=float)
-                                            for f in self.factors)), axis=-1)
+        if self.homogeneous:
+            Kf = _constant_curvatures(tuple(f.k_max for f in self.factors))
+        else:
+            Kf = np.stack(np.broadcast_arrays(*(np.asarray(f.curvature(ch, x), dtype=float)
+                                                for f in self.factors)), axis=-1)
         out = Kf[..., None, :] @ form.reshape(form.shape[:-2] + (-1,))
         return out.reshape(form.shape[:-3] + form.shape[-2:]), g
 
@@ -320,6 +359,8 @@ class ManifoldModel:
         with np.errstate(all="ignore"):
             v = v / self.norm(x, v, chart_id)[..., None]
             K = self.curvature_frame_matrix(x, v, self.orthonormal_frame(x, v, chart_id), chart_id)
+        # a constant factor gives one (k, k) matrix for every row
+        K = np.broadcast_to(K, np.shape(v)[:-1] + K.shape[-2:])
         # eigvalsh reads a nan matrix as finite
         return np.where(np.isfinite(K).all(axis=(-2, -1))[..., None], np.linalg.eigvalsh(K), np.nan)
 
@@ -445,10 +486,8 @@ def sphere(n=2, radius=1.0):
         dim=n,
         charts=chs,
         params={"n": n, "r": radius},
-        homogeneous=True,
-        isotropic=True,
         spec_string=f"sphere:n={n},r={radius}",
-        factors=(_constant_factor(slice(0, n), n, 1.0 / radius**2),),
+        factors=(CurvatureFactor(slice(0, n), n, 1.0 / radius**2, 1.0 / radius**2),),
         base_x=np.array([np.pi / 2] * (n - 1) + [0.0]),
     )
     return model
@@ -461,10 +500,8 @@ def flat_torus(n=2, period=_TWO_PI):
         dim=n,
         charts=[_charts.FlatTorusChart(periods)],
         params={"n": n, "l": float(period)},
-        homogeneous=True,
-        isotropic=True,
         spec_string=f"torus:n={n}",
-        factors=(_constant_factor(slice(0, n), n, 0.0),),
+        factors=(CurvatureFactor(slice(0, n), n, 0.0, 0.0),),
         base_x=np.zeros(n),
     )
     return model
@@ -479,10 +516,8 @@ def hyperbolic(n=2, c=1.0):
         # one global horospherical chart: nothing to switch
         charts=[_charts.HyperbolicChart(n, c)],
         params={"n": n, "c": c},
-        homogeneous=True,
-        isotropic=True,
         spec_string=f"hyperbolic:n={n},c={c}",
-        factors=(_constant_factor(slice(0, n), n, -c),),
+        factors=(CurvatureFactor(slice(0, n), n, -c, -c),),
         base_x=np.zeros(n),
     )
     return model
@@ -500,12 +535,11 @@ def ellipsoid(a=1.0, b=1.0, c=2.0):
         dim=2,
         charts=chs,
         params={"a": a, "b": b, "c": c},
-        homogeneous=False,
-        isotropic=False,
         spec_string=f"ellipsoid:a={a},b={b},c={c}",
         # Gauss curvature, extreme at the ends of the longest and shortest axes
-        factors=(CurvatureFactor(slice(0, 2), 2, _charts.EllipsoidChart.gauss,
-                                 min(sa, sb, sc) ** 4 / abc2, max(sa, sb, sc) ** 4 / abc2),),
+        # (not constant even on a round ellipsoid, whose k_min = k_max)
+        factors=(CurvatureFactor(slice(0, 2), 2, min(sa, sb, sc) ** 4 / abc2,
+                                 max(sa, sb, sc) ** 4 / abc2, _charts.EllipsoidChart.gauss),),
         base_x=np.array([np.pi / 2, 0.3]),
     )
     return model
@@ -522,11 +556,9 @@ def sphere_product(p=2, q=2, r1=1.0, r2=1.0):
         dim=p + q,
         charts=chs,
         params={"p": p, "q": q, "r1": r1, "r2": r2},
-        homogeneous=True,
-        isotropic=False,
         spec_string=f"sphereprod:p={p},q={q},r1={r1},r2={r2}",
-        factors=(_constant_factor(slice(0, p), p, 1.0 / r1**2),
-                 _constant_factor(slice(p, p + q), q, 1.0 / r2**2)),
+        factors=(CurvatureFactor(slice(0, p), p, 1.0 / r1**2, 1.0 / r1**2),
+                 CurvatureFactor(slice(p, p + q), q, 1.0 / r2**2, 1.0 / r2**2)),
         base_x=np.array(
             [np.pi / 2] * (p - 1) + [0.0] + [np.pi / 2] * (q - 1) + [0.0]
         ),
@@ -543,8 +575,6 @@ def chart_metric(func, dim, domain=None, name="chart-metric"):
         dim=dim,
         charts=[ch],
         params={"name": name, "n": dim},
-        homogeneous=False,
-        isotropic=False,
         spec_string=f"chart-metric:{name}",
         base_x=base,
     )

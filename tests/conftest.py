@@ -50,6 +50,16 @@ def factor_free():
     return lambda model: dataclasses.replace(model, factors=())
 
 
+@pytest.fixture(scope="session")
+def varying():
+    """Builds a copy of a model whose curvature factors are not constant but
+    give the same curvature through a function, so that nothing is taken
+    from the curvature being constant: the model is neither isotropic nor
+    homogeneous."""
+    return lambda model: dataclasses.replace(model, factors=tuple(
+        dataclasses.replace(f, function=f.curvature) for f in model.factors))
+
+
 def _wavy_metric(x):
     # smooth non-constant SPD metric on a single chart
     return np.array([

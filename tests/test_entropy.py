@@ -80,14 +80,14 @@ class TestManeSeries:
         allowance = 2.0 * np.maximum(small.stderr, big.stderr)
         assert np.all(gap <= allowance + 1e-12)
 
-    def test_isotropic_fast_path_matches_full_sampling(self, s2):
+    def test_isotropic_fast_path_matches_full_sampling(self, s2, varying):
         # pinning the evaluation at one state is only legitimate because the
         # integrand is constant over the bundle; spot-check against a clone
-        # with the shortcut flags stripped
+        # whose curvature factor is not marked constant
         grid = np.array([1.0, 2.0, 3.0, 4.0])
         fast = entropy.mane_series(s2, grid, samples=100, seed=1, step=1e-2)
-        full_model = manifolds.ManifoldModel(**{
-            **s2.__dict__, "homogeneous": False, "isotropic": False})
+        full_model = varying(s2)
+        assert full_model.isotropic is False and full_model.homogeneous is False
         full = entropy.mane_series(full_model, grid, samples=100, seed=1, step=1e-2)
         assert full.metadata["mode"] == "full-bundle"
         assert np.allclose(fast.values, full.values, atol=1e-6)

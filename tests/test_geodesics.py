@@ -458,6 +458,51 @@ class TestStage:
                 geodesics._rk4_step(model, chart, got, h, jacobi, stages)
                 np.testing.assert_array_equal(got, Y, err_msg=name)
 
+    @pytest.mark.parametrize("batch", [1, 100])
+    def test_constant_curvature_matches_per_stage_oracle(self, varying, batch):
+        # bitwise: K, K Phi and the stage derivatives from the bound K of
+        # constant factors against K built per stage, a zero array with its
+        # diagonal filled from the factor's curvature, or for a sphere
+        # product the per-row stack of the K_f (a non-constant copy); bytes
+        # are compared, so signs of zeros count, at a random Phi and at the
+        # identity that propagate starts from
+        specs = ["sphere:n=2", "sphere:n=4", "torus:n=2", "hyperbolic:n=2", "hyperbolic:n=3",
+                 "sphereprod:p=2,q=2", "sphereprod:p=3,q=2,r1=1,r2=2"]
+        for spec in specs:
+            model = manifolds.parse_manifold(spec)
+            n, k = model.dim, model.dim - 1
+            chart = model.chart(np.zeros(batch, dtype=int))
+            Y = packed_state(model, model.sample_sphere_bundle(batch, seed=4), True)
+            X, W, Phi = geodesics._unpack(Y, n, True)
+            K = model.stage_geometry(chart, X, W)[1]
+            if len(model.factors) == 1:
+                assert K.shape == (k, k), spec
+                oracle = np.zeros((batch, k, k))
+                oracle[:, np.arange(k), np.arange(k)] = model.factors[0].curvature(chart, X)
+            else:
+                oracle = varying(model).stage_geometry(chart, X, W)[1]
+            for phi in (Phi.copy(), np.eye(2 * k)):
+                Phi[:] = phi
+                for got, want in [(np.broadcast_to(K, oracle.shape), oracle),
+                                  (K @ Phi[:, :k], oracle @ Phi[:, :k]),
+                                  (self.derivatives(model, chart, Y, True),
+                                   self.derivatives(varying(model), chart, Y, True))]:
+                    np.testing.assert_array_equal(got, want, err_msg=spec)
+                    assert got.tobytes() == want.tobytes(), spec
+
+    def test_bound_constants_are_read_only(self):
+        # one K, one vector of factor curvatures and one L serve every stage
+        # of every run, so none of them may be written into
+        s3, h3 = manifolds.sphere(3), manifolds.hyperbolic(3)
+        x = np.tile(s3.base_x, (4, 1))
+        E = s3.orthonormal_frame(x, np.tile(s3.base_state().v, (4, 1)))
+        bound = [s3.curvature_frame_matrix(x, s3.base_state().v, E),
+                 manifolds._constant_curvatures((1.0, 0.25)),
+                 h3.chart(0).warps(x)[1], manifolds.flat_torus(3).chart(0).warps(x)[1]]
+        for arr in bound:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2.0
+
     def test_second_call_leaves_first_result(self, s2xs2, elli):
         # no buffer of one propagate call is shared with a result of another
         def arrays(obj):

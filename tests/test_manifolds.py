@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -374,6 +372,9 @@ class TestExtremes:
         assert k_max >= 4.0 - 1e-6 and k_max < 4.2
         assert k_min <= 0.25 + 1e-6 and k_min > 0.2
         assert min_ric <= 0.25 + 1e-6 and min_ric > 0.2
+        # a constant factor gives one Jacobi matrix for every sampled row
+        got = manifolds.sphere(3)._sampled_extremes(30, seed=1)
+        assert np.allclose(got, (1.0, 1.0, 2.0), rtol=0.01, atol=0.0)
 
     @pytest.mark.parametrize("axes", [(1.0, 1.0, 2.0), (1.0, 1.5, 2.0)])
     def test_factor_free_ellipsoid_finds_closed_forms(self, axes, factor_free):
@@ -385,7 +386,7 @@ class TestExtremes:
 
     def test_factor_free_sphere_finds_closed_forms(self, factor_free):
         # positions sampled over the chart, and an ascent over the direction too
-        model = factor_free(dataclasses.replace(manifolds.sphere(3), homogeneous=False))
+        model = factor_free(manifolds.sphere(3))
         for seed in (1, 2, 3):
             got = model.extremal_curvatures(30, seed)
             assert np.allclose(got, (1.0, 1.0, 2.0), rtol=0.01, atol=0.0), seed
@@ -437,12 +438,11 @@ class TestSampling:
         X = np.stack([s.x for s in states])
         assert np.all(X == s2xs2.base_x)
 
-    def test_sphere_position_density(self):
+    def test_sphere_position_density(self, varying):
         # the density of the first polar angle on the n-sphere is proportional
         # to sin^(n-1)(rho); under it E[cos rho] = 0
         for n in (2, 3):
-            model = manifolds.sphere(n, 1.0)
-            model = manifolds.ManifoldModel(**{**model.__dict__, "homogeneous": False})
+            model = varying(manifolds.sphere(n, 1.0))
             states = model.sample_sphere_bundle(4000, seed=13)
             c = np.cos([s.x[0] for s in states])
             assert abs(c.mean()) < 3.0 / np.sqrt(4000), n
@@ -495,6 +495,20 @@ class TestParse:
         ]:
             model = manifolds.parse_manifold(spec)
             assert model.kind == kind and model.dim == dim
+
+    def test_flags_follow_the_factors(self, varying):
+        # isotropic: one constant factor; homogeneous: every factor constant;
+        # the ellipsoid's factor is never constant, even where k_min = k_max
+        for spec, isotropic, homogeneous in [
+            ("sphere:n=3", True, True), ("torus:n=2", True, True),
+            ("hyperbolic:n=2", True, True), ("sphereprod:p=2,q=2", False, True),
+            ("ellipsoid:a=1,b=1,c=1", False, False), ("ellipsoid", False, False),
+        ]:
+            model = manifolds.parse_manifold(spec)
+            assert (model.isotropic, model.homogeneous) == (isotropic, homogeneous), spec
+            assert not varying(model).isotropic and not varying(model).homogeneous, spec
+        wavy = manifolds.chart_metric(lambda x: np.eye(2), 2)
+        assert not wavy.isotropic and not wavy.homogeneous
 
     def test_json_document(self):
         model = manifolds.parse_manifold('{"kind": "hyperbolic", "n": 2, "c": 4.0}')

@@ -22,13 +22,17 @@ def test_report_digest_repeats(tmp_path):
     # two runs of the same command lines print the same digests
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     lines = tmp_path / "commands.txt"
-    # the two estimates run the batched RK4 stage on a sphere product and an
-    # ellipsoid
+    # the first two estimates run the batched RK4 stage on a sphere product
+    # and an ellipsoid; the hyperbolic estimate runs twice in one process, so
+    # a write into a constant bound for every run would change its digest
     cmds = ["bound sphere:n=2",
             "count sphere:n=2 --t-max 0.5 --samples 4 --step 1e-2",
+            "count hyperbolic:n=2 --t-max 1 --samples 4 --step 1e-2",
             "estimate sphereprod:p=2,q=2 --samples 100 --t-max 0.5 --step 2e-2",
-            "estimate ellipsoid --samples 100 --t-max 0.5 --step 2e-2"]
-    lines.write_text("# one bound, one count and two estimates\n"
+            "estimate ellipsoid --samples 100 --t-max 0.5 --step 2e-2",
+            "estimate hyperbolic:n=2 --t-max 0.5",
+            "estimate hyperbolic:n=2 --t-max 0.5"]
+    lines.write_text("# one bound, two counts and five estimates\n"
                      f"geoflow {cmds[0]}\n" + "".join(f"{c}\n" for c in cmds[1:]))
     runs = [subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digest.py"),
                             str(lines)], env=env, capture_output=True, text=True, timeout=300)
@@ -38,3 +42,4 @@ def test_report_digest_repeats(tmp_path):
     assert runs[1].stdout.splitlines() == out
     assert [line.split("  ", 2)[1:] for line in out] == [["0", c] for c in cmds]
     assert all(len(line.split("  ")[0]) == 64 for line in out)
+    assert out[-1] == out[-2]
