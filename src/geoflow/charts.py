@@ -140,7 +140,9 @@ class DiagonalChart(Chart):
     flat-torus charts) it is one read-only row (n-1,), which broadcasts over
     the batch.  The metric and the Christoffel symbols both follow from d and
     J; :class:`ProductChart` supplies d and J itself.  The metric reads d
-    alone, from :meth:`metric_diagonal`.
+    alone, from :meth:`metric_diagonal`; the Christoffel symbols are
+    :func:`diagonal_christoffel` of :meth:`diagonal`, which a caller holding
+    d and P (a sphere-product RK4 stage) calls without evaluating a warp.
     """
 
     def metric_diagonal(self, x):
@@ -158,11 +160,15 @@ class DiagonalChart(Chart):
         return self.metric_diagonal(x)[..., None] * np.eye(self.dim)
 
     def christoffel(self, x):
-        d, P = self.diagonal(x)
-        n = self.dim
-        batch = d.shape[:-1]
-        T = P.reshape(batch + ((n - 1) * n,)) @ _diagonal_table(n)
-        return ((0.5 / d)[..., None] * T.reshape(batch + (n, n * n))).reshape(batch + (n,) * 3)
+        return diagonal_christoffel(*self.diagonal(x))
+
+
+def diagonal_christoffel(d, P):
+    """Christoffel symbols (..., n, n, n) of a diagonal metric from its
+    diagonal d (..., n) and P (..., n-1, n) of :meth:`DiagonalChart.diagonal`."""
+    n, batch = d.shape[-1], d.shape[:-1]
+    T = P.reshape(batch + ((n - 1) * n,)) @ _diagonal_table(n)
+    return ((0.5 / d)[..., None] * T.reshape(batch + (n, n * n))).reshape(batch + (n,) * 3)
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,7 +5,10 @@ closed-form curvature data of the model (when available) and provides the
 pointwise operations everything else builds on: metric, Christoffel symbols,
 the symmetric Jacobi curvature operator ``w -> R(w, v)v`` restricted to the
 orthogonal complement of ``v``, directional Ricci curvature, curvature
-extremes, and seeded sampling of the unit sphere bundle.
+extremes, and seeded sampling of the unit sphere bundle.  An RK4 stage asks
+for its Christoffel symbols and Jacobi matrix in one call,
+:meth:`ManifoldModel.stage_geometry`; on a sphere product both come from one
+diagonal of the metric.
 """
 
 from __future__ import annotations
@@ -243,9 +246,16 @@ class ManifoldModel:
         """The geometry of one RK4 stage at the chart points x (..., n), with
         ``chart`` evaluating every row: the Christoffel symbols and, when the
         vectors W = [v; E_1..E_k] (..., 1 + k, n) hold a frame, its
-        :meth:`curvature_frame_matrix` (else None).  A model without curvature
-        factors takes both from one metric jet."""
+        :meth:`curvature_frame_matrix` (else None).  A model with several
+        curvature factors on a diagonal chart (a sphere product) takes both
+        from one :meth:`~geoflow.charts.DiagonalChart.diagonal` d: Gamma from
+        d and P, the factors' Gram matrices from W g = W * d.  A model without
+        curvature factors takes both from one metric jet."""
         frame = W.shape[-2] > 1
+        if len(self.factors) > 1 and isinstance(chart, _charts.DiagonalChart):
+            d, P = chart.diagonal(x)
+            K = self._gram_form(chart, x, W, W * d[..., None, :]) if frame else None
+            return _charts.diagonal_christoffel(d, P), K
         if self.factors:
             gam, v, E = _charts.christoffel(chart, x), W[..., 0, :], W[..., 1:, :]
             return gam, self.curvature_frame_matrix(x, v, E, chart) if frame else None
@@ -277,12 +287,17 @@ class ManifoldModel:
         ch = self.chart(chart_id)
         if not self.factors:
             return _jet_form(_charts.metric_jet(ch.metric, x), W)
+        g = ch.metric(x)
+        return self._gram_form(ch, x, W, W @ g), g
+
+    def _gram_form(self, ch, x, W, Wg):
+        """<R(E_i, v)v, E_j> from the curvature factors for the vectors
+        W = [v; E_1..E_m] (..., 1 + m, n) and their rows Wg = W g lowered by
+        the metric at x."""
         # per factor f, K_f (|v_f|^2 E_f.E_f - (E_f.v_f)(E_f.v_f)^T) from the
         # Gram matrix G_f of W in the factor's block of g.  A product metric
         # is block diagonal, so the rows of W g restricted to each factor,
         # stacked over the factors, give every G_f from one product with W^T
-        g = ch.metric(x)
-        Wg = W @ g
         F, m, n = len(self.factors), W.shape[-2], self.dim
         M = np.zeros(Wg.shape[:-2] + (F, m, n))
         for i, f in enumerate(self.factors):
@@ -298,7 +313,7 @@ class ManifoldModel:
             Kf = np.stack(np.broadcast_arrays(*(np.asarray(f.curvature(ch, x), dtype=float)
                                                 for f in self.factors)), axis=-1)
         out = Kf[..., None, :] @ form.reshape(form.shape[:-2] + (-1,))
-        return out.reshape(form.shape[:-3] + form.shape[-2:]), g
+        return out.reshape(form.shape[:-3] + form.shape[-2:])
 
     def curvature_operator(self, theta):
         """Eigen-decomposition of the Jacobi operator at a unit tangent state."""

@@ -197,16 +197,19 @@ class TestFailedRows:
 
     @pytest.fixture
     def poison(self, monkeypatch):
+        # the Christoffel symbols of every diagonal chart, the sphere
+        # product's included, come from diagonal_christoffel, whether a
+        # stage asks the chart for them or takes them from its diagonal
         def install(rows, batch):
-            christoffel = charts.christoffel
+            christoffel = charts.diagonal_christoffel
 
-            def poisoned(chart, x):
-                gam = np.array(christoffel(chart, x))
-                if np.ndim(x) == 2 and len(x) == batch:
+            def poisoned(d, P):
+                gam = np.array(christoffel(d, P))
+                if np.ndim(d) == 2 and len(d) == batch:
                     gam[rows] = np.nan
                 return gam
 
-            monkeypatch.setattr(charts, "christoffel", poisoned)
+            monkeypatch.setattr(charts, "diagonal_christoffel", poisoned)
         return install
 
     def test_mane_leaves_out_failed_rows(self, s2xs2, poison):

@@ -307,10 +307,13 @@ class TestJacobiPropagation:
 
 class TestKernelCalls:
     """The benchmark reads these counts: one Christoffel call per RK4 stage
-    for the whole batch on every model with curvature factors, whatever
-    charts its rows are in, and one ``_rk4_step`` per step.  A
-    ``chart_metric`` model calls its user metric on one metric-jet stencil
-    per stage, for both the Christoffel symbols and the curvature."""
+    for the whole batch on every model with one curvature factor, whatever
+    charts its rows are in, and one ``_rk4_step`` per step.  A sphere
+    product takes its Christoffel symbols and its Jacobi matrix from one
+    diagonal of the metric per stage, without a ``charts.christoffel`` or
+    ``curvature_frame_matrix`` call.  A ``chart_metric`` model calls its
+    user metric on one metric-jet stencil per stage, for both the
+    Christoffel symbols and the curvature."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -411,9 +414,46 @@ def packed_state(model, states, jacobi):
     return Y
 
 
+def spread_over_charts(model, states, seed):
+    """x (B, n), v (B, n) and chart ids (B,) of chart-0 states, each moved to
+    a chart drawn at random among those where its margin is above the
+    switch margin."""
+    X, V = np.stack([s.x for s in states]), np.stack([s.v for s in states])
+    ch0 = model.chart(0)
+    moved = [(ch.from_embedding(ch0.embed(X)), ch) for ch in model.charts]
+    ok = np.stack([ch.margin(x) > geodesics.SWITCH_MARGIN for x, ch in moved], axis=-1)
+    ids = np.argmax(ok * np.random.default_rng(seed).random(ok.shape), axis=-1)
+    for c, (x, ch) in enumerate(moved):
+        rows = ids == c
+        V[rows] = ch.tangent_from_ambient(x[rows], ch0.tangent_to_ambient(X[rows], V[rows]))
+        X[rows] = x[rows]
+    return X, V, ids
+
+
+def dense_gram_form(model, chart, x, W):
+    """Oracle of the sphere-product Jacobi form: the Gram matrices of W in
+    each factor's block of the dense metric, W g W^T with W g = W @ g, and
+    sum_f K_f (|v_f|^2 E_f.E_f - (E_f.v_f)(E_f.v_f)^T), in the order of
+    operations of the stage."""
+    Wg = W @ chart.metric(x)
+    F, m, n = len(model.factors), W.shape[-2], model.dim
+    M = np.zeros(Wg.shape[:-2] + (F, m, n))
+    for i, f in enumerate(model.factors):
+        M[..., i, :, f.coords] = Wg[..., f.coords]
+    Wt = np.ascontiguousarray(np.swapaxes(W, -1, -2))
+    G = (M.reshape(M.shape[:-3] + (F * m, n)) @ Wt).reshape(M.shape[:-1] + (m,))
+    Ev = G[..., 1:, :1]
+    form = G[..., :1, :1] * G[..., 1:, 1:] - Ev * np.swapaxes(Ev, -1, -2)
+    Kf = np.stack(np.broadcast_arrays(*(np.asarray(f.curvature(chart, x), dtype=float)
+                                        for f in model.factors)), axis=-1)
+    out = Kf[..., None, :] @ form.reshape(form.shape[:-2] + (-1,))
+    return out.reshape(form.shape[:-3] + form.shape[-2:])
+
+
 class TestStage:
-    """One RK4 stage: the spray as a stacked matvec and one product, and the
-    stage buffers that ``propagate`` allocates once."""
+    """One RK4 stage: the spray as a stacked matvec and one product, the
+    stage buffers that ``propagate`` allocates once, and the geometry of a
+    sphere-product stage from one diagonal of the metric."""
 
     @staticmethod
     def derivatives(model, chart, Y, jacobi):
@@ -489,6 +529,46 @@ class TestStage:
                                    self.derivatives(varying(model), chart, Y, True))]:
                     np.testing.assert_array_equal(got, want, err_msg=spec)
                     assert got.tobytes() == want.tobytes(), spec
+
+    @pytest.mark.parametrize("batch", [1, 100])
+    def test_product_stage_matches_per_call_oracle(self, varying, batch):
+        # bitwise: Gamma and K of the fused product stage against a
+        # Christoffel call and the Gram form of the dense metric, with the
+        # rows in charts drawn at random, for constant and varying factors
+        for spec in ["sphereprod:p=2,q=2", "sphereprod:p=3,q=2,r1=1,r2=2"]:
+            base = manifolds.parse_manifold(spec)
+            X, V, ids = spread_over_charts(base, base.sample_sphere_bundle(batch, seed=6), 6)
+            assert batch == 1 or len(set(ids.tolist())) > 1, spec
+            for model in (base, varying(base)):
+                chart = model.chart(ids)
+                W = np.concatenate([V[:, None], model.orthonormal_frame(X, V, chart)], axis=1)
+                gam, K = model.stage_geometry(chart, X, W)
+                assert np.array_equal(gam, charts.christoffel(chart, X)), spec
+                assert np.array_equal(K, dense_gram_form(model, chart, X, W)), spec
+                # without a frame (count), the same Gamma and no K
+                gam_v, K_v = model.stage_geometry(chart, X, W[:, :1])
+                assert np.array_equal(gam_v, gam) and K_v is None, spec
+
+    def test_product_stage_reads_each_warp_once(self, s2xs2, monkeypatch):
+        # one _derivatives call evaluates each factor's warps once and never
+        # builds the dense metric
+        Y = packed_state(s2xs2, s2xs2.sample_sphere_bundle(4, seed=7), True)
+        chart = s2xs2.chart(np.zeros(4, dtype=int))
+        counts = {}
+        warps, metric = charts.SphereChart.warps, charts.DiagonalChart.metric
+
+        def counting_warps(ch, x):
+            counts[id(ch)] = counts.get(id(ch), 0) + 1
+            return warps(ch, x)
+
+        def counting_metric(ch, x):
+            counts["metric"] = counts.get("metric", 0) + 1
+            return metric(ch, x)
+
+        monkeypatch.setattr(charts.SphereChart, "warps", counting_warps)
+        monkeypatch.setattr(charts.DiagonalChart, "metric", counting_metric)
+        self.derivatives(s2xs2, chart, Y, True)
+        assert counts == {id(chart.first): 1, id(chart.second): 1}
 
     def test_bound_constants_are_read_only(self):
         # one K, one vector of factor curvatures and one L serve every stage

@@ -1,7 +1,11 @@
+import importlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from geoflow import parse_manifold
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,17 +26,20 @@ def test_report_digest_repeats(tmp_path):
     # two runs of the same command lines print the same digests
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     lines = tmp_path / "commands.txt"
-    # the first two estimates run the batched RK4 stage on a sphere product
-    # and an ellipsoid; the hyperbolic estimate runs twice in one process, so
-    # a write into a constant bound for every run would change its digest
+    # the sphere-product count and estimate run the product stage from one
+    # diagonal, with and without the Jacobi system; the ellipsoid estimate
+    # runs the batched RK4 stage; the hyperbolic estimate runs twice in one
+    # process, so a write into a constant bound for every run would change
+    # its digest
     cmds = ["bound sphere:n=2",
             "count sphere:n=2 --t-max 0.5 --samples 4 --step 1e-2",
             "count hyperbolic:n=2 --t-max 1 --samples 4 --step 1e-2",
+            "count sphereprod:p=2,q=2 --t-max 0.5 --samples 8 --step 2e-2",
             "estimate sphereprod:p=2,q=2 --samples 100 --t-max 0.5 --step 2e-2",
             "estimate ellipsoid --samples 100 --t-max 0.5 --step 2e-2",
             "estimate hyperbolic:n=2 --t-max 0.5",
             "estimate hyperbolic:n=2 --t-max 0.5"]
-    lines.write_text("# one bound, two counts and five estimates\n"
+    lines.write_text("# one bound, three counts and four estimates\n"
                      f"geoflow {cmds[0]}\n" + "".join(f"{c}\n" for c in cmds[1:]))
     runs = [subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digest.py"),
                             str(lines)], env=env, capture_output=True, text=True, timeout=300)
@@ -43,3 +50,26 @@ def test_report_digest_repeats(tmp_path):
     assert [line.split("  ", 2)[1:] for line in out] == [["0", c] for c in cmds]
     assert all(len(line.split("  ")[0]) == 64 for line in out)
     assert out[-1] == out[-2]
+
+
+def test_workload_commands_print_one_round(monkeypatch):
+    # every job of one round of each workload, in the order build_jobs makes
+    # them, as command lines that split back into the job's argv
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    jobs = importlib.import_module("jobs")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = str(ROOT / "scripts" / "workload_commands.py")
+    want = []
+    for workload in jobs.WORKLOADS:
+        models = {s: parse_manifold(s) for s in jobs.workload_specs(workload)}
+        want.append([list(job.argv) for job in jobs.build_jobs(workload, 5, models)])
+    got = subprocess.run([sys.executable, script, "all", "5"], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout.splitlines()
+    assert len(got) == sum(len(w) for w in want) == 383
+    assert [shlex.split(line) for line in got] == [argv for w in want for argv in w]
+    one = subprocess.run([sys.executable, script, "arc-count", "5"], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert [shlex.split(line) for line in one.stdout.splitlines()] == want[jobs.WORKLOADS.index("arc-count")]
+    bad = subprocess.run([sys.executable, script, "no-such-workload", "5"], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert bad.returncode != 0 and bad.stdout == ""
