@@ -276,6 +276,15 @@ class FlatTorusChart(DiagonalChart):
         return np.ones(x.shape), self.log_warps
 
 
+# EllipsoidChart._jet reads each entry of its rows from the flattened table
+# T [i, j] = (1, sin u, cos u)_i (1, sin phi, cos phi)_j, with a sign; an
+# entry that vanishes reads T[0, 0] = 1 with sign 0
+_ELLIPSOID_JET_INDEX = np.array([[3, 8, 7], [0, 4, 5], [6, 5, 4], [0, 7, 8], [0, 7, 8], [0, 5, 4]])
+_ELLIPSOID_JET_SIGN = np.array([[-1.0, 1.0, 1.0], [0.0, -1.0, 1.0], [-1.0, -1.0, -1.0],
+                                [0.0, -1.0, 1.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0]])
+_ADJUGATE_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
 class EllipsoidChart(HypersphericalChart):
     """Two-dimensional ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1.
 
@@ -287,7 +296,10 @@ class EllipsoidChart(HypersphericalChart):
     semi-axes in the order ``axes[2], axes[0], axes[1]``, and Q puts them on
     those axes.  The metric, the Christoffel symbols and the Gauss curvature
     do not depend on Q; they come from the embedding in standard position,
-    E = scale * sphere_embed(x).
+    E = scale * sphere_embed(x), and its :meth:`_jet`, which costs one sine
+    and one cosine of the chart point.  An RK4 stage takes the Christoffel
+    symbols and the Gauss curvature from one jet, :meth:`geometry`;
+    :meth:`christoffel` and :meth:`gauss` are its two halves.
     """
 
     def __init__(self, semi_axes, axes=(0, 1, 2)):
@@ -296,51 +308,52 @@ class EllipsoidChart(HypersphericalChart):
         order = self.axes[..., [2, 0, 1]]
         # Q[a, m] = 1 where ambient axis a carries u_m
         super().__init__(2, self.semi[order], np.swapaxes(np.eye(3)[order], -1, -2))
+        # the signed scale of each jet entry, and abc
+        self._jet_scale = _ELLIPSOID_JET_SIGN * self.scale[..., None, :]
+        self._volume = np.prod(self.scale, axis=-1)
 
     def per_row(self, charts, ids):
         return EllipsoidChart(self.semi, np.array([ch.axes for ch in charts])[ids])
 
     def _jet(self, x):
-        """dE (..., 2, 3) [i, a] = d_i E_a and d2E (..., 2, 2, 3) [i, j, a] =
-        d_i d_j E_a of E = scale * (cos u, sin u cos phi, sin u sin phi), from
-        one sine and one cosine of x."""
-        s, c = np.sin(x), np.cos(x)
-        su, sp, cu, cp = s[..., 0], s[..., 1], c[..., 0], c[..., 1]
-        # rows d_u E, d_phi E, then d_i d_j E for ij = (u, u), (u, phi), (phi, u), (phi, phi)
-        J = np.zeros(np.shape(x)[:-1] + (6, 3))
-        J[..., 0, 0] = -su
-        J[..., 2, 0] = -cu
-        J[..., 0, 1] = J[..., 3, 2] = J[..., 4, 2] = cu * cp
-        J[..., 0, 2] = cu * sp
-        J[..., 3, 1] = J[..., 4, 1] = -J[..., 0, 2]
-        J[..., 1, 2] = su * cp
-        J[..., 2, 1] = J[..., 5, 1] = -J[..., 1, 2]
-        J[..., 1, 1] = J[..., 2, 2] = J[..., 5, 2] = -su * sp
-        J *= self.scale[..., None, :]
-        return J[..., :2, :], J[..., 2:, :].reshape(J.shape[:-2] + (2, 2, 3))
+        """J (..., 6, 3) [r, a] = component a of the rows d_u E, d_phi E and
+        d_i d_j E for ij = (u, u), (u, phi), (phi, u), (phi, phi) of
+        E = scale * (cos u, sin u cos phi, sin u sin phi), and the unit-sphere
+        point (cos u, sin u cos phi, sin u sin phi) (..., 3): the entries the
+        (u, u) row reads, before their signs and the scale."""
+        A = np.ones(np.shape(x)[:-1] + (2, 3))
+        np.sin(x, out=A[..., 1])
+        np.cos(x, out=A[..., 2])
+        T = (A[..., 0, :, None] * A[..., 1, None, :]).reshape(A.shape[:-2] + (9,))
+        return T[..., _ELLIPSOID_JET_INDEX] * self._jet_scale, T[..., 6:3:-1]
 
     def metric(self, x):
-        dE, _ = self._jet(x)
+        dE = self._jet(x)[0][..., :2, :]
         return dE @ np.swapaxes(dE, -1, -2)
 
-    def christoffel(self, x):
+    def geometry(self, x):
+        """The Christoffel symbols (..., 2, 2, 2) and the Gauss curvature
+        (...) at the chart points x, from one :meth:`_jet`."""
+        J, u = self._jet(x)
         # the tangential part of d_i d_j E is Gamma^l_ij d_l E: solve
-        # g Gamma[:, i, j] = dE . d_i d_j E, g = dE dE^T, by the 2x2 adjugate
-        dE, d2E = self._jet(x)
-        g = dE @ np.swapaxes(dE, -1, -2)
-        rhs = dE @ np.swapaxes(d2E.reshape(d2E.shape[:-3] + (4, 3)), -1, -2)
-        adj = g[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        # g Gamma[:, i, j] = dE . d_i d_j E, g = dE dE^T, by the 2x2 adjugate;
+        # g and the right-hand sides come from one product dE J^T
+        G = J[..., :2, :] @ np.swapaxes(J, -1, -2)
+        g, rhs = G[..., :2], G[..., 2:]
+        adj = g[..., ::-1, ::-1] * _ADJUGATE_SIGN
         det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
         gam = (adj @ rhs) / det[..., None, None]
-        return gam.reshape(gam.shape[:-1] + (2, 2))
+        # Gauss curvature 1 / (abc sum_m u_m^2 / scale_m^2)^2
+        q = (u / self.scale) ** 2
+        f = q[..., 0] + q[..., 1] + q[..., 2]
+        return gam.reshape(gam.shape[:-1] + (2, 2)), 1.0 / (self._volume * f) ** 2
+
+    def christoffel(self, x):
+        return self.geometry(x)[0]
 
     def gauss(self, x):
-        """Gauss curvature 1 / (abc sum_m u_m^2 / scale_m^2)^2 at
-        u = (cos u, sin u cos phi, sin u sin phi), the :func:`sphere_embed` of x."""
-        s, c = np.sin(x), np.cos(x)
-        u = (c[..., 0], s[..., 0] * c[..., 1], s[..., 0] * s[..., 1])
-        f = sum((u[m] / self.scale[..., m]) ** 2 for m in range(3))
-        return 1.0 / (np.prod(self.scale, axis=-1) * f) ** 2
+        """Gauss curvature (...) at the chart points x, from :meth:`geometry`."""
+        return self.geometry(x)[1]
 
 
 class ProductChart(DiagonalChart):

@@ -8,7 +8,7 @@ orthogonal complement of ``v``, directional Ricci curvature, curvature
 extremes, and seeded sampling of the unit sphere bundle.  An RK4 stage asks
 for its Christoffel symbols and Jacobi matrix in one call,
 :meth:`ManifoldModel.stage_geometry`; on a sphere product both come from one
-diagonal of the metric.
+diagonal of the metric, on the ellipsoid from one jet of its embedding.
 """
 
 from __future__ import annotations
@@ -249,13 +249,19 @@ class ManifoldModel:
         :meth:`curvature_frame_matrix` (else None).  A model with several
         curvature factors on a diagonal chart (a sphere product) takes both
         from one :meth:`~geoflow.charts.DiagonalChart.diagonal` d: Gamma from
-        d and P, the factors' Gram matrices from W g = W * d.  A model without
-        curvature factors takes both from one metric jet."""
+        d and P, the factors' Gram matrices from W g = W * d.  The ellipsoid
+        takes Gamma and its Gauss curvature from one jet of its embedding,
+        :meth:`~geoflow.charts.EllipsoidChart.geometry`; K is the curvature
+        viewed as (..., 1, 1).  A model without curvature factors takes both
+        from one metric jet."""
         frame = W.shape[-2] > 1
         if len(self.factors) > 1 and isinstance(chart, _charts.DiagonalChart):
             d, P = chart.diagonal(x)
             K = self._gram_form(chart, x, W, W * d[..., None, :]) if frame else None
             return _charts.diagonal_christoffel(d, P), K
+        if self.factors and isinstance(chart, _charts.EllipsoidChart):
+            gam, kappa = chart.geometry(x)
+            return gam, kappa[..., None, None] if frame else None
         if self.factors:
             gam, v, E = _charts.christoffel(chart, x), W[..., 0, :], W[..., 1:, :]
             return gam, self.curvature_frame_matrix(x, v, E, chart) if frame else None

@@ -307,13 +307,17 @@ class TestJacobiPropagation:
 
 class TestKernelCalls:
     """The benchmark reads these counts: one Christoffel call per RK4 stage
-    for the whole batch on every model with one curvature factor, whatever
-    charts its rows are in, and one ``_rk4_step`` per step.  A sphere
-    product takes its Christoffel symbols and its Jacobi matrix from one
-    diagonal of the metric per stage, without a ``charts.christoffel`` or
-    ``curvature_frame_matrix`` call.  A ``chart_metric`` model calls its
-    user metric on one metric-jet stencil per stage, for both the
-    Christoffel symbols and the curvature."""
+    for the whole batch on the space forms (sphere, torus, hyperbolic
+    space), whatever charts its rows are in, and one ``_rk4_step`` per
+    step.  The ellipsoid takes its Christoffel symbols and its Gauss
+    curvature from one jet per stage for the whole batch,
+    ``EllipsoidChart.geometry``, without a ``charts.christoffel`` or
+    ``EllipsoidChart.gauss`` call.  A sphere product takes its Christoffel
+    symbols and its Jacobi matrix from one diagonal of the metric per
+    stage, without a ``charts.christoffel`` or ``curvature_frame_matrix``
+    call.  A ``chart_metric`` model calls its user metric on one metric-jet
+    stencil per stage, for both the Christoffel symbols and the
+    curvature."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -354,15 +358,32 @@ class TestKernelCalls:
         assert calls["rows"] == [8] * 128
         assert calls["christoffel"] == 4 * 128
 
-    def test_ellipsoid_batch_across_charts(self, elli, calls):
-        # the ellipsoid's two charts have different coordinate metrics
+    def test_ellipsoid_batch_across_charts(self, calls, monkeypatch):
+        # the ellipsoid's two charts have different coordinate metrics; the
+        # model is built after the patch, so its curvature factor calls the
+        # counting gauss
+        rows, gauss_calls = [], [0]
+        geometry, gauss = charts.EllipsoidChart.geometry, charts.EllipsoidChart.gauss
+
+        def counting_geometry(chart, x):
+            rows.append(len(x))
+            return geometry(chart, x)
+
+        def counting_gauss(chart, x):
+            gauss_calls[0] += 1
+            return gauss(chart, x)
+
+        monkeypatch.setattr(charts.EllipsoidChart, "geometry", counting_geometry)
+        monkeypatch.setattr(charts.EllipsoidChart, "gauss", counting_gauss)
+        elli = manifolds.ellipsoid(1.0, 1.0, 2.0)
         x = np.array([0.5, 0.3])
         angles = 2 * np.pi * np.arange(8) / 8
         states = [elli.unit_tangent(x, [np.cos(a), np.sin(a)]) for a in angles]
         res = geodesics.propagate(elli, states, [1.0, 2.0], step=1 / 64)
         assert set(res.chart_ids.tolist()) == {0, 1}
         assert calls["rows"] == [8] * 128
-        assert calls["christoffel"] == 4 * 128
+        assert rows == [8] * (4 * 128)
+        assert calls["christoffel"] == 0 and gauss_calls[0] == 0
 
     def test_ellipsoid_solves_no_linear_system(self, elli, monkeypatch):
         # the Christoffel symbols come from a 2x2 adjugate; the states stay
@@ -450,10 +471,40 @@ def dense_gram_form(model, chart, x, W):
     return out.reshape(form.shape[:-3] + form.shape[-2:])
 
 
+def ellipsoid_per_call_oracle(chart, x):
+    """Oracle of the ellipsoid stage: Gamma (..., 2, 2, 2) from the jet of
+    E = scale * (cos u, sin u cos phi, sin u sin phi) written entry by entry
+    and the 2x2 adjugate solve of g Gamma = dE d2E^T, and the Gauss curvature
+    (...) from a sine and cosine of its own, in their order of operations."""
+    s, c = np.sin(x), np.cos(x)
+    su, sp, cu, cp = s[..., 0], s[..., 1], c[..., 0], c[..., 1]
+    J = np.zeros(np.shape(x)[:-1] + (6, 3))
+    J[..., 0, 0] = -su
+    J[..., 2, 0] = -cu
+    J[..., 0, 1] = J[..., 3, 2] = J[..., 4, 2] = cu * cp
+    J[..., 0, 2] = cu * sp
+    J[..., 3, 1] = J[..., 4, 1] = -J[..., 0, 2]
+    J[..., 1, 2] = su * cp
+    J[..., 2, 1] = J[..., 5, 1] = -J[..., 1, 2]
+    J[..., 1, 1] = J[..., 2, 2] = J[..., 5, 2] = -su * sp
+    J *= chart.scale[..., None, :]
+    dE, d2E = J[..., :2, :], J[..., 2:, :].reshape(J.shape[:-2] + (2, 2, 3))
+    g = dE @ np.swapaxes(dE, -1, -2)
+    rhs = dE @ np.swapaxes(d2E.reshape(d2E.shape[:-3] + (4, 3)), -1, -2)
+    adj = g[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    gam = (adj @ rhs) / det[..., None, None]
+    s, c = np.sin(x), np.cos(x)
+    u = (c[..., 0], s[..., 0] * c[..., 1], s[..., 0] * s[..., 1])
+    f = sum((u[m] / chart.scale[..., m]) ** 2 for m in range(3))
+    return gam.reshape(gam.shape[:-1] + (2, 2)), 1.0 / (np.prod(chart.scale, axis=-1) * f) ** 2
+
+
 class TestStage:
     """One RK4 stage: the spray as a stacked matvec and one product, the
-    stage buffers that ``propagate`` allocates once, and the geometry of a
-    sphere-product stage from one diagonal of the metric."""
+    stage buffers that ``propagate`` allocates once, the geometry of a
+    sphere-product stage from one diagonal of the metric and that of an
+    ellipsoid stage from one jet."""
 
     @staticmethod
     def derivatives(model, chart, Y, jacobi):
@@ -548,6 +599,30 @@ class TestStage:
                 # without a frame (count), the same Gamma and no K
                 gam_v, K_v = model.stage_geometry(chart, X, W[:, :1])
                 assert np.array_equal(gam_v, gam) and K_v is None, spec
+
+    @pytest.mark.parametrize("batch", [1, 100])
+    def test_ellipsoid_stage_matches_per_call_oracle(self, elli, elli3, batch):
+        # bitwise: Gamma and K of the ellipsoid stage from one jet against
+        # the separate formulas of ellipsoid_per_call_oracle, in chart 0 and
+        # with the rows in charts drawn at random; K is the curvature as
+        # (batch, 1, 1), and christoffel and gauss are the two halves
+        for model in (elli, elli3, manifolds.ellipsoid(0.7, 1.3, 2.2)):
+            states = model.sample_sphere_bundle(batch, seed=9)
+            X, V, ids = spread_over_charts(model, states, 9)
+            assert batch == 1 or set(ids.tolist()) == {0, 1}, model.spec_string
+            X0, V0 = np.stack([s.x for s in states]), np.stack([s.v for s in states])
+            for chart, x, v in [(model.chart(0), X0, V0), (model.chart(ids), X, V)]:
+                W = np.concatenate([v[:, None], model.orthonormal_frame(x, v, chart)], axis=1)
+                gam, K = model.stage_geometry(chart, x, W)
+                want_gam, want_k = ellipsoid_per_call_oracle(chart, x)
+                assert K.shape == (batch, 1, 1), model.spec_string
+                assert np.array_equal(gam, want_gam), model.spec_string
+                assert np.array_equal(K[:, 0, 0], want_k), model.spec_string
+                assert np.array_equal(charts.christoffel(chart, x), want_gam), model.spec_string
+                assert np.array_equal(chart.gauss(x), want_k), model.spec_string
+                # without a frame (count), the same Gamma and no K
+                gam_v, K_v = model.stage_geometry(chart, x, W[:, :1])
+                assert np.array_equal(gam_v, gam) and K_v is None, model.spec_string
 
     def test_product_stage_reads_each_warp_once(self, s2xs2, monkeypatch):
         # one _derivatives call evaluates each factor's warps once and never

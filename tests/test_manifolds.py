@@ -21,7 +21,8 @@ def d_metric(chart, x):
     embedding jet or from the Jacobian J of a diagonal chart's diagonal
     (P where m < k, zero elsewhere)."""
     if isinstance(chart, charts.EllipsoidChart):
-        dE, d2E = chart._jet(x)
+        J = chart._jet(x)[0]
+        dE, d2E = J[..., :2, :], J[..., 2:, :].reshape(J.shape[:-2] + (2, 2, 3))
         term = d2E @ np.swapaxes(dE, -1, -2)[..., None, :, :]   # [k, i, j] = d_k d_i E . d_j E
         return term + np.swapaxes(term, -2, -1)
     _, P = chart.diagonal(x)

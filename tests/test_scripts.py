@@ -28,18 +28,20 @@ def test_report_digest_repeats(tmp_path):
     lines = tmp_path / "commands.txt"
     # the sphere-product count and estimate run the product stage from one
     # diagonal, with and without the Jacobi system; the ellipsoid estimate
-    # runs the batched RK4 stage; the hyperbolic estimate runs twice in one
-    # process, so a write into a constant bound for every run would change
-    # its digest
+    # runs the batched RK4 stage, and the triaxial ellipsoid count its stage
+    # from one jet with rows that switch charts; the hyperbolic estimate runs
+    # twice in one process, so a write into a constant bound for every run
+    # would change its digest
     cmds = ["bound sphere:n=2",
             "count sphere:n=2 --t-max 0.5 --samples 4 --step 1e-2",
             "count hyperbolic:n=2 --t-max 1 --samples 4 --step 1e-2",
             "count sphereprod:p=2,q=2 --t-max 0.5 --samples 8 --step 2e-2",
+            "count ellipsoid:a=1,b=1.5,c=2 --t-max 3 --samples 8 --step 2e-2",
             "estimate sphereprod:p=2,q=2 --samples 100 --t-max 0.5 --step 2e-2",
             "estimate ellipsoid --samples 100 --t-max 0.5 --step 2e-2",
             "estimate hyperbolic:n=2 --t-max 0.5",
             "estimate hyperbolic:n=2 --t-max 0.5"]
-    lines.write_text("# one bound, three counts and four estimates\n"
+    lines.write_text("# one bound, four counts and four estimates\n"
                      f"geoflow {cmds[0]}\n" + "".join(f"{c}\n" for c in cmds[1:]))
     runs = [subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digest.py"),
                             str(lines)], env=env, capture_output=True, text=True, timeout=300)
@@ -73,3 +75,39 @@ def test_workload_commands_print_one_round(monkeypatch):
     bad = subprocess.run([sys.executable, script, "no-such-workload", "5"], env=env,
                          capture_output=True, text=True, timeout=300)
     assert bad.returncode != 0 and bad.stdout == ""
+
+
+def synthetic_result(failed=0, **values):
+    """The last JSON line of a benchmark run with the given metric values."""
+    return {"correct": failed == 0, "attempted": 10, "failed": failed,
+            "metrics": {name: {"value": value, "unit": "-"} for name, value in values.items()}}
+
+
+def test_bench_pairs_summary(monkeypatch):
+    # pairs are won by the metric's better direction, ties count for neither,
+    # and a failed run makes the comparison exit 1; no benchmark runs
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    spec = {"end_to_end": [{"name": "job_s_tail", "unit": "s", "better": "lower"},
+                           {"name": "work_per_s", "unit": "1/s", "better": "higher"}]}
+    pairs = [(synthetic_result(job_s_tail=0.2, work_per_s=10.0),
+              synthetic_result(job_s_tail=c, work_per_s=w))
+             for c, w in [(0.1, 12.0), (0.1, 9.0), (0.3, 10.0)]]
+    lines, ok = bench_pairs.summarize(spec, pairs)
+    assert ok
+    assert lines[1] == "job_s_tail: 0.2 [0.2, 0.2] -> 0.1 [0.1, 0.2] s, -50.0%, won 2/3"
+    assert lines[2] == "work_per_s: 10 [10, 10] -> 10 [9.5, 11] 1/s, +0.0%, won 1/3"
+
+    runs = []
+
+    def fake_run(spec, tree, workload, seed):
+        runs.append((tree, seed))
+        return synthetic_result(failed=int(tree == "change" and seed == 2), job_s_tail=0.1)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    assert bench_pairs.main(["parent", "change", "arc-count", "1"]) == 0
+    assert bench_pairs.main(["parent", "change", "arc-count", "1", "2"]) == 1
+    # the parent runs first at the first seed, the change at the second
+    assert runs == [("parent", 1), ("change", 1), ("parent", 1), ("change", 1),
+                    ("change", 2), ("parent", 2)]
+    assert bench_pairs.summarize(spec, [(synthetic_result(job_s_tail=0.1), None)])[1] is False
