@@ -6,15 +6,14 @@ __version__ = "0.1.0"
 
 from .bounds import (curvature_entropy_bound, expansion_defect_constants,
                      first_order_expansion, first_order_residual,
-                     grossman_counting_rate, jacobi_generator,
-                     manning_entropy_bound, nonpositive_entropy_bound)
+                     grossman_counting_rate, manning_entropy_bound,
+                     nonpositive_entropy_bound)
 from .entropy import (EntropyEstimate, GrowthSeries, counting_growth,
                       counting_integral, counting_series,
                       entropy_lower_from_radius, mane_series, slope,
                       sphere_arc_count, sphere_counting_oracle)
-from .errors import (ChartDomainError, DeltaTooLargeError, EstimatorError,
-                     GeoflowError, IntegrationError, NumericsError,
-                     ProfileValidationError)
+from .errors import (DeltaTooLargeError, EstimatorError, GeoflowError,
+                     IntegrationError, ProfileValidationError)
 from .geodesics import expansion, propagate
 from .manifolds import (CurvatureSpectrum, ManifoldModel, TangentState,
                         chart_metric, ellipsoid, flat_torus, hyperbolic,

@@ -11,31 +11,11 @@ limit, entropy upper bounds in terms of the curvature extremes alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DeltaTooLargeError, IntegrationError
 from .geodesics import expansion, propagate
-from .manifolds import ManifoldModel, TangentState
-
-
-@dataclass
-class JacobiGenerator:
-    """Block generator [[0, I], [-K, 0]] of the Jacobi system at one state.
-
-    ``matrix`` is written in the eigenframe of the curvature operator, so
-    K = diag(eigenvalues).
-    """
-
-    theta: TangentState
-    eigenvalues: np.ndarray
-    frame: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def symmetrized(self):
-        return self.matrix + self.matrix.T
 
 
 def generator_matrix(K):
@@ -47,16 +27,6 @@ def generator_matrix(K):
     out[..., idx, idx + k] = 1.0
     out[..., k:, :k] = -K
     return out
-
-
-def jacobi_generator(model: ManifoldModel, theta: TangentState):
-    spec = model.curvature_operator(theta)
-    return JacobiGenerator(
-        theta=theta,
-        eigenvalues=spec.eigenvalues,
-        frame=spec.eigenvectors,
-        matrix=generator_matrix(np.diag(spec.eigenvalues)),
-    )
 
 
 def first_order_expansion(model, theta, delta):

@@ -22,8 +22,6 @@ import functools
 
 import numpy as np
 
-from .errors import ChartDomainError
-
 #: difference step of :func:`metric_jet`
 FD_STEP = 1e-4
 
@@ -486,19 +484,13 @@ def christoffel(chart, x):
     return chart.christoffel(np.asarray(x, dtype=float))
 
 
-def jet_riemann(g, dg, d2g):
+def jet_riemann(dg, d2g, gam):
     """Curvature tensor with its first index lowered by g,
     R_labc = g(R(d_a, d_b)d_c, d_l), shape (..., n, n, n, n) indexed
-    [l, a, b, c], in closed form from a metric jet (g, dg, d2g) of
-    :func:`metric_jet`."""
+    [l, a, b, c], in closed form from the derivatives dg and d2g of a metric
+    jet (:func:`metric_jet`) and its Christoffel symbols gam = _raised(g, dg)."""
     # g_lm (d_a Gamma^m_bc + Gamma^m_ap Gamma^p_bc) = d_a Gamma_lbc - Gamma_pal Gamma^p_bc,
     # for d_a g_lp = Gamma_lap + Gamma_pal; R_labc is its part antisymmetric in a, b
     A = (np.swapaxes(_lowered(d2g), -4, -3)
-         - np.einsum("...pal,...pbc->...labc", _lowered(dg), _raised(g, dg)))
+         - np.einsum("...pal,...pbc->...labc", _lowered(dg), gam))
     return A - np.swapaxes(A, -3, -2)
-
-
-def require_in_domain(chart, x):
-    margin = chart.margin(np.asarray(x, dtype=float))
-    if np.any(margin <= 1e-9):
-        raise ChartDomainError("chart point outside the admissible chart domain")

@@ -5,14 +5,6 @@ class GeoflowError(Exception):
     """Base class for all package-specific failures."""
 
 
-class ChartDomainError(GeoflowError, ValueError):
-    """A chart point lies outside every admissible chart domain."""
-
-
-class NumericsError(GeoflowError, ArithmeticError):
-    """A numerical kernel failed (singular metric, non-finite values, ...)."""
-
-
 class IntegrationError(GeoflowError):
     """Trajectory integration failed.
 

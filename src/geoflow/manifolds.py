@@ -2,13 +2,16 @@
 
 A :class:`ManifoldModel` bundles one or more overlapping charts with the
 closed-form curvature data of the model (when available) and provides the
-pointwise operations everything else builds on: metric, Christoffel symbols,
-the symmetric Jacobi curvature operator ``w -> R(w, v)v`` restricted to the
-orthogonal complement of ``v``, directional Ricci curvature, curvature
-extremes, and seeded sampling of the unit sphere bundle.  An RK4 stage asks
-for its Christoffel symbols and Jacobi matrix in one call,
-:meth:`ManifoldModel.stage_geometry`; on a sphere product both come from one
-diagonal of the metric, on the ellipsoid from one jet of its embedding.
+pointwise operations everything else builds on: inner products, orthonormal
+frames, the Christoffel symbols and the symmetric Jacobi curvature operator
+``w -> R(w, v)v`` restricted to the orthogonal complement of ``v``, its
+spectrum (whose sum is the directional Ricci curvature), curvature extremes,
+and seeded sampling of the unit sphere bundle.  The metric is the chart's,
+``model.chart(i).metric``.  One method maps the curvature data to the
+Christoffel symbols and the Jacobi matrix,
+:meth:`ManifoldModel.stage_geometry`, which an RK4 stage calls once; on a
+sphere product both come from one diagonal of the metric, on the ellipsoid
+from one jet of its embedding.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import charts as _charts
-from .errors import NumericsError
 
 _TWO_PI = 2.0 * np.pi
 #: no chart is used below this margin, by trajectories or curvature extremes
@@ -125,13 +127,13 @@ def gram_schmidt(g, v, vectors):
     return out
 
 
-def _jet_form(jet, W):
-    """<R(E_i, v)v, E_j>, symmetrized, for W = [v; E_1..E_m], and g from a
-    metric jet (g, dg, d2g)."""
+def _jet_form(jet, gam, W):
+    """<R(E_i, v)v, E_j>, symmetrized, for W = [v; E_1..E_m], from a metric
+    jet (g, dg, d2g) and its Christoffel symbols gam."""
     v, E = W[..., 0, :], W[..., 1:, :]
-    Rv = np.einsum("...labc,...ka,...b,...c->...kl", _charts.jet_riemann(*jet), E, v, v)
+    Rv = np.einsum("...labc,...ka,...b,...c->...kl", _charts.jet_riemann(*jet[1:], gam), E, v, v)
     K = np.einsum("...kl,...jl->...kj", Rv, E)
-    return 0.5 * (K + np.swapaxes(K, -1, -2)), jet[0]
+    return 0.5 * (K + np.swapaxes(K, -1, -2))
 
 
 @dataclass
@@ -168,22 +170,6 @@ class ManifoldModel:
         if np.ndim(chart_id) == 0:
             return self.charts[chart_id]
         return self.charts[0].per_row(self.charts, chart_id)
-
-    def metric(self, x, chart_id=0):
-        x = np.asarray(x, dtype=float)
-        _charts.require_in_domain(self.chart(chart_id), x)
-        g = self.chart(chart_id).metric(x)
-        if not np.all(np.isfinite(g)):
-            raise NumericsError("metric evaluation produced non-finite entries")
-        return g
-
-    def christoffel(self, x, chart_id=0):
-        x = np.asarray(x, dtype=float)
-        _charts.require_in_domain(self.chart(chart_id), x)
-        gam = _charts.christoffel(self.chart(chart_id), x)
-        if not np.all(np.isfinite(gam)):
-            raise NumericsError("Christoffel evaluation produced non-finite entries")
-        return gam
 
     def inner(self, x, a, b, chart_id=0):
         return _g_inner(np.asarray(a), self.chart(chart_id).metric(x), np.asarray(b))
@@ -245,17 +231,22 @@ class ManifoldModel:
     def stage_geometry(self, chart, x, W):
         """The geometry of one RK4 stage at the chart points x (..., n), with
         ``chart`` evaluating every row: the Christoffel symbols and, when the
-        vectors W = [v; E_1..E_k] (..., 1 + k, n) hold a frame, its
-        :meth:`curvature_frame_matrix` (else None).  A model with several
-        curvature factors on a diagonal chart (a sphere product) takes both
+        vectors W = [v; E_1..E_k] (..., 1 + k, n) hold a frame, g-orthonormal
+        and orthogonal to the unit vector v, the Jacobi matrix
+        K_ij = <R(E_i, v)v, E_j> (..., k, k) (else None).  This is the one
+        place a model's curvature data becomes Gamma and K.  Several
+        curvature factors (a sphere product, on a diagonal chart) give both
         from one :meth:`~geoflow.charts.DiagonalChart.diagonal` d: Gamma from
         d and P, the factors' Gram matrices from W g = W * d.  The ellipsoid
         takes Gamma and its Gauss curvature from one jet of its embedding,
         :meth:`~geoflow.charts.EllipsoidChart.geometry`; K is the curvature
-        viewed as (..., 1, 1).  A model without curvature factors takes both
-        from one metric jet."""
+        viewed as (..., 1, 1).  Another single factor gives Gamma from one
+        Christoffel call and K as its curvature times the identity; of a
+        constant factor K is one read-only (k, k) matrix, whatever the batch
+        shape of x, which broadcasts over the batch.  A model without
+        curvature factors takes both from one metric jet."""
         frame = W.shape[-2] > 1
-        if len(self.factors) > 1 and isinstance(chart, _charts.DiagonalChart):
+        if len(self.factors) > 1:
             d, P = chart.diagonal(x)
             K = self._gram_form(chart, x, W, W * d[..., None, :]) if frame else None
             return _charts.diagonal_christoffel(d, P), K
@@ -263,38 +254,25 @@ class ManifoldModel:
             gam, kappa = chart.geometry(x)
             return gam, kappa[..., None, None] if frame else None
         if self.factors:
-            gam, v, E = _charts.christoffel(chart, x), W[..., 0, :], W[..., 1:, :]
-            return gam, self.curvature_frame_matrix(x, v, E, chart) if frame else None
+            gam, f, k = _charts.christoffel(chart, x), self.factors[0], self.dim - 1
+            if not frame:
+                return gam, None
+            if f.constant:
+                return gam, _constant_jacobi(k, f.k_max)
+            # R(E_i, v)v = K (E_i - <E_i, v> v) = K E_i on such a frame
+            K = np.zeros(np.shape(x)[:-1] + (k, k))
+            K[..., np.arange(k), np.arange(k)] = np.asarray(f.curvature(chart, x))[..., None]
+            return gam, K
         jet = _charts.metric_jet(chart.metric, x)
-        return _charts._raised(*jet[:2]), _jet_form(jet, W)[0] if frame else None
+        gam = _charts._raised(*jet[:2])
+        return gam, _jet_form(jet, gam, W) if frame else None
 
     def curvature_frame_matrix(self, x, v, frame, chart_id=0):
-        """Matrix K_ij = <R(E_i, v)v, E_j> of the Jacobi operator in a frame,
-        g-orthonormal and orthogonal to the unit vector v, (..., k, k) for
-        k = n - 1.  With one curvature factor it is that factor's curvature
-        times the identity; of a constant factor it is one read-only (k, k)
-        matrix, whatever the batch shape of x, which broadcasts over the
-        batch.  Otherwise it is :meth:`_jacobi_form`."""
-        if len(self.factors) == 1:
-            # R(E_i, v)v = K (E_i - <E_i, v> v) = K E_i on such a frame
-            f, k = self.factors[0], self.dim - 1
-            if f.constant:
-                return _constant_jacobi(k, f.k_max)
-            out = np.zeros(np.shape(x)[:-1] + (k, k))
-            idx = np.arange(k)
-            out[..., idx, idx] = np.asarray(f.curvature(self.chart(chart_id), x))[..., None]
-            return out
-        return self._jacobi_form(x, np.concatenate([v[..., None, :], frame], axis=-2), chart_id)[0]
-
-    def _jacobi_form(self, x, W, chart_id=0):
-        """<R(E_i, v)v, E_j> for the vectors W = [v; E_1..E_m] (..., 1 + m, n),
-        and g at x.  The form comes from the curvature factors, or if there
-        are none from the metric jet, which then also gives g."""
-        ch = self.chart(chart_id)
-        if not self.factors:
-            return _jet_form(_charts.metric_jet(ch.metric, x), W)
-        g = ch.metric(x)
-        return self._gram_form(ch, x, W, W @ g), g
+        """The Jacobi matrix K_ij = <R(E_i, v)v, E_j> (..., k, k) of
+        :meth:`stage_geometry` in the frame E (..., k, n) of the unit vector
+        v, which broadcasts over the frame's batch."""
+        v = np.broadcast_to(v[..., None, :], frame.shape[:-2] + (1, self.dim))
+        return self.stage_geometry(self.chart(chart_id), x, np.concatenate([v, frame], axis=-2))[1]
 
     def _gram_form(self, ch, x, W, Wg):
         """<R(E_i, v)v, E_j> from the curvature factors for the vectors
@@ -323,31 +301,14 @@ class ManifoldModel:
 
     def curvature_operator(self, theta):
         """Eigen-decomposition of the Jacobi operator at a unit tangent state."""
-        self._check_unit(theta)
+        nrm = float(self.norm(theta.x, theta.v, theta.chart_id))
+        if abs(nrm - 1.0) > 1e-8:
+            raise ValueError(f"tangent vector is not unit: |v|={nrm!r}")
         frame = self.orthonormal_frame(theta.x, theta.v, theta.chart_id)
         K = self.curvature_frame_matrix(theta.x, theta.v, frame, theta.chart_id)
         w, V = np.linalg.eigh(K)
         vecs = np.einsum("...ik,...im->...km", V, frame)
         return CurvatureSpectrum(theta, w, vecs)
-
-    def ricci(self, theta):
-        """Ricci curvature in the direction of a unit tangent vector."""
-        self._check_unit(theta)
-        frame = self.orthonormal_frame(theta.x, theta.v, theta.chart_id)
-        K = self.curvature_frame_matrix(theta.x, theta.v, frame, theta.chart_id)
-        return float(np.trace(K))
-
-    def sectional(self, x, u, w, chart_id=0):
-        """Sectional curvature of the plane spanned by u, w at x."""
-        x, u, w = (np.asarray(a, dtype=float) for a in (x, u, w))
-        form, g = self._jacobi_form(x, np.stack(np.broadcast_arrays(w, u), axis=-2), chart_id)
-        den = _g_inner(u, g, u) * _g_inner(w, g, w) - _g_inner(u, g, w) ** 2
-        return form[..., 0, 0] / den
-
-    def _check_unit(self, theta):
-        nrm = self.norm(theta.x, theta.v, theta.chart_id)
-        if abs(float(nrm) - 1.0) > 1e-8:
-            raise ValueError(f"tangent vector is not unit: |v|={float(nrm)!r}")
 
     # -- curvature extremes -----------------------------------------------------------
 

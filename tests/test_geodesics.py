@@ -143,7 +143,7 @@ class TestGeodesicIntegration:
         # starts 0.03 from the chart-0 pole, heading 0.01 rad off straight
         # into it: the pole is crossed before the first periodic chart check
         x = np.array([0.03, 0.3])
-        g = elli.metric(x)
+        g = elli.chart(0).metric(x)
         v = np.array([-np.cos(0.01) / np.sqrt(g[0, 0]), np.sin(0.01) / np.sqrt(g[1, 1])])
         theta = elli.unit_tangent(x, v)
         res = geodesics.propagate(elli, theta, [0.5], step=1e-2)
@@ -309,12 +309,13 @@ class TestKernelCalls:
     """The benchmark reads these counts: one Christoffel call per RK4 stage
     for the whole batch on the space forms (sphere, torus, hyperbolic
     space), whatever charts its rows are in, and one ``_rk4_step`` per
-    step.  The ellipsoid takes its Christoffel symbols and its Gauss
-    curvature from one jet per stage for the whole batch,
-    ``EllipsoidChart.geometry``, without a ``charts.christoffel`` or
-    ``EllipsoidChart.gauss`` call.  A sphere product takes its Christoffel
-    symbols and its Jacobi matrix from one diagonal of the metric per
-    stage, without a ``charts.christoffel`` or ``curvature_frame_matrix``
+    step.  Every stage takes its geometry from ``stage_geometry``, which no
+    stage reaches through ``curvature_frame_matrix``.  The ellipsoid takes
+    its Christoffel symbols and its Gauss curvature from one jet per stage
+    for the whole batch, ``EllipsoidChart.geometry``, without a
+    ``charts.christoffel`` or ``EllipsoidChart.gauss`` call.  A sphere
+    product takes its Christoffel symbols and its Jacobi matrix from one
+    diagonal of the metric per stage, without a ``charts.christoffel``
     call.  A ``chart_metric`` model calls its user metric on one metric-jet
     stencil per stage, for both the Christoffel symbols and the
     curvature."""
@@ -585,7 +586,8 @@ class TestStage:
     def test_product_stage_matches_per_call_oracle(self, varying, batch):
         # bitwise: Gamma and K of the fused product stage against a
         # Christoffel call and the Gram form of the dense metric, with the
-        # rows in charts drawn at random, for constant and varying factors
+        # rows in charts drawn at random, for constant and varying factors;
+        # curvature_frame_matrix is the stage's K
         for spec in ["sphereprod:p=2,q=2", "sphereprod:p=3,q=2,r1=1,r2=2"]:
             base = manifolds.parse_manifold(spec)
             X, V, ids = spread_over_charts(base, base.sample_sphere_bundle(batch, seed=6), 6)
@@ -596,6 +598,8 @@ class TestStage:
                 gam, K = model.stage_geometry(chart, X, W)
                 assert np.array_equal(gam, charts.christoffel(chart, X)), spec
                 assert np.array_equal(K, dense_gram_form(model, chart, X, W)), spec
+                K_view = model.curvature_frame_matrix(X, V, W[:, 1:], chart)
+                assert np.array_equal(K_view, dense_gram_form(model, chart, X, W)), spec
                 # without a frame (count), the same Gamma and no K
                 gam_v, K_v = model.stage_geometry(chart, X, W[:, :1])
                 assert np.array_equal(gam_v, gam) and K_v is None, spec
