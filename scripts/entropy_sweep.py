@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run the expansion-growth and arc-counting estimators on one model and
-write both series as CSV next to a JSON summary.
+write both series as CSV next to a JSON summary: ``PREFIX_mane.csv`` holds
+``t,y,stderr`` and ``PREFIX_count.csv`` ``t,y,integral``, the lines ``geoflow
+estimate`` and ``geoflow count`` print with ``--format csv``.
 
 Usage: python scripts/entropy_sweep.py [spec] [t_max] [out_prefix]
 """
@@ -32,8 +34,9 @@ def main(argv):
     bound = (curvature_entropy_bound(model.dim, k_max, min_ric)
              if k_max > 0 else nonpositive_entropy_bound(model.dim, min_ric))
 
-    mane.to_csv(f"{prefix}_mane.csv")
-    count.to_csv(f"{prefix}_count.csv")
+    for name, series in (("mane", mane), ("count", count)):
+        with open(f"{prefix}_{name}.csv", "w", newline="") as fh:
+            fh.write("".join(line + "\n" for line in series.to_report()[1]))
     summary = {
         "model": spec,
         "expansion_growth": mane_est.to_json_dict(),

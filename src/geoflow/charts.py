@@ -357,7 +357,8 @@ class EllipsoidChart(HypersphericalChart):
 class ProductChart(DiagonalChart):
     """Riemannian product of two diagonal charts: the factors' diagonals side
     by side, and their P in the diagonal blocks of P.  The row of the first
-    factor's last coordinate is zero, for that angle warps nothing."""
+    factor's last coordinate is zero, for that angle warps nothing.  Positions
+    are sampled from the product of the factors' domains."""
 
     def __init__(self, first, second):
         self.first = first
@@ -365,6 +366,7 @@ class ProductChart(DiagonalChart):
         self.dim = first.dim + second.dim
         self.ambient_dim = first.ambient_dim + second.ambient_dim
         self.split = first.dim
+        self.domain = np.concatenate([first.domain, second.domain])
 
     def _halves(self, x):
         x = np.asarray(x, dtype=float)

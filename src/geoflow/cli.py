@@ -3,9 +3,11 @@ obstruction certification, and the universal-constant comparison table.
 
 Each command returns its exit code, report body, text lines and CSV lines;
 :func:`main` adds the configuration, seed, module versions and timing, writes
-``--out`` and prints the chosen format.  Reports written to ``--out`` are
-canonical: identical configurations produce byte-identical files (wall-clock
-time is reported on stream output only, last in text output).
+``--out`` and prints the chosen format.  ``--out PREFIX`` writes the report
+to ``PREFIX.json`` and the CSV lines, the bytes ``--format csv`` prints, to
+``PREFIX.csv``.  Both files are canonical: identical configurations produce
+byte-identical files (wall-clock time is reported on stream output only,
+last in text output).
 
 Exit codes: 0 success/pass, 1 obstruction found, 2 input error, 3 numeric
 failure.
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 
@@ -29,33 +30,22 @@ from .entropy import (counting_series, mane_series, slope,
                       sphere_counting_oracle)
 from .errors import EstimatorError, GeoflowError, ProfileValidationError
 from .manifolds import parse_manifold
-from .topology import (certify, gromov_log10_c, homology_dim_bound_log10,
+from .topology import (_fmt6, certify, gromov_log10_c, homology_dim_bound_log10,
                        load_profile)
 
 #: slack added to closed-form bounds when checking fitted slopes against them
 SLOPE_TOLERANCE = 0.05
 
 
-def _fmt6(value):
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        if math.isinf(value) or math.isnan(value):
-            return str(value)
-        return f"{value:.6g}"
-    return str(value)
+def _joined(lines):
+    """Output lines as one string, each ended by a line feed."""
+    return "".join(line + "\n" for line in lines)
 
 
 def canonical_report_bytes(report):
     """Stable byte encoding of a report with volatile fields removed."""
     clean = {k: v for k, v in report.items() if k != "timing"}
     return (json.dumps(clean, sort_keys=True, indent=2) + "\n").encode()
-
-
-def _series_csv(series, name, column):
-    """CSV lines ``t,y,<name>`` of a growth series and one more column."""
-    return [f"t,y,{name}"] + [f"{t!r},{y!r},{c!r}" for t, y, c in
-                              zip(series.times.tolist(), series.values.tolist(), column)]
 
 
 def cmd_bound(args):
@@ -96,14 +86,10 @@ def cmd_estimate(args):
         bound = nonpositive_entropy_bound(model.dim, min_ricci)
         bound_name = "nonpositive"
     satisfied = est.slope <= bound + SLOPE_TOLERANCE
+    series_body, csv_lines = series.to_report()
     body = {
         "estimate": est.to_json_dict(),
-        "series": {
-            "t": [repr(float(t)) for t in series.times],
-            "y": [repr(float(y)) for y in series.values],
-            "stderr": [repr(float(s)) for s in series.stderr],
-            "metadata": series.metadata,
-        },
+        "series": series_body,
         "bound_check": {
             "bound": bound,
             "bound_name": bound_name,
@@ -111,8 +97,6 @@ def cmd_estimate(args):
             "satisfied": satisfied,
         },
     }
-    if args.out:
-        series.to_csv(args.out + ".csv")
     text = [
         f"model {model.spec_string}: growth rate of the mean expansion",
         f"  slope     {_fmt6(est.slope)} +- {_fmt6(est.halfwidth)}",
@@ -124,8 +108,7 @@ def cmd_estimate(args):
         sys.stderr.write(
             f"error: fitted slope {est.slope:.6g} exceeds {bound_name} bound "
             f"{bound:.6g} + {SLOPE_TOLERANCE}\n")
-    return (0 if satisfied else 3, body, text,
-            _series_csv(series, "stderr", series.stderr.tolist()))
+    return 0 if satisfied else 3, body, text, csv_lines
 
 
 def cmd_count(args):
@@ -133,18 +116,8 @@ def cmd_count(args):
     grid = _default_grid(args.t_max, points=12)
     series = counting_series(model, model.base_x, grid, args.samples, args.step, args.seed)
     est = slope(series)
-    body = {
-        "growth": est.to_json_dict(),
-        "series": {
-            "t": [repr(float(t)) for t in series.times],
-            "y": [repr(float(y)) for y in series.values],
-            "integrals": series.metadata["integrals"],
-            "rule": series.metadata["rule"],
-            "failed": series.metadata["failed"],
-        },
-    }
-    if args.out:
-        series.to_csv(args.out + ".csv")
+    series_body, csv_lines = series.to_report()
+    body = {"growth": est.to_json_dict(), "series": series_body}
     text = [
         f"model {model.spec_string}: ball-averaged geodesic arc count",
         f"  integral at T={_fmt6(float(grid[-1]))}: {_fmt6(series.metadata['integrals'][-1])}",
@@ -165,7 +138,7 @@ def cmd_count(args):
         }
         text.append(f"  closed-form cross-check at T={_fmt6(T)}: "
                     f"rel err {_fmt6(body['sphere_oracle']['rel_err'])}")
-    return 0, body, text, _series_csv(series, "integral", series.metadata["integrals"])
+    return 0, body, text, csv_lines
 
 
 def cmd_certify(args):
@@ -265,13 +238,15 @@ def main(argv=None):
         if args.out:
             with open(args.out + ".json", "wb") as fh:
                 fh.write(canonical_report_bytes(report))
+            with open(args.out + ".csv", "wb") as fh:
+                fh.write(_joined(csv_lines).encode())
         if args.format == "json":
             lines = [json.dumps(report, sort_keys=True, indent=2)]
         elif args.format == "csv":
             lines = csv_lines
         else:
             lines = text + [f"wall clock: {report['timing']['wall_clock_s']:.2f}s"]
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.write(_joined(lines))
         return code
     except (ValueError, ProfileValidationError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -11,7 +11,6 @@ so results stay auditable.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -47,13 +46,22 @@ class GrowthSeries:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("series values must be finite")
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "y", "stderr"])
-            for t, y, se in zip(self.times, self.values, self.stderr):
-                writer.writerow([repr(float(t)), repr(float(y)), repr(float(se))])
-        return path
+    def to_report(self):
+        """The report ``series`` dict and the CSV lines ``t,y,<column>``.
+
+        The dict holds ``t`` and ``y`` as ``repr`` strings.  A counting series
+        adds its integrals (the CSV's ``integral`` column), rule and failed
+        count; an expansion series its standard errors as strings (the
+        ``stderr`` column) and its metadata."""
+        t, y, meta = self.times.tolist(), self.values.tolist(), self.metadata
+        if self.method == "counting-growth":
+            name, column = "integral", meta["integrals"]
+            extra = {"integrals": column, "rule": meta["rule"], "failed": meta["failed"]}
+        else:
+            name, column = "stderr", self.stderr.tolist()
+            extra = {"stderr": [repr(s) for s in column], "metadata": meta}
+        lines = [f"t,y,{name}"] + [f"{a!r},{b!r},{c!r}" for a, b, c in zip(t, y, column)]
+        return {"t": [repr(v) for v in t], "y": [repr(v) for v in y], **extra}, lines
 
 
 @dataclass

@@ -19,7 +19,7 @@ chart, so each RK4 stage makes one ``ManifoldModel.stage_geometry`` call for
 the whole batch; it is rebuilt only when a chart id changes.
 
 A stage is contiguous batched products.  Gamma is symmetric in i, j, so the
-spray and the frame transport are one stacked matvec A = Gamma(., v, .) and
+spray and the frame transport are one stacked matvec A = Gamma(., -v, .) and
 one product (v, E) A^T.  The state advances in place: ``propagate`` allocates
 three stage buffers once (the stage input, the running sum of the stage
 derivatives and the latest one) and binds their views once, and every stage
@@ -29,6 +29,7 @@ writes its derivatives into them.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,9 @@ from .manifolds import MARGIN_FLOOR, ManifoldModel, TangentState, _g_inner, gram
 
 log = logging.getLogger(__name__)
 
-#: steps between chart-margin checks
+#: most steps, and most arclength, between chart-margin checks
 CHECK_EVERY = 10
+CHECK_ARCLENGTH = 0.1
 #: steps between frame re-orthonormalizations
 ORTHO_EVERY = 100
 #: switch charts below this margin; give up below MARGIN_FLOOR
@@ -88,14 +90,16 @@ def _derivatives(model, chart, Y, dY, jacobi):
     dX[:] = v
     gam, K = model.stage_geometry(chart, X, W)
     # geodesic spray and frame transport, (v, E)' = -Gamma(v, (v, E)): Gamma
-    # is symmetric in i, j, so A = Gamma(., v, .) is one stacked matvec and
-    # the transport one product (v, E) A^T
-    A = (gam.reshape(B, n * n, n) @ v[..., None]).reshape(B, n, n)
-    np.negative(np.matmul(W, np.swapaxes(A, -1, -2), out=dW), out=dW)
+    # is symmetric in i, j, so A = Gamma(., -v, .) is one stacked matvec and
+    # the transport one product (v, E) A^T.  The minus signs go on fresh
+    # operands, -v and -K, not on the products in place: numpy 2.4's in-place
+    # np.negative miswrites an array whose innermost stride is 64 bytes
+    A = (gam.reshape(B, n * n, n) @ -v[..., None]).reshape(B, n, n)
+    np.matmul(W, np.swapaxes(A, -1, -2), out=dW)
     if jacobi:
         k = n - 1
         dPhi[:, :k] = Phi[:, k:]
-        np.negative(np.matmul(K, Phi[:, :k], out=dPhi[:, k:]), out=dPhi[:, k:])
+        np.matmul(-K, Phi[:, :k], out=dPhi[:, k:])
 
 
 def _stage_buffers(Y, n, jacobi):
@@ -240,6 +244,8 @@ def propagate(
     lost = (np.full(B, -1), np.full((B, n), np.nan), np.full((B, n), np.nan))
     frame_drift = np.zeros(B)
     multi_chart = len(model.charts) > 1
+    # a coarse step checks more often, so no row crosses a pole between checks
+    check_every = max(1, min(CHECK_EVERY, math.floor(CHECK_ARCLENGTH / step)))
     if multi_chart:
         # a state starting near a chart boundary, heading out, can cross it
         # before the first periodic check; frames_init stays in the caller's chart
@@ -262,7 +268,7 @@ def propagate(
                 f_cur = np.abs(np.linalg.det(Phi[:, :k, k:]))
                 acc = acc + 0.5 * h * (f_prev + f_cur)
                 f_prev = f_cur
-            if (multi_chart and nsteps % CHECK_EVERY == 0
+            if (multi_chart and nsteps % check_every == 0
                     and _switch_charts(model, chart_ids, Y, failed, lost, jacobi)):
                 chart = model.chart(chart_ids)
             if jacobi and nsteps % ORTHO_EVERY == 0:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ProfileValidationError
 
 LOG10_E = math.log10(math.e)
-#: floats above this are reported alongside their log10 form
+#: text output prints finite floats from this up as 10^x
 BIG = 1e15
 #: prime of the square-free test; below 2^30, so every residue is a one-digit int
 PRIME = 1_000_000_007
@@ -472,12 +472,15 @@ class ObstructionReport:
 
 
 def _fmt6(value):
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt6(v) for v in value) + "]"
+    """A value in text output: ``-`` for None, lists element by element, a
+    finite float from BIG up as ``10^x``, anything else to six significant
+    digits (``inf``, ``-inf`` and ``nan`` with their sign)."""
     if value is None:
         return "-"
-    if isinstance(value, float) and (math.isinf(value) or abs(value) >= BIG):
-        return f"10^{math.log10(value):.4g}" if not math.isinf(value) else "inf"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_fmt6(v) for v in value) + "]"
+    if isinstance(value, float) and BIG <= value < math.inf:
+        return f"10^{math.log10(value):.4g}"
     return f"{value:.6g}"
 
 

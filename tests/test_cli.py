@@ -134,6 +134,20 @@ class TestCount:
         assert abs(doc["series"]["integrals"][-1] - np.pi) / np.pi < 0.01
 
 
+@pytest.mark.parametrize("argv,header", [
+    (["estimate", "sphereprod:p=2,q=2", "--samples", "100", "--t-max", "1",
+      "--step", "2e-2"], "t,y,stderr"),
+    (["count", "sphere:n=2", "--t-max", "1", "--samples", "4", "--step", "1e-2"],
+     "t,y,integral"),
+])
+def test_out_csv_is_stdout_csv(argv, header, tmp_path, capsys):
+    # --out writes PREFIX.csv with the bytes --format csv prints
+    assert run(argv + ["--format", "csv", "--out", str(tmp_path / "r")]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert (tmp_path / "r.csv").read_bytes() == printed
+    assert printed.startswith(header.encode() + b"\n") and b"\r" not in printed
+
+
 class TestCertify:
     def test_obstructed_exit_1(self, capsys):
         code = run(["certify", "--profile",

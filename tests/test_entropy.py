@@ -103,12 +103,12 @@ class TestManeSeries:
         assert abs(quarter.slope - 2.0 * base.slope) <= \
             2.0 * (base.halfwidth + quarter.halfwidth) + 0.02
 
-    def test_csv_export(self, tmp_path, s2):
+    def test_csv_export(self, s2):
         series = entropy.mane_series(s2, [1.0, 2.0, 3.0, 4.0], samples=100, step=1e-2)
-        path = series.to_csv(tmp_path / "series.csv")
-        lines = open(path).read().strip().split("\n")
+        body, lines = series.to_report()
         assert lines[0] == "t,y,stderr"
         assert len(lines) == 5
+        assert lines[1] == f"{body['t'][0]},{body['y'][0]},{body['stderr'][0]}"
 
 
 class TestSlope:

@@ -191,6 +191,15 @@ class TestGeodesicIntegration:
         chart_ids, x, v = err.value.last_state
         assert model.chart(0).margin(x[0]) < geodesics.MARGIN_FLOOR
 
+    def test_coarse_step_checks_charts_by_arclength(self):
+        # at step 4e-2 a margin check every 10 steps let rows cross a pole of
+        # the prolate ellipsoid unseen and turn non-finite; every 2 steps
+        # (0.08 in arclength) keeps all 100 rows of this batch to t = 8
+        model = manifolds.ellipsoid(1.0, 1.0, 2.0)
+        states = model.sample_sphere_bundle(100, seed=5)
+        res = geodesics.propagate(model, states, np.linspace(0.8, 8.0, 25), step=4e-2)
+        assert not res.failed.any()
+
     @pytest.mark.parametrize("v", [[1.0, 0.0], [0.0, 1.0]])
     def test_hyperbolic_long_geodesic(self, h2, v):
         # the one horospherical chart reaches t = 300 along d_t and sideways

@@ -463,6 +463,15 @@ class TestSampling:
             c = np.cos([s.x[0] for s in states])
             assert abs(c.mean()) < 3.0 / np.sqrt(4000), n
 
+    def test_product_positions_in_factor_domains(self, s2xs2, factor_free):
+        # positions of a product that is not homogeneous come from the factors'
+        # angle ranges, whose bound grid stays off the poles: a sample from
+        # [-pi, pi]^4 would evaluate the metric at t_0 = 0 and divide by zero
+        model = factor_free(s2xs2)
+        X = np.stack([s.x for s in model.sample_sphere_bundle(12, seed=3)])
+        domain = np.concatenate([c.domain for c in (model.chart(0).first, model.chart(0).second)])
+        assert np.all((X >= domain[:, 0]) & (X <= domain[:, 1]))
+
     def test_deterministic(self, elli):
         a = elli.sample_sphere_bundle(64, seed=5)
         b = elli.sample_sphere_bundle(64, seed=5)

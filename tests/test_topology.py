@@ -420,6 +420,16 @@ class TestCertify:
         text = rep.render_text()
         assert "FAIL" in text and "babenko-b2" in text
 
+    @pytest.mark.parametrize("value,text", [
+        (None, "-"), (0.5, "0.5"), (123456789.0, "1.23457e+08"), (3, "3"),
+        (1e20, "10^20"), (-1e20, "-1e+20"), (math.inf, "inf"), (-math.inf, "-inf"),
+        (math.nan, "nan"), ([1e16, None, 2.0], "[10^16, -, 2]"),
+    ])
+    def test_text_format(self, value, text):
+        # the one text formatter of the cli and the certifier: infinities keep
+        # their sign, and only finite floats from BIG up read as powers of ten
+        assert topology._fmt6(value) == text
+
     def test_suma_consistency_for_passing_profiles(self):
         # the radius-based homology bound evaluated at the root radius always
         # dominates the actual Betti sum
