@@ -91,6 +91,7 @@ class Chart:
     dim: int
     ambient_dim: int
     domain = None  # box (n, 2) positions are sampled from; None: [-pi, pi]^n
+    reach = None   # bound on |x[..., 0]|, coordinate 0, along a trajectory; None: none
 
     def metric(self, x):
         raise NotImplementedError
@@ -239,17 +240,25 @@ class SphereChart(DiagonalChart, HypersphericalChart):
         return w, 2.0 * np.cos(x[..., :-1]) / s
 
 
+#: kappa |t| a trajectory may reach in the horospherical chart, 14 short of
+#: where e^{2 kappa t} overflows; between two checks a trajectory moves at most
+#: max(0.1, step) in arclength, so kappa times that must stay below 14
+HYPERBOLIC_REACH = 340.0
+
+
 class HyperbolicChart(DiagonalChart):
     """Hyperbolic space of curvature -c in horospherical coordinates.
 
     One global chart (the upper half-space model): (t, y) in R^n with
     g = dt^2 + e^{2 kappa t} |dy|^2, kappa = sqrt(c).  It has no boundary, so
-    nothing switches; e^{2 kappa t} overflows past t = 354 / kappa.
+    nothing switches; e^{2 kappa t} overflows past kappa t = 354, and
+    underflows below -354.  Its ``reach`` is |t| = HYPERBOLIC_REACH / kappa.
     """
 
     def __init__(self, dim, curvature_scale):
         self.dim = dim
         self.kappa = float(np.sqrt(curvature_scale))
+        self.reach = HYPERBOLIC_REACH / self.kappa
         # L = (2 kappa, 0, ..., 0) at every point
         self.log_warps = 2.0 * self.kappa * np.eye(dim - 1)[0]
         self.log_warps.flags.writeable = False

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimatorError
-from .geodesics import expansion, propagate
+from .geodesics import expansion, propagate, propagate_jacobi
 from .manifolds import ManifoldModel
 
 #: default slope window is the last two thirds of the grid
@@ -208,7 +208,11 @@ def _directions_at(model, x, count, seed):
 
 def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0):
     """Ball-averaged arc count sum_dirs int_0^T |det A_v(rho)| drho dsigma(v)
-    around the chart-0 point x, along one radial propagation per direction."""
+    around the chart-0 point x, along one radial propagation per direction.
+
+    On a space form the Jacobi matrix is the same kappa I along every
+    direction, so only the Jacobi system is integrated, one row per
+    direction (:func:`~geoflow.geodesics.propagate_jacobi`)."""
     T_grid = np.asarray(T_grid, dtype=float)
     if np.any(T_grid <= 0.0):
         raise ValueError("grid times must be positive")
@@ -216,8 +220,11 @@ def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0):
         raise ValueError(f"angular_samples must be >= 2, got {angular_samples}")
     x = np.asarray(x, dtype=float)
     dirs, weights, rule = _directions_at(model, x, angular_samples, seed)
-    states = [model.unit_tangent(x, d) for d in dirs]
-    res = propagate(model, states, T_grid, step=step, accumulate_radial=True)
+    if model.isotropic:
+        res = propagate_jacobi(model, len(dirs), T_grid, step=step)
+    else:
+        states = [model.unit_tangent(x, d) for d in dirs]
+        res = propagate(model, states, T_grid, step=step, accumulate_radial=True)
     n_failed, ok = _census(res.failed, "directions")
     w = weights[ok]
     radial = res.radial[:, ok]

@@ -17,6 +17,7 @@ from one jet of its embedding.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections.abc import Callable
@@ -435,16 +436,20 @@ class ManifoldModel:
 
     def _sample_box(self):
         """Chart-0 sampling box, the chart's ``domain`` or [-pi, pi]^n, and an
-        upper bound for sqrt(det g) on it."""
+        upper bound for sqrt(det g) on it: 1.5 times its largest value on a
+        grid of 13 points per axis, evaluated in chunks of at most 13^4
+        points, the last four axes, so memory stays bounded in any
+        dimension."""
         ch = self.chart(0)
         box = np.array([[-np.pi, np.pi]] * self.dim) if ch.domain is None else ch.domain
-        # numeric bound with a safety factor
-        grid = np.stack(
-            np.meshgrid(*[np.linspace(b[0] + 1e-6, b[1] - 1e-6, 13) for b in box], indexing="ij"),
-            axis=-1,
-        ).reshape(-1, self.dim)
-        dens = np.sqrt(np.abs(np.linalg.det(ch.metric(grid))))
-        return box, float(dens.max()) * 1.5
+        axes = [np.linspace(b[0] + 1e-6, b[1] - 1e-6, 13) for b in box]
+        tail = np.stack(np.meshgrid(*axes[-4:], indexing="ij"), axis=-1)
+        tail = tail.reshape(-1, tail.shape[-1])
+        peaks = []
+        for head in itertools.product(*axes[:-4]):
+            grid = np.concatenate([np.broadcast_to(head, (len(tail), len(head))), tail], axis=-1)
+            peaks.append(np.sqrt(np.abs(np.linalg.det(ch.metric(grid)))).max())
+        return box, float(np.max(peaks)) * 1.5
 
 
 # -- factories --------------------------------------------------------------------------

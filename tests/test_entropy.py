@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geoflow import charts, cli, entropy, geodesics, manifolds
-from geoflow.errors import EstimatorError
+from geoflow.errors import EstimatorError, IntegrationError
 
 
 def shooting_arc_count(x_emb, y_emb, T, n_dirs=16384, tol=1e-3):
@@ -173,6 +173,13 @@ class TestCounting:
             h2, h2.base_x, np.linspace(1.0, 10.0, 13), angular_samples=8, step=5e-3)
         assert abs(est.slope - 1.0) <= 0.05
 
+    def test_hyperbolic_radial_overflow_is_an_error(self):
+        # every direction's |det A| = sinh(T)^2 overflows near T = 355 in
+        # dimension 3, so every direction fails
+        h3 = manifolds.hyperbolic(3)
+        with pytest.raises(IntegrationError, match="non-finite"):
+            entropy.counting_series(h3, h3.base_x, [400.0], angular_samples=4, step=0.1)
+
     def test_rejects_nonpositive_T(self, s2):
         with pytest.raises(ValueError):
             entropy.counting_integral(s2, s2.base_x, 0.0)
@@ -185,6 +192,26 @@ class TestCounting:
             s2xs2, s2xs2.base_x, T, angular_samples=256, step=1e-2, seed=4)
         expect = math.pi**2 * T**4 / 2.0
         assert abs(val - expect) / expect < 0.05
+
+
+def test_space_form_counts_take_no_stage_geometry(monkeypatch, s2, h2, torus2, elli):
+    # a space form's count integrates the Jacobi system alone, from its
+    # constant Jacobi matrix; the ellipsoid's takes its geometry from one
+    # stage_geometry call per RK4 stage.  A binary step lands on the grid
+    # exactly: 64 steps
+    calls = []
+    stage_geometry = manifolds.ManifoldModel.stage_geometry
+
+    def spy(model, *args, **kwargs):
+        calls.append(model.kind)
+        return stage_geometry(model, *args, **kwargs)
+
+    monkeypatch.setattr(manifolds.ManifoldModel, "stage_geometry", spy)
+    for model in (s2, h2, torus2, manifolds.sphere(3)):
+        entropy.counting_series(model, model.base_x, [0.5, 1.0], angular_samples=4, step=1 / 64)
+    assert calls == []
+    entropy.counting_series(elli, elli.base_x, [0.5, 1.0], angular_samples=4, step=1 / 64)
+    assert calls == ["ellipsoid"] * 4 * 64
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")

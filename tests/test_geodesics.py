@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -208,12 +209,43 @@ class TestGeodesicIntegration:
         assert end.chart_ids[0] == 0 and np.all(np.isfinite(end.x[0]))
         assert end.speed_drift[0] <= 1e-6
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_hyperbolic_overflow_fails(self, h2):
-        # e^{2t} overflows past t = 354, and the trajectory is dropped
-        with pytest.raises(IntegrationError):
+        # e^{2t} would overflow past t = 354; the trajectory leaves the
+        # chart's reach at t = 340 first, so no numpy warning is raised
+        with pytest.raises(IntegrationError, match="reach") as err:
             geodesics.propagate(h2, h2.base_state(), [400.0], step=5e-2, jacobi=False)
+        _, x, v = err.value.last_state
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(v))
+
+    def test_radial_overflow_fails_the_rows(self):
+        # in dimension 4 |det Phi[:k, k:]| = sinh(t)^3 overflows near t = 237,
+        # before the geodesic's reach at 340; the rows fail as non-finite,
+        # from finite last states
+        model = manifolds.hyperbolic(4)
+        with pytest.raises(IntegrationError, match="non-finite") as err:
+            geodesics.propagate(model, model.sample_sphere_bundle(2, seed=1), [300.0],
+                                step=0.2, accumulate_radial=True)
+        _, x, v = err.value.last_state
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(v))
+
+    def test_hyperbolic_reach(self):
+        # rows heading to t -> +inf and t -> -inf fail with reason "reach"
+        # once kappa |t| passes 340, checked every 2 steps (0.1 in arclength)
+        # at step 5e-2; their last states are finite.  A row starting at
+        # t = -100 ends at t = 250 and does not fail
+        model = manifolds.hyperbolic(2, 4.0)
+        states = [model.unit_tangent([0.0, 0.0], [1.0, 0.0]),
+                  model.unit_tangent([0.0, 0.0], [-1.0, 0.0]),
+                  model.unit_tangent([-100.0, 0.0], [1.0, 0.0])]
+        res = geodesics.propagate(model, states, [100.0, 175.0], step=5e-2)
+        assert res.reason.tolist() == ["reach", "reach", ""]
+        assert res.failed.tolist() == [True, True, False]
+        chart_ids, x, v = res.lost
+        assert chart_ids.tolist() == [0, 0, -1]
+        assert np.all(np.isfinite(x[:2])) and np.all(np.isfinite(v[:2]))
+        reach = charts.HYPERBOLIC_REACH / 2.0
+        assert np.all((reach < np.abs(x[:2, 0])) & (np.abs(x[:2, 0]) <= reach + 0.1))
+        assert res.x[2, 0] == pytest.approx(75.0, abs=1e-9)
 
     def test_fourth_order_convergence(self, s2):
         theta = s2.unit_tangent(np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]))
@@ -312,6 +344,55 @@ class TestJacobiPropagation:
         leg = phi_t @ np.linalg.inv(phi_s)
         ex_t = geodesics.expansion(phi_t)
         assert ex_t <= geodesics.expansion(leg) * geodesics.expansion(phi_s) * (1 + 1e-9)
+
+
+class TestJacobiOnly:
+    """On a space form ``propagate_jacobi`` integrates Phi alone, through the
+    RK4 step and the grid march of ``propagate``."""
+
+    @pytest.mark.parametrize("spec", ["sphere:n=2", "sphere:n=4", "hyperbolic:n=3", "torus:n=2"])
+    def test_matches_propagate_without_reorthonormalization(self, spec, monkeypatch):
+        # bitwise: re-orthonormalization multiplies propagate's Phi by a frame
+        # correction M = I up to rounding, so it is moved out of reach
+        monkeypatch.setattr(geodesics, "ORTHO_EVERY", 10**9)
+        model = manifolds.parse_manifold(spec)
+        states = model.sample_sphere_bundle(6, seed=2)
+        grid = np.linspace(0.4, 4.0, 5)
+        full = geodesics.propagate(model, states, grid, step=1e-2, accumulate_radial=True)
+        alone = geodesics.propagate_jacobi(model, 6, grid, step=1e-2)
+        np.testing.assert_array_equal(alone.phi, full.phi)
+        np.testing.assert_array_equal(alone.radial, full.radial)
+        assert not alone.failed.any() and alone.reason.tolist() == [""] * 6
+
+    def test_integrates_no_geodesic(self, s2):
+        res = geodesics.propagate_jacobi(s2, 2, [0.0, 1.0], step=1e-2)
+        assert np.array_equal(res.phi[0], np.broadcast_to(np.eye(2), (2, 2, 2)))
+        assert res.radial.shape == (2, 2) and np.all(res.radial[0] == 0.0)
+        # not measured, so not reported as 0
+        assert all(getattr(res, name) is None for name in
+                   ("chart_ids", "x", "v", "frames0", "frames", "speed_drift", "frame_drift",
+                    "lost"))
+
+    def test_hyperbolic_passes_the_geodesic_reach(self, h2):
+        # Phi grows like e^t / 2 and stays finite past the geodesic's reach;
+        # RK4's relative error of cosh is about T h^4 / 120 = 2e-5 here
+        # and the trapezoid's of the radial integral cosh T - 1 about h^2 / 12
+        res = geodesics.propagate_jacobi(h2, 1, [400.0], step=5e-2)
+        assert not res.failed.any()
+        assert res.phi[0, 0, 0, 0] == pytest.approx(np.cosh(400.0), rel=1e-4)
+        assert res.radial[0, 0] == pytest.approx(np.cosh(400.0) - 1.0, rel=1e-3)
+
+    def test_radial_overflow_fails_the_rows(self):
+        # in dimension 3 |det Phi[:k, k:]| = sinh(t)^2 overflows near t = 355,
+        # while Phi stays finite up to 709: the rows fail at the grid time,
+        # without numpy's overflow warning
+        with pytest.raises(IntegrationError, match="non-finite"):
+            geodesics.propagate_jacobi(manifolds.hyperbolic(3), 2, [300.0, 400.0], step=0.1)
+
+    def test_rejects_models_that_are_not_isotropic(self, elli, s2xs2):
+        for model in (elli, s2xs2):
+            with pytest.raises(ValueError, match="isotropic"):
+                geodesics.propagate_jacobi(model, 2, [1.0])
 
 
 class TestKernelCalls:
@@ -520,8 +601,8 @@ class TestStage:
     def derivatives(model, chart, Y, jacobi):
         # dY/dt into a freshly allocated array
         dY = np.empty_like(Y)
-        geodesics._derivatives(model, chart, geodesics._unpack(Y, model.dim, jacobi),
-                               geodesics._unpack(dY, model.dim, jacobi), jacobi)
+        geodesics._derivatives(model, jacobi, chart, geodesics._unpack(Y, model.dim, jacobi),
+                               geodesics._unpack(dY, model.dim, jacobi))
         return dY
 
     @pytest.mark.parametrize("batch", [1, 100])
@@ -549,14 +630,16 @@ class TestStage:
             Y = packed_state(model, model.sample_sphere_bundle(batch, seed=8), jacobi)
             chart = model.chart(np.zeros(batch, dtype=int))
             got = Y.copy()
-            stages = geodesics._stage_buffers(got, model.dim, jacobi)
+            stages = geodesics._stage_buffers(
+                got, lambda b: geodesics._unpack(b, model.dim, jacobi))
+            rhs = functools.partial(geodesics._derivatives, model, jacobi)
             for _ in range(2):
                 k1 = self.derivatives(model, chart, Y, jacobi)
                 k2 = self.derivatives(model, chart, Y + (h / 2.0) * k1, jacobi)
                 k3 = self.derivatives(model, chart, Y + (h / 2.0) * k2, jacobi)
                 k4 = self.derivatives(model, chart, Y + h * k3, jacobi)
                 Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                geodesics._rk4_step(model, chart, got, h, jacobi, stages)
+                geodesics._rk4_step(rhs, chart, got, h, stages)
                 np.testing.assert_array_equal(got, Y, err_msg=name)
 
     @pytest.mark.parametrize("batch", [1, 100])

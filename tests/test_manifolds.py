@@ -472,6 +472,35 @@ class TestSampling:
         domain = np.concatenate([c.domain for c in (model.chart(0).first, model.chart(0).second)])
         assert np.all((X >= domain[:, 0]) & (X <= domain[:, 1]))
 
+    @staticmethod
+    def whole_grid_bound(model):
+        # the bound from the whole 13-point-per-axis grid in one evaluation
+        box = model._sample_box()[0]
+        grid = np.stack(np.meshgrid(*[np.linspace(b[0] + 1e-6, b[1] - 1e-6, 13) for b in box],
+                                    indexing="ij"), axis=-1).reshape(-1, model.dim)
+        return float(np.sqrt(np.abs(np.linalg.det(model.chart(0).metric(grid)))).max()) * 1.5
+
+    def test_sample_box_bound_in_chunks(self, elli, s2xs2, factor_free, monkeypatch):
+        # bitwise the bound of the whole grid; in dimension 5 the grid's
+        # 13^5 points are evaluated 13^4 at a time
+        for model in (elli, factor_free(s2xs2)):
+            assert model._sample_box()[1] == self.whole_grid_bound(model), model.spec_string
+        domain = [[-1.0, 1.0]] * 5
+        model = manifolds.chart_metric(lambda x: np.diag(1.0 + x**2), 5, domain=domain)
+        ch = model.chart(0)
+        rows = []
+
+        def metric(x):
+            # the same metric, batched
+            rows.append(len(x))
+            return (1.0 + x**2)[..., None] * np.eye(5)
+
+        monkeypatch.setattr(ch, "metric", metric)
+        want = self.whole_grid_bound(model)
+        rows.clear()
+        assert model._sample_box()[1] == want
+        assert rows == [13**4] * 13
+
     def test_deterministic(self, elli):
         a = elli.sample_sphere_bundle(64, seed=5)
         b = elli.sample_sphere_bundle(64, seed=5)

@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import shlex
 import subprocess
@@ -83,9 +84,10 @@ def synthetic_result(failed=0, **values):
             "metrics": {name: {"value": value, "unit": "-"} for name, value in values.items()}}
 
 
-def test_bench_pairs_summary(monkeypatch):
+def test_bench_pairs_summary(monkeypatch, tmp_path):
     # pairs are won by the metric's better direction, ties count for neither,
-    # and a failed run makes the comparison exit 1; no benchmark runs
+    # and a failed run makes the comparison exit 1; --bench-json writes the
+    # same figures as one entry per workload; no benchmark runs
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     bench_pairs = importlib.import_module("bench_pairs")
     spec = {"end_to_end": [{"name": "job_s_tail", "unit": "s", "better": "lower"},
@@ -102,7 +104,9 @@ def test_bench_pairs_summary(monkeypatch):
 
     def fake_run(spec, tree, workload, seed):
         runs.append((tree, seed))
-        return synthetic_result(failed=int(tree == "change" and seed == 2), job_s_tail=0.1)
+        result = synthetic_result(failed=int(tree == "change" and seed == 2),
+                                  job_s_tail=0.1 if tree == "change" else 0.2)
+        return {**result, "machine": {"nproc": 2, "seed": seed}}
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     assert bench_pairs.main(["parent", "change", "arc-count", "1"]) == 0
@@ -111,3 +115,21 @@ def test_bench_pairs_summary(monkeypatch):
     assert runs == [("parent", 1), ("change", 1), ("parent", 1), ("change", 1),
                     ("change", 2), ("parent", 2)]
     assert bench_pairs.summarize(spec, [(synthetic_result(job_s_tail=0.1), None)])[1] is False
+
+    # the file keeps one entry per workload; a rerun replaces its workload's
+    # entry, and only pairs of two healthy runs count
+    out = tmp_path / "BENCH_x.json"
+    plan = (("arc-count", ["3"]), ("orbit-batch1", ["4"]), ("arc-count", ["1", "2"]))
+    for workload, seeds in plan:
+        bench_pairs.main(["--bench-json", str(out), "parent", "change", workload, *seeds])
+    data = json.loads(out.read_text())
+    assert sorted(data) == ["arc-count", "orbit-batch1"]
+    entry = data["arc-count"]
+    assert entry["seeds"] == [1, 2] and entry["machine"] == {"nproc": 2, "seed": 1}
+    assert entry["metrics"]["job_s_tail"] == {
+        "unit": "s", "better": "lower",
+        "parent": {"median": 0.2, "quartiles": [0.2, 0.2]},
+        "change": {"median": 0.1, "quartiles": [0.1, 0.1]},
+        "relative_change": -0.5, "won": 1, "pairs": 1}
+    assert entry["metrics"]["work_per_s"] is None
+    assert data["orbit-batch1"]["seeds"] == [4]
