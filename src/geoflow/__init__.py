@@ -8,8 +8,7 @@ from .bounds import (curvature_entropy_bound, expansion_defect_constants,
                      first_order_expansion, first_order_residual,
                      grossman_counting_rate, manning_entropy_bound,
                      nonpositive_entropy_bound)
-from .entropy import (EntropyEstimate, GrowthSeries, counting_growth,
-                      counting_integral, counting_series,
+from .entropy import (EntropyEstimate, GrowthSeries, counting_series,
                       entropy_lower_from_radius, mane_series, slope,
                       sphere_arc_count, sphere_counting_oracle)
 from .errors import (DeltaTooLargeError, EstimatorError, GeoflowError,

@@ -211,8 +211,9 @@ def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0):
     around the chart-0 point x, along one radial propagation per direction.
 
     On a space form the Jacobi matrix is the same kappa I along every
-    direction, so only the Jacobi system is integrated, one row per
-    direction (:func:`~geoflow.geodesics.propagate_jacobi`)."""
+    direction, so one run of the Jacobi system alone
+    (:func:`~geoflow.geodesics.propagate_jacobi`) gives the radial integral
+    every direction shares."""
     T_grid = np.asarray(T_grid, dtype=float)
     if np.any(T_grid <= 0.0):
         raise ValueError("grid times must be positive")
@@ -221,13 +222,16 @@ def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0):
     x = np.asarray(x, dtype=float)
     dirs, weights, rule = _directions_at(model, x, angular_samples, seed)
     if model.isotropic:
-        res = propagate_jacobi(model, len(dirs), T_grid, step=step)
+        _, shared = propagate_jacobi(model, T_grid, step=step)
+        radial = np.repeat(shared[:, None], len(dirs), axis=1)
+        failed = np.zeros(len(dirs), dtype=bool)
     else:
         states = [model.unit_tangent(x, d) for d in dirs]
         res = propagate(model, states, T_grid, step=step, accumulate_radial=True)
-    n_failed, ok = _census(res.failed, "directions")
+        radial, failed = res.radial, res.failed
+    n_failed, ok = _census(failed, "directions")
     w = weights[ok]
-    radial = res.radial[:, ok]
+    radial = radial[:, ok]
     totals = radial @ w
     if rule == "monte-carlo":
         halves = np.array_split(np.arange(int(ok.sum())), 2)
@@ -261,20 +265,6 @@ def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0):
             "integrals": [float(v) for v in totals],
         },
     )
-
-
-def counting_integral(model, x, T, angular_samples=32, step=1e-3, seed=0):
-    """Value of the ball-averaged arc count at radius T."""
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    series = counting_series(model, x, [T], angular_samples, step, seed)
-    return float(series.metadata["integrals"][0])
-
-
-def counting_growth(model, x, T_grid, angular_samples=32, step=1e-3, seed=0, window=None):
-    """Growth rate of the log counting integral over the grid."""
-    series = counting_series(model, x, T_grid, angular_samples, step, seed)
-    return slope(series, window=window)
 
 
 def sphere_arc_count(d, T):

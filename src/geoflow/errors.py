@@ -9,8 +9,10 @@ class IntegrationError(GeoflowError):
     """Trajectory integration failed.
 
     ``last_state`` is (chart ids, x, v), one row per failed trajectory, taken
-    when each failed: where it ran out of charts, or where it was found
-    non-finite.
+    when each failed: where it ran out of charts ("charts"), where it left
+    its chart's reach ("reach"), or where it was found non-finite.  A run of
+    the Jacobi system alone has no trajectory state, so it carries no
+    ``last_state``.
     """
 
     def __init__(self, message, last_state=None):

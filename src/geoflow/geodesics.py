@@ -19,10 +19,13 @@ chart, so each RK4 stage makes one ``ManifoldModel.stage_geometry`` call for
 the whole batch; it is rebuilt only when a chart id changes.
 
 On a space form (``ManifoldModel.isotropic``) K is one constant kappa I in
-every orthonormal frame, so the Jacobi system does not depend on the
-geodesic: :func:`propagate_jacobi` integrates Phi alone.  Both systems go
-through one RK4 step, :func:`_rk4_step`, which takes the right-hand side as
-an argument, and one march over the time grid, :func:`_march`.
+every orthonormal frame, so the Jacobi system is the same along every
+geodesic: :func:`propagate_jacobi` integrates its one Phi alone.  Both
+systems go through one RK4 step, :func:`_rk4_step`, which takes the
+right-hand side as an argument, and one march over the time grid,
+:func:`_march`.  A row of :func:`propagate` fails in one place, its
+``fail(rows, why)``: the row keeps its first reason and last state and is
+parked at the base state.
 
 A stage is contiguous batched products.  Gamma is symmetric in i, j, so the
 spray and the frame transport are one stacked matvec A = Gamma(., -v, .) and
@@ -38,7 +41,7 @@ import contextlib
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,28 +62,30 @@ SWITCH_MARGIN = 0.2
 
 @dataclass
 class PropagationResult:
-    """Batch propagation record on a time grid.  A run of the Jacobi system
-    alone (:func:`propagate_jacobi`) integrates no geodesic: its chart ids,
-    positions, velocities, frames, drifts and lost states are None, not
-    measured."""
+    """Batch propagation record of geodesics on a time grid.  Without the
+    Jacobi system the frames are empty (B, 0, n) and ``phi`` is None;
+    ``radial`` is None unless it was accumulated."""
 
     t_grid: np.ndarray
-    chart_ids: np.ndarray | None
-    x: np.ndarray | None
-    v: np.ndarray | None
-    frames0: np.ndarray | None
-    frames: np.ndarray | None
+    chart_ids: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    frames0: np.ndarray
+    frames: np.ndarray
     phi: np.ndarray | None          # (G, B, 2k, 2k)
     radial: np.ndarray | None       # (G, B) accumulated integral of |det A|
-    failed: np.ndarray              # (B,) bool
     # why each row failed: "charts" (it ran out of charts), "reach" (it left
     # its chart's reach), "non-finite"; "" on the others
     reason: np.ndarray
-    speed_drift: np.ndarray | None
-    frame_drift: np.ndarray | None
+    speed_drift: np.ndarray
+    frame_drift: np.ndarray
     # chart id, x and v of each failed row when it failed; -1 and nan on the others
-    lost: tuple | None
-    states: list = field(default_factory=list)  # per grid point, if recorded
+    lost: tuple
+
+    @property
+    def failed(self):
+        """(B,) bool: the rows with a reason."""
+        return self.reason != ""
 
 
 def _unpack(Y, n, jacobi):
@@ -170,16 +175,15 @@ def _checked_grid(t_grid, step):
     return t_grid
 
 
-def _march(t_grid, step, Y, Phi, failed, advance, park, after_step=None, record=None,
-           accumulate_radial=False):
+def _march(t_grid, step, Y, Phi, advance, fail, after_step=None, accumulate_radial=False):
     """Advance the packed state Y over the time grid: full steps of ``step``
     by ``advance(h)``, the last one before each grid time clipped onto it,
     each followed by ``after_step(nsteps)``.  With ``accumulate_radial`` the
     trapezoid of |det Phi[:k, k:]| runs over every step.  At each grid time
-    the rows whose Y or radial integral turned non-finite fail: they are
-    flagged in ``failed`` and handed to ``park(rows)``.  Then Phi, the
-    radial integrals and ``record(gi)`` are recorded.  Returns the recorded Phi (G, B, 2k, 2k), or
-    None where Phi is None, and the radial integrals (G, B) or None."""
+    the rows whose Y or radial integral turned non-finite go to
+    ``fail(rows, "non-finite")``, then Phi and the radial integrals are
+    recorded.  Returns the recorded Phi (G, B, 2k, 2k), or None where Phi is
+    None, and the radial integrals (G, B) or None."""
     G, B = len(t_grid), len(Y)
     phi_rec = None if Phi is None else np.empty((G,) + Phi.shape)
     radial = np.zeros((G, B)) if accumulate_radial else None
@@ -211,71 +215,32 @@ def _march(t_grid, step, Y, Phi, failed, advance, park, after_step=None, record=
         finite = np.isfinite(Y).all(axis=-1)
         if accumulate_radial:
             finite &= np.isfinite(acc)
-        bad = ~finite & ~failed
-        if bad.any():
-            rows = np.nonzero(bad)[0]
-            for i in rows:
-                log.warning("trajectory %d became non-finite by t=%.3g", i, t)
-            failed |= bad
-            park(rows)
+        if not finite.all():
+            fail(np.flatnonzero(~finite), "non-finite")
         if Phi is not None:
             phi_rec[gi] = Phi
         if accumulate_radial:
             radial[gi] = acc
-        if record is not None:
-            record(gi)
     return phi_rec, radial
 
 
-def _park(model, chart_ids, Y, i, jacobi, lost, reason, why):
-    """Park failed row i at the base state, keeping batched linear algebra
-    clean; its chart id, x and v at failure go to row i of ``lost``, the
-    reason ``why`` to ``reason[i]``."""
-    X, W, Phi = _unpack(Y, model.dim, jacobi)
-    for rec, val in zip(lost, (chart_ids[i], X[i], W[i, 0])):
-        rec[i] = val
-    reason[i] = why
-    chart_ids[i] = 0
-    X[i] = model.base_x
-    W[i, 0] = model.base_state().v
-    if jacobi:
-        W[i, 1:] = model.orthonormal_frame(X[i], W[i, 0], 0)
-        Phi[i] = np.eye(len(Phi[i]))
-
-
-def _switch_charts(model, chart_ids, Y, failed, lost, reason, jacobi):
-    """Move rows below the switch margin to their ``ManifoldModel.best_chart``,
-    in place; a row left in its chart below MARGIN_FLOOR fails and is
-    parked.  Returns whether any chart id changed."""
+def _switch_charts(model, chart_ids, Y, failed, jacobi):
+    """Move the rows below the switch margin, other than the ``failed``
+    ones, to their ``ManifoldModel.best_chart``, in place.  Returns whether
+    any chart id changed, and the rows left in their chart below
+    MARGIN_FLOOR: they have run out of charts."""
     X, W, _ = _unpack(Y, model.dim, jacobi)
-    before = chart_ids.copy()
     margins = model.chart(chart_ids).margin(X)
     margins[failed] = 1.0
+    switched, out = False, []
     for i in np.nonzero(margins < SWITCH_MARGIN)[0]:
         cid, m, X[i], W[i] = model.best_chart(int(chart_ids[i]), X[i], W[i])
-        if cid == chart_ids[i] and m < MARGIN_FLOOR:
-            failed[i] = True
-            log.warning("trajectory %d exhausted all charts (margin %.3g)", i, m)
-            _park(model, chart_ids, Y, i, jacobi, lost, reason, "charts")
-        else:
+        if cid != chart_ids[i]:
             chart_ids[i] = cid
-    return not np.array_equal(chart_ids, before)
-
-
-def _leave_reach(model, chart_ids, Y, failed, lost, reason, jacobi, reach):
-    """Fail and park the rows whose chart coordinate |x_0|, the first column
-    of the packed state Y, has passed ``reach``, the charts' ``Chart.reach``;
-    their last finite states go to ``lost``.  Returns whether any row
-    failed."""
-    far = np.abs(Y[:, 0]) > reach
-    if not far.any():
-        return False
-    rows = np.nonzero(far & ~failed)[0]
-    for i in rows:
-        failed[i] = True
-        log.warning("trajectory %d left the chart's reach (|x_0| = %.6g)", i, abs(Y[i, 0]))
-        _park(model, chart_ids, Y, i, jacobi, lost, reason, "reach")
-    return len(rows) > 0
+            switched = True
+        elif m < MARGIN_FLOOR:
+            out.append(i)
+    return switched, out
 
 
 def _reorthonormalize(chart, Y):
@@ -309,7 +274,6 @@ def propagate(
     jacobi=True,
     frames0=None,
     accumulate_radial=False,
-    record_states=False,
 ):
     """Advance a batch of unit tangent states, recording at the grid times.
 
@@ -319,10 +283,10 @@ def propagate(
     solution of row b on [0, t_grid[g]], from the frame ``frames0[b]`` to the
     transported one (``frames[b]`` at the last grid time).  A row that runs
     out of charts, leaves its chart's reach (``Chart.reach``, checked with
-    the chart margins) or turns non-finite is flagged in ``failed``, with
-    that reason in ``reason``, and parked at the base state;
-    :class:`IntegrationError` is raised only when every row fails.
-    Identical inputs produce bit-identical outputs.
+    the chart margins) or turns non-finite fails once: it is logged, its
+    reason goes to ``reason`` and its chart id, x and v to ``lost``, and it
+    is parked at the base state.  :class:`IntegrationError` is raised only
+    when every row fails.  Identical inputs produce bit-identical outputs.
     """
     t_grid = _checked_grid(t_grid, step)
     if isinstance(states, TangentState):
@@ -343,10 +307,8 @@ def propagate(
         else:
             W[:, 1:] = model.orthonormal_frame(X, W[:, 0], chart_ids)
         Phi[:] = np.eye(2 * k)
-    frames_init = W[:, 1:].copy() if jacobi else None
+    frames_init = W[:, 1:].copy()
 
-    rec_states = []
-    failed = np.zeros(B, dtype=bool)
     # chart id, x and v of each failed row at the moment it failed
     lost = (np.full(B, -1), np.full((B, n), np.nan), np.full((B, n), np.nan))
     reason = np.full(B, "", dtype="<U10")
@@ -355,12 +317,41 @@ def propagate(
     reach = model.charts[0].reach
     # a coarse step checks more often, so no row crosses a pole between checks
     check_every = max(1, min(CHECK_EVERY, math.floor(CHECK_ARCLENGTH / step)))
+    # evaluates every row in its own chart; rebuilt when a chart id changes
+    chart = model.chart(chart_ids)
+
+    def fail(rows, why):
+        nonlocal chart
+        # a row fails once: it keeps its first reason and last state
+        rows = [i for i in rows if not reason[i]]
+        if not rows:
+            return
+        for i in rows:
+            log.warning("trajectory %d failed (%s) in chart %d at x = %s",
+                        i, why, chart_ids[i], X[i])
+        for rec, val in zip(lost, (chart_ids, X, W[:, 0])):
+            rec[rows] = val[rows]
+        reason[rows] = why
+        # parked at the base state, the rows keep batched linear algebra clean
+        chart_ids[rows] = 0
+        X[rows] = model.base_x
+        W[rows, 0] = model.base_state().v
+        if jacobi:
+            W[rows, 1:] = model.orthonormal_frame(model.base_x, W[rows[0], 0], 0)
+            Phi[rows] = np.eye(2 * k)
+        chart = model.chart(chart_ids)
+
+    def check_charts():
+        nonlocal chart
+        switched, out = _switch_charts(model, chart_ids, Y, reason != "", jacobi)
+        if switched:
+            chart = model.chart(chart_ids)
+        fail(out, "charts")
+
     if multi_chart:
         # a state starting near a chart boundary, heading out, can cross it
         # before the first periodic check; frames_init stays in the caller's chart
-        _switch_charts(model, chart_ids, Y, failed, lost, reason, jacobi)
-    # evaluates every row in its own chart; rebuilt when a chart id changes
-    chart = model.chart(chart_ids)
+        check_charts()
     rhs = functools.partial(_derivatives, model, jacobi)
     stages = _stage_buffers(Y, lambda b: _unpack(b, n, jacobi))
 
@@ -368,32 +359,19 @@ def propagate(
         _rk4_step(rhs, chart, Y, h, stages)
 
     def after_step(nsteps):
-        nonlocal chart, frame_drift
+        nonlocal frame_drift
         if nsteps % check_every == 0:
-            left = reach is not None and _leave_reach(model, chart_ids, Y, failed, lost,
-                                                      reason, jacobi, reach)
-            switched = multi_chart and _switch_charts(model, chart_ids, Y, failed, lost,
-                                                      reason, jacobi)
-            if left or switched:
-                chart = model.chart(chart_ids)
+            if reach is not None:
+                fail(np.flatnonzero(np.abs(Y[:, 0]) > reach), "reach")
+            if multi_chart:
+                check_charts()
         if jacobi and nsteps % ORTHO_EVERY == 0:
             frame_drift = np.fmax(frame_drift, _reorthonormalize(chart, Y))
 
-    def park(rows):
-        nonlocal chart
-        for i in rows:
-            _park(model, chart_ids, Y, i, jacobi, lost, reason, "non-finite")
-        chart = model.chart(chart_ids)
-
-    def record(gi):
-        rec_states.append((chart_ids.copy(), X.copy(), W[:, 0].copy(),
-                           W[:, 1:].copy() if jacobi else None))
-
-    phi_rec, radial = _march(t_grid, step, Y, Phi, failed, advance, park, after_step,
-                             record if record_states else None, accumulate_radial)
+    phi_rec, radial = _march(t_grid, step, Y, Phi, advance, fail, after_step, accumulate_radial)
 
     speed_drift = np.abs(_g_inner(W[:, 0], chart.metric(X), W[:, 0]) - 1.0)
-    if np.all(failed):
+    if np.all(reason != ""):
         raise IntegrationError(f"all trajectories failed during integration "
                                f"({', '.join(sorted(set(reason)))})", last_state=lost)
     return PropagationResult(
@@ -402,63 +380,52 @@ def propagate(
         x=X,
         v=W[:, 0],
         frames0=frames_init,
-        frames=W[:, 1:] if jacobi else None,
+        frames=W[:, 1:],
         phi=phi_rec,
         radial=radial,
-        failed=failed,
         reason=reason,
         speed_drift=speed_drift,
         frame_drift=frame_drift,
         lost=lost,
-        states=rec_states,
     )
 
 
-def propagate_jacobi(model: ManifoldModel, batch, t_grid, step=1e-3):
+def propagate_jacobi(model: ManifoldModel, t_grid, step=1e-3):
     """The Jacobi system Phi' = [[0, I], [-K, 0]] Phi alone, from Phi = I,
-    with its radial integral, for ``batch`` rows on a space form
-    (``model.isotropic``), whose Jacobi matrix K is the one constant kappa I
-    of :func:`~geoflow.manifolds._constant_jacobi` in every orthonormal frame.
+    with its radial integral, on a space form (``model.isotropic``), whose
+    Jacobi matrix K is the one constant kappa I of
+    :func:`~geoflow.manifolds._constant_jacobi` in every orthonormal frame:
+    one Phi serves every geodesic.  Returns phi (G, 2k, 2k) and the radial
+    integrals (G,) at the grid times.
 
     There is no position, velocity or frame, so no chart switch, reach
     check or re-orthonormalization.  The RK4 step, the march over the grid
     and the radial trapezoid are :func:`propagate`'s, so with
-    re-orthonormalization out of reach ``phi`` and ``radial`` equal
-    propagate's bit for bit.  A row fails only when Phi or its radial
-    integral turns non-finite (on hyperbolic space of dimension n near
-    kappa t = 710 / (n - 1)); :class:`IntegrationError` is raised when every
-    row does.
+    re-orthonormalization out of reach ``phi`` and ``radial`` equal every
+    row of propagate's bit for bit.  :class:`IntegrationError` is raised at
+    the first grid time where Phi or its radial integral is non-finite (on
+    hyperbolic space of dimension n near kappa t = 710 / (n - 1)).
     """
     if not model.isotropic:
         raise ValueError("the Jacobi system alone needs a space form (an isotropic model)")
     t_grid = _checked_grid(t_grid, step)
-    if batch < 1:
-        raise ValueError("batch must be at least 1")
     k = model.dim - 1
     K = _constant_jacobi(k, model.factors[0].k_max)
-    Y = np.zeros((batch, 4 * k * k))
+    Y = np.zeros((1, 4 * k * k))
 
     def views(b):
-        return b.reshape(batch, 2 * k, 2 * k)
+        return b.reshape(1, 2 * k, 2 * k)
+
+    def fail(rows, why):
+        raise IntegrationError(f"the Jacobi system turned {why}")
 
     Phi = views(Y)
     Phi[:] = np.eye(2 * k)
     stages = _stage_buffers(Y, views)
-    failed = np.zeros(batch, dtype=bool)
-
-    def park(rows):
-        Phi[rows] = np.eye(2 * k)
-
-    phi_rec, radial = _march(t_grid, step, Y, Phi, failed,
-                             lambda h: _rk4_step(_jacobi_derivatives, K, Y, h, stages), park,
-                             accumulate_radial=True)
-    if np.all(failed):
-        raise IntegrationError("all rows of the Jacobi system turned non-finite")
-    return PropagationResult(
-        t_grid=t_grid, chart_ids=None, x=None, v=None, frames0=None, frames=None,
-        phi=phi_rec, radial=radial, failed=failed,
-        reason=np.where(failed, "non-finite", ""), speed_drift=None, frame_drift=None,
-        lost=None)
+    phi, radial = _march(t_grid, step, Y, Phi,
+                         lambda h: _rk4_step(_jacobi_derivatives, K, Y, h, stages), fail,
+                         accumulate_radial=True)
+    return phi[:, 0], radial[:, 0]
 
 
 # -- expansion of a linear map -------------------------------------------------------

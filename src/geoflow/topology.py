@@ -473,14 +473,15 @@ class ObstructionReport:
 
 def _fmt6(value):
     """A value in text output: ``-`` for None, lists element by element, a
-    finite float from BIG up as ``10^x``, anything else to six significant
-    digits (``inf``, ``-inf`` and ``nan`` with their sign)."""
+    finite float from BIG up as ``10^x`` with six decimals of x, trailing
+    zeros dropped, anything else to six significant digits (``inf``, ``-inf``
+    and ``nan`` with their sign)."""
     if value is None:
         return "-"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt6(v) for v in value) + "]"
     if isinstance(value, float) and BIG <= value < math.inf:
-        return f"10^{math.log10(value):.4g}"
+        return "10^" + f"{math.log10(value):.6f}".rstrip("0").rstrip(".")
     return f"{value:.6g}"
 
 

@@ -95,12 +95,12 @@ def test_criterion_04_expansion_first_order_consistency(all_models):
 
 def test_criterion_05_counting_chain(all_models):
     s2 = all_models["sphere"]
-    val = entropy.counting_integral(s2, np.array([np.pi / 2, 0.3]), np.pi,
-                                    angular_samples=8, step=1e-3)
+    [val] = entropy.counting_series(s2, np.array([np.pi / 2, 0.3]), [np.pi],
+                                    angular_samples=8, step=1e-3).metadata["integrals"]
     sphere_ok = abs(val - 4 * np.pi) / (4 * np.pi) < 0.01
     torus = all_models["torus"]
-    val_t = entropy.counting_integral(torus, np.zeros(2), 1.0,
-                                      angular_samples=8, step=1e-3)
+    [val_t] = entropy.counting_series(torus, np.zeros(2), [1.0],
+                                      angular_samples=8, step=1e-3).metadata["integrals"]
     torus_ok = abs(val_t - np.pi) / np.pi < 0.01
 
     # growth-of-counting <= growth-of-expansion + 0.05, per model, on windows
@@ -118,9 +118,9 @@ def test_criterion_05_counting_chain(all_models):
         model = all_models[name]
         grid = np.linspace(plan["t_max"] / 10.0, plan["t_max"], 16)
         window = (plan["t_max"] / 2.0, plan["t_max"])
-        count_est = entropy.counting_growth(
+        count_est = entropy.slope(entropy.counting_series(
             model, model.base_x, grid, angular_samples=plan["dirs"],
-            step=plan["step"], seed=3, window=window)
+            step=plan["step"], seed=3), window=window)
         mane_est = entropy.slope(entropy.mane_series(
             model, grid, samples=plan["mane_samples"], seed=3,
             step=plan["step"]), window=window)

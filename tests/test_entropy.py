@@ -147,18 +147,19 @@ class TestSlope:
 
 class TestCounting:
     def test_sphere_hemiball(self, s2):
-        val = entropy.counting_integral(
-            s2, np.array([np.pi / 2, 0.3]), np.pi, angular_samples=16, step=1e-3)
+        [val] = entropy.counting_series(
+            s2, np.array([np.pi / 2, 0.3]), [np.pi], angular_samples=16,
+            step=1e-3).metadata["integrals"]
         assert abs(val - 4.0 * np.pi) / (4.0 * np.pi) < 0.01
 
     def test_torus_disk_area(self, torus2):
-        val = entropy.counting_integral(
-            torus2, np.zeros(2), 1.0, angular_samples=8, step=1e-3)
+        [val] = entropy.counting_series(
+            torus2, np.zeros(2), [1.0], angular_samples=8, step=1e-3).metadata["integrals"]
         assert abs(val - np.pi) / np.pi < 0.01
 
     def test_small_radius_quadratic(self, torus2):
-        val = entropy.counting_integral(
-            torus2, np.zeros(2), 1e-2, angular_samples=8, step=1e-4)
+        [val] = entropy.counting_series(
+            torus2, np.zeros(2), [1e-2], angular_samples=8, step=1e-4).metadata["integrals"]
         assert val == pytest.approx(np.pi * 1e-4, rel=1e-4)
 
     def test_nondecreasing_in_T(self, s2):
@@ -169,8 +170,8 @@ class TestCounting:
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_hyperbolic_growth_slope_one(self, h2):
-        est = entropy.counting_growth(
-            h2, h2.base_x, np.linspace(1.0, 10.0, 13), angular_samples=8, step=5e-3)
+        est = entropy.slope(entropy.counting_series(
+            h2, h2.base_x, np.linspace(1.0, 10.0, 13), angular_samples=8, step=5e-3))
         assert abs(est.slope - 1.0) <= 0.05
 
     def test_hyperbolic_radial_overflow_is_an_error(self):
@@ -182,14 +183,15 @@ class TestCounting:
 
     def test_rejects_nonpositive_T(self, s2):
         with pytest.raises(ValueError):
-            entropy.counting_integral(s2, s2.base_x, 0.0)
+            entropy.counting_series(s2, s2.base_x, [0.0])
 
     def test_product_monte_carlo_directions(self, s2xs2):
         # n = 4 uses seeded sphere sampling; small ball volume check:
         # vol of a ball of radius T in R^4 is pi^2 T^4 / 2
         T = 0.5
-        val = entropy.counting_integral(
-            s2xs2, s2xs2.base_x, T, angular_samples=256, step=1e-2, seed=4)
+        [val] = entropy.counting_series(
+            s2xs2, s2xs2.base_x, [T], angular_samples=256, step=1e-2,
+            seed=4).metadata["integrals"]
         expect = math.pi**2 * T**4 / 2.0
         assert abs(val - expect) / expect < 0.05
 
@@ -212,6 +214,35 @@ def test_space_form_counts_take_no_stage_geometry(monkeypatch, s2, h2, torus2, e
     assert calls == []
     entropy.counting_series(elli, elli.base_x, [0.5, 1.0], angular_samples=4, step=1 / 64)
     assert calls == ["ellipsoid"] * 4 * 64
+
+
+def test_space_form_count_steps_one_row(monkeypatch, s2):
+    # the 16 directions share one Jacobi row: each RK4 step advances one row
+    rows = []
+    rk4_step = geodesics._rk4_step
+
+    def spy(rhs, at, Y, h, stages):
+        rows.append(len(Y))
+        return rk4_step(rhs, at, Y, h, stages)
+
+    monkeypatch.setattr(geodesics, "_rk4_step", spy)
+    entropy.counting_series(s2, s2.base_x, [0.5, 1.0], angular_samples=16, step=1 / 64)
+    assert rows == [1] * 64
+
+
+@pytest.mark.filterwarnings("ignore:direction sampling not converged")
+def test_space_form_count_matches_propagate(monkeypatch):
+    # bitwise, with re-orthonormalization out of propagate's reach: the one
+    # Jacobi row weighs in for every Monte Carlo direction of S^3
+    monkeypatch.setattr(geodesics, "ORTHO_EVERY", 10**9)
+    s3, grid = manifolds.sphere(3), [0.5, 1.0, 1.5]
+    dirs, weights, rule = entropy._directions_at(s3, s3.base_x, 16, 5)
+    assert rule == "monte-carlo"
+    res = geodesics.propagate(s3, [s3.unit_tangent(s3.base_x, d) for d in dirs], grid,
+                              step=1e-2, accumulate_radial=True)
+    series = entropy.counting_series(s3, s3.base_x, grid, angular_samples=16, step=1e-2,
+                                     seed=5)
+    np.testing.assert_array_equal(series.metadata["integrals"], res.radial @ weights)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
@@ -239,12 +270,18 @@ class TestFailedRows:
             monkeypatch.setattr(charts, "diagonal_christoffel", poisoned)
         return install
 
-    def test_mane_leaves_out_failed_rows(self, s2xs2, poison):
+    def test_mane_leaves_out_failed_rows(self, s2xs2, poison, caplog):
         states = s2xs2.sample_sphere_bundle(100, seed=3)
         clean = geodesics.propagate(s2xs2, states, self.GRID, step=2e-2)
         poison([17], 100)
-        res = geodesics.propagate(s2xs2, states, self.GRID, step=2e-2)
+        with caplog.at_level("WARNING", logger=geodesics.log.name):
+            res = geodesics.propagate(s2xs2, states, self.GRID, step=2e-2)
         assert np.flatnonzero(res.failed).tolist() == [17]
+        # the row turns non-finite again after parking, at every grid time:
+        # it fails and is logged once, and keeps its first reason
+        assert [r.getMessage().split(" in chart")[0] for r in caplog.records] == [
+            "trajectory 17 failed (non-finite)"]
+        assert res.reason[17] == "non-finite"
         series = entropy.mane_series(s2xs2, self.GRID, 100, seed=3, step=2e-2)
         assert (series.metadata["evaluated"], series.metadata["failed"]) == (99, 1)
         ex = geodesics.expansion(np.delete(clean.phi, 17, axis=1))
@@ -337,8 +374,9 @@ class TestSphereArcs:
 
     def test_oracle_integral_matches_counting(self, s2):
         for T in (2.0, np.pi, 5.0):
-            direct = entropy.counting_integral(
-                s2, np.array([np.pi / 2, 0.1]), T, angular_samples=8, step=2e-3)
+            [direct] = entropy.counting_series(
+                s2, np.array([np.pi / 2, 0.1]), [T], angular_samples=8,
+                step=2e-3).metadata["integrals"]
             oracle = entropy.sphere_counting_oracle(T)
             assert abs(direct - oracle) / oracle < 0.01
 

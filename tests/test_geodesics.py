@@ -228,16 +228,20 @@ class TestGeodesicIntegration:
         _, x, v = err.value.last_state
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(v))
 
-    def test_hyperbolic_reach(self):
+    def test_hyperbolic_reach(self, caplog):
         # rows heading to t -> +inf and t -> -inf fail with reason "reach"
         # once kappa |t| passes 340, checked every 2 steps (0.1 in arclength)
-        # at step 5e-2; their last states are finite.  A row starting at
-        # t = -100 ends at t = 250 and does not fail
+        # at step 5e-2; their last states are finite, and each failed row is
+        # logged once.  A row starting at t = -100 ends at t = 250 and does
+        # not fail
         model = manifolds.hyperbolic(2, 4.0)
         states = [model.unit_tangent([0.0, 0.0], [1.0, 0.0]),
                   model.unit_tangent([0.0, 0.0], [-1.0, 0.0]),
                   model.unit_tangent([-100.0, 0.0], [1.0, 0.0])]
-        res = geodesics.propagate(model, states, [100.0, 175.0], step=5e-2)
+        with caplog.at_level("WARNING", logger=geodesics.log.name):
+            res = geodesics.propagate(model, states, [100.0, 175.0], step=5e-2)
+        assert [r.getMessage().split(" in chart")[0] for r in caplog.records] == [
+            "trajectory 0 failed (reach)", "trajectory 1 failed (reach)"]
         assert res.reason.tolist() == ["reach", "reach", ""]
         assert res.failed.tolist() == [True, True, False]
         chart_ids, x, v = res.lost
@@ -291,12 +295,12 @@ class TestJacobiPropagation:
             assert np.abs(dets - 1.0).max() <= 1e-6, (name, dets)
 
     def test_frame_orthonormal_along_trajectory(self, elli):
+        # the run to the earlier grid time ends where the longer run passes it
         theta = elli.sample_sphere_bundle(1, seed=2)[0]
-        res = geodesics.propagate(elli, theta, [3.0, 7.0], step=1e-3,
-                                  record_states=True)
-        for (cids, X, V, E) in res.states:
-            g = elli.chart(int(cids[0])).metric(X[0])
-            vecs = np.vstack([V[0][None, :], E[0]])
+        for grid in ([3.0], [3.0, 7.0]):
+            res = geodesics.propagate(elli, theta, grid, step=1e-3)
+            g = elli.chart(int(res.chart_ids[0])).metric(res.x[0])
+            vecs = np.vstack([res.v[0][None, :], res.frames[0]])
             gram = vecs @ g @ vecs.T
             assert np.abs(gram - np.eye(2)).max() < 1e-8
 
@@ -306,14 +310,14 @@ class TestJacobiPropagation:
         for model in (elli, s2xs2):
             theta = model.sample_sphere_bundle(1, seed=6)[0]
             s, t = 1.3, 2.1
-            res = geodesics.propagate(model, theta, [s, s + t], step=1e-3,
-                                      record_states=True)
+            res = geodesics.propagate(model, theta, [s, s + t], step=1e-3)
             phi_s = res.phi[0, 0]
             phi_st = res.phi[1, 0]
-            cids, X, V, E = res.states[0]
-            mid = manifolds.TangentState(int(cids[0]), X[0], V[0])
+            # the state at s is the end of the run to s
+            head = geodesics.propagate(model, theta, [s], step=1e-3)
+            mid = manifolds.TangentState(int(head.chart_ids[0]), head.x[0], head.v[0])
             res2 = geodesics.propagate(model, mid, [t], step=1e-3,
-                                       frames0=E[0][None])
+                                       frames0=head.frames[0][None])
             assert np.abs(res2.phi[0, 0] @ phi_s - phi_st).max() < 1e-6
 
     def test_row_alone_matches_row_in_batch(self, elli, elli3, wavy, s2xs2):
@@ -325,8 +329,10 @@ class TestJacobiPropagation:
             charts_seen = set()
             for seed in range(1, 7):
                 states = model.sample_sphere_bundle(6, seed=seed)
-                batch = geodesics.propagate(model, states, grid, step=1e-2, record_states=True)
-                charts_seen |= {int(c) for cids, *_ in batch.states for c in cids}
+                batch = geodesics.propagate(model, states, grid, step=1e-2)
+                # the charts at the earlier grid time end the run to it
+                head = geodesics.propagate(model, states, grid[:1], step=1e-2)
+                charts_seen |= {int(c) for res in (head, batch) for c in res.chart_ids}
                 for i, theta in enumerate(states):
                     alone = geodesics.propagate(model, theta, grid, step=1e-2)
                     for got, want in ((alone.x[0], batch.x[i]), (alone.v[0], batch.v[i]),
@@ -336,6 +342,34 @@ class TestJacobiPropagation:
                         np.testing.assert_array_equal(
                             got, want, err_msg=f"{model.spec_string} seed {seed} row {i}")
             assert len(charts_seen) >= min(2, len(model.charts)), model.spec_string
+
+    @pytest.mark.parametrize("spec", ["ellipsoid:a=1,b=1,c=2", "sphereprod:p=2,q=2",
+                                      "hyperbolic:n=2"])
+    def test_run_to_an_earlier_time_is_a_prefix(self, spec, monkeypatch):
+        # bitwise: the packed state at the end of a run to s is the state the
+        # run to a later grid time enters its first step past s with
+        model = manifolds.parse_manifold(spec)
+        states = model.sample_sphere_bundle(4, seed=3)
+        s, step = 1.5, 1e-2
+        entering = []
+        rk4_step = geodesics._rk4_step
+
+        def spy(rhs, at, Y, h, stages):
+            entering.append(Y.copy())
+            return rk4_step(rhs, at, Y, h, stages)
+
+        monkeypatch.setattr(geodesics, "_rk4_step", spy)
+        head = geodesics.propagate(model, states, [s], step=step, accumulate_radial=True)
+        steps = len(entering)
+        full = geodesics.propagate(model, states, [s, 3.0], step=step, accumulate_radial=True)
+        n = model.dim
+        X, W, Phi = geodesics._unpack(entering[2 * steps], n, True)
+        np.testing.assert_array_equal(X, head.x)
+        np.testing.assert_array_equal(W[:, 0], head.v)
+        np.testing.assert_array_equal(W[:, 1:], head.frames)
+        np.testing.assert_array_equal(Phi, head.phi[0])
+        np.testing.assert_array_equal(full.phi[0], head.phi[0])
+        np.testing.assert_array_equal(full.radial[0], head.radial[0])
 
     def test_split_submultiplicativity_along_flow(self, elli):
         theta = elli.sample_sphere_bundle(1, seed=12)[0]
@@ -347,8 +381,9 @@ class TestJacobiPropagation:
 
 
 class TestJacobiOnly:
-    """On a space form ``propagate_jacobi`` integrates Phi alone, through the
-    RK4 step and the grid march of ``propagate``."""
+    """On a space form ``propagate_jacobi`` integrates the one Phi every
+    geodesic shares, through the RK4 step and the grid march of
+    ``propagate``."""
 
     @pytest.mark.parametrize("spec", ["sphere:n=2", "sphere:n=4", "hyperbolic:n=3", "torus:n=2"])
     def test_matches_propagate_without_reorthonormalization(self, spec, monkeypatch):
@@ -359,40 +394,36 @@ class TestJacobiOnly:
         states = model.sample_sphere_bundle(6, seed=2)
         grid = np.linspace(0.4, 4.0, 5)
         full = geodesics.propagate(model, states, grid, step=1e-2, accumulate_radial=True)
-        alone = geodesics.propagate_jacobi(model, 6, grid, step=1e-2)
-        np.testing.assert_array_equal(alone.phi, full.phi)
-        np.testing.assert_array_equal(alone.radial, full.radial)
-        assert not alone.failed.any() and alone.reason.tolist() == [""] * 6
+        phi, radial = geodesics.propagate_jacobi(model, grid, step=1e-2)
+        for row in range(6):
+            np.testing.assert_array_equal(phi, full.phi[:, row])
+            np.testing.assert_array_equal(radial, full.radial[:, row])
 
     def test_integrates_no_geodesic(self, s2):
-        res = geodesics.propagate_jacobi(s2, 2, [0.0, 1.0], step=1e-2)
-        assert np.array_equal(res.phi[0], np.broadcast_to(np.eye(2), (2, 2, 2)))
-        assert res.radial.shape == (2, 2) and np.all(res.radial[0] == 0.0)
-        # not measured, so not reported as 0
-        assert all(getattr(res, name) is None for name in
-                   ("chart_ids", "x", "v", "frames0", "frames", "speed_drift", "frame_drift",
-                    "lost"))
+        # one Phi and its radial integral, from the identity at time 0
+        phi, radial = geodesics.propagate_jacobi(s2, [0.0, 1.0], step=1e-2)
+        assert phi.shape == (2, 2, 2) and radial.shape == (2,)
+        assert np.array_equal(phi[0], np.eye(2)) and radial[0] == 0.0
 
     def test_hyperbolic_passes_the_geodesic_reach(self, h2):
         # Phi grows like e^t / 2 and stays finite past the geodesic's reach;
         # RK4's relative error of cosh is about T h^4 / 120 = 2e-5 here
         # and the trapezoid's of the radial integral cosh T - 1 about h^2 / 12
-        res = geodesics.propagate_jacobi(h2, 1, [400.0], step=5e-2)
-        assert not res.failed.any()
-        assert res.phi[0, 0, 0, 0] == pytest.approx(np.cosh(400.0), rel=1e-4)
-        assert res.radial[0, 0] == pytest.approx(np.cosh(400.0) - 1.0, rel=1e-3)
+        phi, radial = geodesics.propagate_jacobi(h2, [400.0], step=5e-2)
+        assert phi[0, 0, 0] == pytest.approx(np.cosh(400.0), rel=1e-4)
+        assert radial[0] == pytest.approx(np.cosh(400.0) - 1.0, rel=1e-3)
 
     def test_radial_overflow_fails_the_rows(self):
         # in dimension 3 |det Phi[:k, k:]| = sinh(t)^2 overflows near t = 355,
-        # while Phi stays finite up to 709: the rows fail at the grid time,
+        # while Phi stays finite up to 709: the run fails at the grid time,
         # without numpy's overflow warning
         with pytest.raises(IntegrationError, match="non-finite"):
-            geodesics.propagate_jacobi(manifolds.hyperbolic(3), 2, [300.0, 400.0], step=0.1)
+            geodesics.propagate_jacobi(manifolds.hyperbolic(3), [300.0, 400.0], step=0.1)
 
     def test_rejects_models_that_are_not_isotropic(self, elli, s2xs2):
         for model in (elli, s2xs2):
             with pytest.raises(ValueError, match="isotropic"):
-                geodesics.propagate_jacobi(model, 2, [1.0])
+                geodesics.propagate_jacobi(model, [1.0])
 
 
 class TestKernelCalls:
@@ -764,17 +795,20 @@ class TestStage:
                 yield np.asarray(obj)
 
         for model in (s2xs2, elli):
-            kw = dict(step=1e-2, accumulate_radial=True, record_states=True)
-            first = geodesics.propagate(model, model.sample_sphere_bundle(4, seed=2),
-                                        [0.2, 0.4], **kw)
-            before = {f.name: [a.copy() for a in arrays(getattr(first, f.name))]
-                      for f in dataclasses.fields(first)}
+            kw = dict(step=1e-2, accumulate_radial=True)
+            # the run to the earlier grid time holds the state there
+            firsts = [geodesics.propagate(model, model.sample_sphere_bundle(4, seed=2), grid,
+                                          **kw) for grid in ([0.2], [0.2, 0.4])]
+            before = [{f.name: [a.copy() for a in arrays(getattr(first, f.name))]
+                       for f in dataclasses.fields(first)} for first in firsts]
             geodesics.propagate(model, model.sample_sphere_bundle(4, seed=3), [0.2, 0.4], **kw)
-            for name, want in before.items():
-                got = list(arrays(getattr(first, name)))
-                assert len(got) == len(want) > 0, name
-                for g, w in zip(got, want):
-                    np.testing.assert_array_equal(g, w, err_msg=f"{model.spec_string} {name}")
+            for first, fields in zip(firsts, before):
+                for name, want in fields.items():
+                    got = list(arrays(getattr(first, name)))
+                    assert len(got) == len(want) > 0, name
+                    for g, w in zip(got, want):
+                        np.testing.assert_array_equal(g, w,
+                                                      err_msg=f"{model.spec_string} {name}")
 
 
 def radial_density(phi):

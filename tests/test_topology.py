@@ -424,10 +424,12 @@ class TestCertify:
         (None, "-"), (0.5, "0.5"), (123456789.0, "1.23457e+08"), (3, "3"),
         (1e20, "10^20"), (-1e20, "-1e+20"), (math.inf, "inf"), (-math.inf, "-inf"),
         (math.nan, "nan"), ([1e16, None, 2.0], "[10^16, -, 2]"),
+        (7.39635e17, "10^17.869017"),
     ])
     def test_text_format(self, value, text):
         # the one text formatter of the cli and the certifier: infinities keep
-        # their sign, and only finite floats from BIG up read as powers of ten
+        # their sign, and only finite floats from BIG up read as powers of ten,
+        # with six decimals of the exponent
         assert topology._fmt6(value) == text
 
     def test_suma_consistency_for_passing_profiles(self):
