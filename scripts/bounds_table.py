@@ -3,11 +3,7 @@
 built-in models, plus the per-dimension comparison against the counting-rate
 bound."""
 
-import numpy as np
-
-from geoflow import (curvature_entropy_bound, grossman_counting_rate,
-                     manning_entropy_bound, nonpositive_entropy_bound,
-                     parse_manifold)
+from geoflow import closed_form_bounds, parse_manifold
 
 SPECS = [
     "sphere:n=2,r=1.0",
@@ -34,14 +30,10 @@ def main():
     for spec in SPECS:
         model = parse_manifold(spec)
         k_max, k_min, min_ric = model.extremal_curvatures()
-        n = model.dim
-        curv = curvature_entropy_bound(n, k_max, min_ric) if k_max > 0 else None
-        kk = max(abs(k_max), abs(k_min))
-        manning = manning_entropy_bound(n, kk) if kk > 0 else None
-        nonpos = nonpositive_entropy_bound(n, min_ric) if min_ric <= 0 else None
+        b = closed_form_bounds(model.dim, k_max, k_min, min_ric)
         print(f"{spec:32s} {k_max:10.4f} {k_min:10.4f} {min_ric:10.4f} "
-              f"{fmt(curv):>10s} {fmt(manning):>10s} "
-              f"{grossman_counting_rate(n):10.4f} {fmt(nonpos):>10s}")
+              f"{fmt(b['theorem_b']):>10s} {fmt(b['manning']):>10s} "
+              f"{b['grossman']:10.4f} {fmt(b['nonpositive']):>10s}")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from geoflow import (counting_series, curvature_entropy_bound, mane_series,
-                     nonpositive_entropy_bound, parse_manifold, slope)
+from geoflow import (closed_form_bounds, counting_series, mane_series,
+                     parse_manifold, slope)
 
 
 def main(argv):
@@ -30,9 +30,9 @@ def main(argv):
                             step=step, seed=0)
     count_est = slope(count)
 
-    k_max, _, min_ric = model.extremal_curvatures()
-    bound = (curvature_entropy_bound(model.dim, k_max, min_ric)
-             if k_max > 0 else nonpositive_entropy_bound(model.dim, min_ric))
+    k_max, k_min, min_ric = model.extremal_curvatures()
+    bound = closed_form_bounds(model.dim, k_max, k_min, min_ric)[
+        "theorem_b" if k_max > 0 else "nonpositive"]
 
     for name, series in (("mane", mane), ("count", count)):
         with open(f"{prefix}_{name}.csv", "w", newline="") as fh:

@@ -4,10 +4,10 @@ topological obstructions to Einstein metrics of non-negative curvature."""
 
 __version__ = "0.1.0"
 
-from .bounds import (curvature_entropy_bound, expansion_defect_constants,
-                     first_order_expansion, first_order_residual,
-                     grossman_counting_rate, manning_entropy_bound,
-                     nonpositive_entropy_bound)
+from .bounds import (closed_form_bounds, curvature_entropy_bound,
+                     expansion_defect_constants, first_order_expansion,
+                     first_order_residual, grossman_counting_rate,
+                     manning_entropy_bound, nonpositive_entropy_bound)
 from .entropy import (EntropyEstimate, GrowthSeries, counting_series,
                       entropy_lower_from_radius, mane_series, slope,
                       sphere_arc_count, sphere_counting_oracle)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DeltaTooLargeError, IntegrationError
 from .geodesics import expansion, propagate
+from .manifolds import TangentState
 
 
 def generator_matrix(K):
@@ -94,15 +95,10 @@ def expansion_defect_constants(model, thetas, deltas=(1e-2, 5e-3, 2.5e-3)):
     badly conditioned.  All states are integrated to each delta in one batch;
     :class:`IntegrationError` is raised if any of them fails, with the failed
     states' last states.  The first-order expansions of
-    :func:`first_order_expansion` come from one batched frame and spectrum.
+    :func:`first_order_expansion` come from one batched ``curvature_operator``.
     """
-    ids = np.array([theta.chart_id for theta in thetas])
-    x, v = (np.stack([getattr(theta, a) for theta in thetas]) for a in ("x", "v"))
-    chart = model.chart(ids)
-    if np.any(np.abs(model.norm(x, v, chart) - 1.0) > 1e-8):
-        raise ValueError("tangent vectors must be unit")
-    frame = model.orthonormal_frame(x, v, chart)
-    lam = np.linalg.eigh(model.curvature_frame_matrix(x, v, frame, chart))[0]
+    ids, x, v = (np.array([getattr(theta, a) for theta in thetas]) for a in ("chart_id", "x", "v"))
+    lam = model.curvature_operator(TangentState(ids, x, v)).eigenvalues
     consts = []
     for delta in deltas:
         res = propagate(model, thetas, [delta], step=_jacobi_step(delta))
@@ -159,3 +155,16 @@ def grossman_counting_rate(n):
     if n < 2:
         raise ValueError("n must be >= 2")
     return 2.0 * (n - 1) / math.pi * math.log(2.0 + math.pi / 2.0)
+
+
+def closed_form_bounds(n, k_max, k_min, min_ricci):
+    """The closed-form bounds of dimension n and the curvature extremes in
+    report order, None where one does not apply: ``theorem_b`` needs k_max > 0,
+    ``manning`` k = max(|k_max|, |k_min|) > 0 and ``nonpositive`` min_ricci <= 0."""
+    k = max(abs(k_max), abs(k_min))
+    return {
+        "theorem_b": curvature_entropy_bound(n, k_max, min_ricci) if k_max > 0 else None,
+        "manning": manning_entropy_bound(n, k) if k > 0 else None,
+        "grossman": grossman_counting_rate(n),
+        "nonpositive": nonpositive_entropy_bound(n, min_ricci) if min_ricci <= 0 else None,
+    }

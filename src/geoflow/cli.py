@@ -24,11 +24,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import (curvature_entropy_bound, grossman_counting_rate,
-                     manning_entropy_bound, nonpositive_entropy_bound)
+from .bounds import closed_form_bounds
 from .entropy import (counting_series, mane_series, slope,
                       sphere_counting_oracle)
-from .errors import EstimatorError, GeoflowError, ProfileValidationError
+from .errors import GeoflowError
 from .manifolds import parse_manifold
 from .topology import (_fmt6, certify, gromov_log10_c, homology_dim_bound_log10,
                        load_profile)
@@ -52,17 +51,8 @@ def cmd_bound(args):
     model = parse_manifold(args.manifold)
     k_max, k_min, min_ricci = model.extremal_curvatures(args.samples, args.seed)
     n = model.dim
-    payload = {
-        "n": n,
-        "K_max": k_max,
-        "K_min": k_min,
-        "min_ricci": min_ricci,
-        "theorem_b": curvature_entropy_bound(n, k_max, min_ricci) if k_max > 0 else None,
-        "manning": manning_entropy_bound(n, max(abs(k_max), abs(k_min)))
-        if max(abs(k_max), abs(k_min)) > 0 else None,
-        "grossman": grossman_counting_rate(n),
-        "nonpositive": nonpositive_entropy_bound(n, min_ricci) if min_ricci <= 0 else None,
-    }
+    payload = {"n": n, "K_max": k_max, "K_min": k_min, "min_ricci": min_ricci,
+               **closed_form_bounds(n, k_max, k_min, min_ricci)}
     text = [f"model {model.spec_string} (n = {n})"] + [
         f"  {key:12s} {_fmt6(value)}" for key, value in payload.items() if key != "n"]
     csv_lines = ["quantity,value"] + [f"{k},{payload[k]}" for k in payload]
@@ -70,6 +60,8 @@ def cmd_bound(args):
 
 
 def _default_grid(t_max, points=25):
+    if not np.isfinite(t_max):
+        raise ValueError(f"--t-max must be finite, got {t_max!r}")
     return np.linspace(t_max / 10.0, t_max, points)
 
 
@@ -78,13 +70,9 @@ def cmd_estimate(args):
     grid = _default_grid(args.t_max)
     series = mane_series(model, grid, args.samples, args.seed, args.step)
     est = slope(series)
-    k_max, _, min_ricci = model.extremal_curvatures(args.samples, args.seed)
-    if k_max > 0:
-        bound = curvature_entropy_bound(model.dim, k_max, min_ricci)
-        bound_name = "theorem_b"
-    else:
-        bound = nonpositive_entropy_bound(model.dim, min_ricci)
-        bound_name = "nonpositive"
+    k_max, k_min, min_ricci = model.extremal_curvatures(args.samples, args.seed)
+    bound_name = "theorem_b" if k_max > 0 else "nonpositive"
+    bound = closed_form_bounds(model.dim, k_max, k_min, min_ricci)[bound_name]
     satisfied = est.slope <= bound + SLOPE_TOLERANCE
     series_body, csv_lines = series.to_report()
     body = {
@@ -248,10 +236,10 @@ def main(argv=None):
             lines = text + [f"wall clock: {report['timing']['wall_clock_s']:.2f}s"]
         sys.stdout.write(_joined(lines))
         return code
-    except (ValueError, ProfileValidationError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (EstimatorError, GeoflowError, FloatingPointError) as exc:
+    except (GeoflowError, FloatingPointError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
 

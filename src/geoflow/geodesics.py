@@ -167,11 +167,11 @@ def _rk4_step(rhs, at, Y, h, stages):
 
 def _checked_grid(t_grid, step):
     """The time grid as a float array, after checking it and the step."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be finite and positive")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(t_grid < 0.0) or np.any(np.diff(t_grid) <= 0.0):
-        raise ValueError("t_grid must be non-negative and strictly increasing")
+    if not np.isfinite(t_grid).all() or np.any(t_grid < 0.0) or np.any(np.diff(t_grid) <= 0.0):
+        raise ValueError("t_grid must be finite, non-negative and strictly increasing")
     return t_grid
 
 
@@ -224,13 +224,13 @@ def _march(t_grid, step, Y, Phi, advance, fail, after_step=None, accumulate_radi
     return phi_rec, radial
 
 
-def _switch_charts(model, chart_ids, Y, failed, jacobi):
-    """Move the rows below the switch margin, other than the ``failed``
-    ones, to their ``ManifoldModel.best_chart``, in place.  Returns whether
-    any chart id changed, and the rows left in their chart below
-    MARGIN_FLOOR: they have run out of charts."""
-    X, W, _ = _unpack(Y, model.dim, jacobi)
-    margins = model.chart(chart_ids).margin(X)
+def _switch_charts(model, chart, chart_ids, X, W, failed):
+    """Move the rows of X and W below the switch margin of ``chart`` (row i
+    in chart ``chart_ids[i]``), other than the ``failed`` ones, to their
+    ``ManifoldModel.best_chart``, in place.  Returns whether any chart id
+    changed, and the rows left in their chart below MARGIN_FLOOR: they have
+    run out of charts."""
+    margins = chart.margin(X)
     margins[failed] = 1.0
     switched, out = False, []
     for i in np.nonzero(margins < SWITCH_MARGIN)[0]:
@@ -297,6 +297,8 @@ def propagate(
     n = model.dim
     k = n - 1
     chart_ids = np.array([s.chart_id for s in states], dtype=int)
+    # evaluates every row in its own chart; rebuilt when a chart id changes
+    chart = model.chart(chart_ids)
     Y = np.zeros((B, n + n * n + 4 * k * k if jacobi else 2 * n))
     X, W, Phi = _unpack(Y, n, jacobi)
     X[:] = [s.x for s in states]
@@ -305,7 +307,7 @@ def propagate(
         if frames0 is not None:
             W[:, 1:] = np.asarray(frames0, dtype=float).reshape(B, k, n)
         else:
-            W[:, 1:] = model.orthonormal_frame(X, W[:, 0], chart_ids)
+            W[:, 1:] = model.orthonormal_frame(X, W[:, 0], chart)
         Phi[:] = np.eye(2 * k)
     frames_init = W[:, 1:].copy()
 
@@ -317,8 +319,6 @@ def propagate(
     reach = model.charts[0].reach
     # a coarse step checks more often, so no row crosses a pole between checks
     check_every = max(1, min(CHECK_EVERY, math.floor(CHECK_ARCLENGTH / step)))
-    # evaluates every row in its own chart; rebuilt when a chart id changes
-    chart = model.chart(chart_ids)
 
     def fail(rows, why):
         nonlocal chart
@@ -343,7 +343,7 @@ def propagate(
 
     def check_charts():
         nonlocal chart
-        switched, out = _switch_charts(model, chart_ids, Y, reason != "", jacobi)
+        switched, out = _switch_charts(model, chart, chart_ids, X, W, reason != "")
         if switched:
             chart = model.chart(chart_ids)
         fail(out, "charts")

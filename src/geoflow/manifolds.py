@@ -40,26 +40,23 @@ class TangentState:
     x: np.ndarray
     v: np.ndarray
 
-    def copy(self):
-        return TangentState(self.chart_id, self.x.copy(), self.v.copy())
-
 
 @dataclass
 class CurvatureSpectrum:
-    """Eigen-decomposition of the Jacobi curvature operator at a tangent state.
+    """Eigen-decomposition of the Jacobi curvature operator at a tangent
+    state, or at each state of a batch.
 
-    ``eigenvalues`` are ascending; ``eigenvectors[i]`` is the chart-coordinate
-    vector of the i-th eigendirection, orthonormal under g(x) and orthogonal
-    to v.
+    ``eigenvalues`` (..., n-1) are ascending, and ``ricci`` (...) is their
+    sum; ``eigenvectors[..., i, :]`` is the chart-coordinate vector of the
+    i-th eigendirection, orthonormal under g(x) and orthogonal to v.
     """
 
-    theta: TangentState
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def ricci(self):
-        return float(np.sum(self.eigenvalues))
+        return np.sum(self.eigenvalues, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -301,15 +298,19 @@ class ManifoldModel:
         return out.reshape(form.shape[:-3] + form.shape[-2:])
 
     def curvature_operator(self, theta):
-        """Eigen-decomposition of the Jacobi operator at a unit tangent state."""
-        nrm = float(self.norm(theta.x, theta.v, theta.chart_id))
-        if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"tangent vector is not unit: |v|={nrm!r}")
-        frame = self.orthonormal_frame(theta.x, theta.v, theta.chart_id)
-        K = self.curvature_frame_matrix(theta.x, theta.v, frame, theta.chart_id)
-        w, V = np.linalg.eigh(K)
-        vecs = np.einsum("...ik,...im->...km", V, frame)
-        return CurvatureSpectrum(theta, w, vecs)
+        """Eigen-decomposition of the Jacobi operator at a unit tangent state,
+        or at a batch of them: ``theta.x`` and ``theta.v`` (..., n), with one
+        chart id or one per row.  Raises ValueError if a vector is not unit."""
+        chart = self.chart(theta.chart_id)
+        nrm = np.ravel(self.norm(theta.x, theta.v, chart))
+        worst = float(nrm[np.argmax(np.abs(nrm - 1.0))])
+        if abs(worst - 1.0) > 1e-8:
+            raise ValueError(f"tangent vector is not unit: |v|={worst!r}")
+        frame = self.orthonormal_frame(theta.x, theta.v, chart)
+        K = self.curvature_frame_matrix(theta.x, theta.v, frame, chart)
+        # a constant factor gives one (k, k) matrix for every row
+        w, V = np.linalg.eigh(np.broadcast_to(K, frame.shape[:-2] + K.shape[-2:]))
+        return CurvatureSpectrum(w, np.einsum("...ik,...im->...km", V, frame))
 
     # -- curvature extremes -----------------------------------------------------------
 

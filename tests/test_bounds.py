@@ -158,6 +158,27 @@ class TestExpansionDefect:
             out = bounds.expansion_defect_constants(model, thetas, deltas)
             assert out["constants"] == oracle, name
 
+    def test_constants_pinned(self, all_models):
+        # the constants of the per-state frame and spectrum the batched
+        # curvature operator replaced, as floats
+        want = {
+            "sphere": [0.0, 1.7763568394002505e-11, 7.105427357601002e-11],
+            "torus": [0.12499921876019116, 0.1249998046848333, 0.12499995118986362],
+            "hyperbolic": [0.501670841677182, 0.5008343760604106, 0.5004169271671799],
+            "ellipsoid": [0.06580356883389982, 0.06588691867648322, 0.06592844165709266],
+            "sphereprod": [0.2491163279372266, 0.2485010912867125, 0.24819345373572332],
+            "chart-metric": [0.1504298641630264, 0.15040161830626175, 0.1503885987119702],
+        }
+        for name, model in all_models.items():
+            thetas = model.sample_sphere_bundle(3, seed=17)
+            assert bounds.expansion_defect_constants(model, thetas)["constants"] == want[name], name
+
+    def test_rejects_a_vector_that_is_not_unit(self, elli):
+        thetas = elli.sample_sphere_bundle(3, seed=17)
+        thetas[1].v = 2.0 * thetas[1].v
+        with pytest.raises(ValueError, match="not unit"):
+            bounds.expansion_defect_constants(elli, thetas)
+
     def test_failed_state_raises(self, elli):
         # two copies of one ellipsoid chart: the state heading into its pole
         # runs out of charts while the other state of the batch integrates
@@ -221,6 +242,22 @@ class TestClosedFormBounds:
         r_min = -frac * (n - 1) * k
         assert bounds.curvature_entropy_bound(n, k, r_min) <= \
             bounds.manning_entropy_bound(n, k) + 1e-12
+
+    def test_table_leaves_out_what_does_not_apply(self):
+        # the bounds geoflow bound reports, in its order, None where a bound
+        # needs a curvature sign the model does not have
+        g2, g4 = bounds.grossman_counting_rate(2), bounds.grossman_counting_rate(4)
+        cases = {
+            "sphere:n=2": (0.0, 1.0, g2, None),
+            "torus:n=2": (None, None, g2, 0.0),
+            "hyperbolic:n=2,c=4.0": (None, 2.0, g2, 2.0),
+            "sphereprod:p=2,q=2": (1.0, 3.0, g4, None),
+        }
+        for spec, want in cases.items():
+            model = manifolds.parse_manifold(spec)
+            table = bounds.closed_form_bounds(model.dim, *model.extremal_curvatures())
+            assert list(table) == ["theorem_b", "manning", "grossman", "nonpositive"]
+            assert tuple(table.values()) == want, spec
 
     def test_grossman_values(self):
         assert abs(bounds.grossman_counting_rate(2) - 0.8103) < 5e-5

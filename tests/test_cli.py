@@ -253,6 +253,12 @@ _PROFILE = '{"n": 4, "betti": [1, 0, 2, 0, 1], '
      "tau"),
     (["certify", "--profile", _PROFILE + '"chi": 4, "tau": 0.5}'], "tau"),
     (["certify", "--profile", _PROFILE + '"chi": 4.0, "tau": 0}'], "chi"),
+    # non-finite times are rejected before a step is taken
+    (["count", "ellipsoid", "--step", "inf", "--t-max", "1", "--samples", "4"], "step"),
+    (["count", "sphere:n=2", "--step", "nan", "--t-max", "1", "--samples", "4"], "step"),
+    (["estimate", "sphere:n=2", "--step", "nan", "--t-max", "1"], "step"),
+    (["estimate", "sphere:n=2", "--t-max", "inf"], "t-max"),
+    (["count", "sphere:n=2", "--t-max", "inf", "--samples", "4"], "t-max"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, key, capsys):
     # exit 2, nothing on stdout, one error line naming the bad input

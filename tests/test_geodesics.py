@@ -175,6 +175,15 @@ class TestGeodesicIntegration:
             geodesics.propagate(s2, theta, [1.0], step=0.0, jacobi=False)
         with pytest.raises(ValueError):
             geodesics.propagate(s2, theta, [-1.0], jacobi=False)
+        # an infinite step takes one RK4 step per grid interval, a nan step
+        # none, and an infinite grid time is never reached; both integrators
+        # share the check
+        for grid, step in [([1.0], np.inf), ([1.0], np.nan), ([1.0, np.inf], 1e-2),
+                           ([np.nan], 1e-2)]:
+            with pytest.raises(ValueError, match="finite"):
+                geodesics.propagate(s2, theta, grid, step=step)
+            with pytest.raises(ValueError, match="finite"):
+                geodesics.propagate_jacobi(s2, grid, step=step)
 
     def test_empty_batch_rejected(self, s2):
         with pytest.raises(ValueError, match="at least one"):
@@ -506,6 +515,23 @@ class TestKernelCalls:
         assert calls["rows"] == [8] * 128
         assert rows == [8] * (4 * 128)
         assert calls["christoffel"] == 0 and gauss_calls[0] == 0
+
+    def test_chart_checks_build_no_chart(self, elli, calls, monkeypatch):
+        # the checks read the margins of the chart the stages use: along the
+        # equator of chart 0, where no row switches, the per-row chart is
+        # built once per run
+        built = []
+        per_row = charts.EllipsoidChart.per_row
+
+        def counting_per_row(chart, *args):
+            built.append(len(args[1]))
+            return per_row(chart, *args)
+
+        monkeypatch.setattr(charts.EllipsoidChart, "per_row", counting_per_row)
+        states = [elli.unit_tangent(np.array([np.pi / 2, 0.3]), [0.0, s]) for s in (1.0, -1.0)]
+        res = geodesics.propagate(elli, states, [1.0], step=1 / 64)
+        assert res.chart_ids.tolist() == [0, 0]
+        assert calls["switch"] == 11 and built == [2]
 
     def test_ellipsoid_solves_no_linear_system(self, elli, monkeypatch):
         # the Christoffel symbols come from a 2x2 adjugate; the states stay

@@ -341,6 +341,32 @@ class TestCurvature:
                 K = model.curvature_frame_matrix(stt.x, stt.v, frame, stt.chart_id)
                 assert np.isclose(np.trace(K), spec.ricci, atol=1e-10), name
 
+    def test_batch_matches_single_states(self, elli, s2xs2, wavy, s4):
+        # one call on a batch, its rows in the charts of the largest margin,
+        # gives each row's single-state spectrum bit for bit; the constant
+        # Jacobi matrix of the 4-sphere is one for every row
+        for model in (elli, s2xs2, wavy, s4):
+            states = []
+            for s in model.sample_sphere_bundle(16, seed=6):
+                cid, _, x, v = model.best_chart(0, s.x, s.v)
+                states.append(model.unit_tangent(x, v, cid))
+            ids = np.array([s.chart_id for s in states])
+            if model is elli:
+                assert set(ids.tolist()) == {0, 1}
+            batch = manifolds.TangentState(ids, np.stack([s.x for s in states]),
+                                           np.stack([s.v for s in states]))
+            spec = model.curvature_operator(batch)
+            assert spec.eigenvalues.shape == (16, model.dim - 1)
+            assert spec.eigenvectors.shape == (16, model.dim - 1, model.dim)
+            for i, stt in enumerate(states):
+                one = model.curvature_operator(stt)
+                np.testing.assert_array_equal(spec.eigenvalues[i], one.eigenvalues)
+                np.testing.assert_array_equal(spec.eigenvectors[i], one.eigenvectors)
+                assert spec.ricci[i] == one.ricci
+            batch.v[3] *= 1.5
+            with pytest.raises(ValueError, match="not unit"):
+                model.curvature_operator(batch)
+
     def test_ricci_examples(self, s4, torus2, s2xs2):
         assert np.isclose(s4.curvature_operator(s4.base_state()).ricci, 3.0, atol=1e-12)
         assert np.isclose(torus2.curvature_operator(torus2.base_state()).ricci, 0.0, atol=1e-15)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from geoflow import parse_manifold
+from geoflow import cli, closed_form_bounds, parse_manifold
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,6 +21,26 @@ def test_scripts_run(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr)
     for name in ("sw.json", "sw_mane.csv", "sw_count.csv"):
         assert (tmp_path / name).stat().st_size > 0, name
+    # the sweep checks its chain against the closed-form bound that applies
+    model = parse_manifold("sphere:n=2")
+    want = closed_form_bounds(model.dim, *model.extremal_curvatures())["theorem_b"]
+    assert json.loads((tmp_path / "sw.json").read_text())["closed_form_bound"] == want
+
+
+def test_bounds_table_prints_what_bound_reports(monkeypatch, capsys):
+    # each row holds the values geoflow bound reports for its spec, to the
+    # table's four decimals, and "-" where a bound does not apply
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    bounds_table = importlib.import_module("bounds_table")
+    bounds_table.main()
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == bounds_table.SPECS
+    keys = ("K_max", "K_min", "min_ricci", "theorem_b", "manning", "grossman", "nonpositive")
+    for spec, row in zip(bounds_table.SPECS, rows):
+        assert cli.main(["bound", spec, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)["bounds"]
+        want = ["-" if doc[key] is None else f"{doc[key]:.4f}" for key in keys]
+        assert row.split()[1:] == want, spec
 
 
 def test_report_digest_repeats(tmp_path):
