@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from geoflow import (closed_form_bounds, counting_series, mane_series,
-                     parse_manifold, slope)
+from geoflow import (checked_bound, counting_series, mane_series, parse_manifold,
+                     slope)
 
 
 def main(argv):
@@ -31,8 +31,7 @@ def main(argv):
     count_est = slope(count)
 
     k_max, k_min, min_ric = model.extremal_curvatures()
-    bound = closed_form_bounds(model.dim, k_max, k_min, min_ric)[
-        "theorem_b" if k_max > 0 else "nonpositive"]
+    _, bound = checked_bound(model.dim, k_max, k_min, min_ric)
 
     for name, series in (("mane", mane), ("count", count)):
         with open(f"{prefix}_{name}.csv", "w", newline="") as fh:

@@ -4,7 +4,7 @@ topological obstructions to Einstein metrics of non-negative curvature."""
 
 __version__ = "0.1.0"
 
-from .bounds import (closed_form_bounds, curvature_entropy_bound,
+from .bounds import (checked_bound, closed_form_bounds, curvature_entropy_bound,
                      expansion_defect_constants, first_order_expansion,
                      first_order_residual, grossman_counting_rate,
                      manning_entropy_bound, nonpositive_entropy_bound)

@@ -168,3 +168,10 @@ def closed_form_bounds(n, k_max, k_min, min_ricci):
         "grossman": grossman_counting_rate(n),
         "nonpositive": nonpositive_entropy_bound(n, min_ricci) if min_ricci <= 0 else None,
     }
+
+
+def checked_bound(n, k_max, k_min, min_ricci):
+    """(name, value) of the bound a growth rate is checked against:
+    ``theorem_b`` where k_max > 0, else ``nonpositive``."""
+    name = "theorem_b" if k_max > 0 else "nonpositive"
+    return name, closed_form_bounds(n, k_max, k_min, min_ricci)[name]

@@ -26,22 +26,23 @@ import numpy as np
 FD_STEP = 1e-4
 
 
+def _sine_products(angles):
+    """sin t, cos t and the prefix products P (..., d+1) of the angles
+    t (..., d): P_k = s_0 s_1 ... s_{k-1}, multiplied left to right, P_0 = 1."""
+    angles = np.asarray(angles, dtype=float)
+    s, c = np.sin(angles), np.cos(angles)
+    ones = np.ones(angles.shape[:-1] + (1,))
+    return s, c, np.multiply.accumulate(np.concatenate([ones, s], axis=-1), axis=-1)
+
+
 def sphere_embed(angles):
     """Map hyperspherical angles (..., d) to unit vectors (..., d+1).
 
     u_0 = cos t_0, u_k = sin t_0 .. sin t_{k-1} cos t_k, u_d = sin t_0 .. sin t_{d-1}.
     """
-    angles = np.asarray(angles, dtype=float)
-    d = angles.shape[-1]
-    s = np.sin(angles)
-    c = np.cos(angles)
-    out = np.empty(angles.shape[:-1] + (d + 1,))
-    prod = np.ones(angles.shape[:-1])
-    for k in range(d):
-        out[..., k] = prod * c[..., k]
-        prod = prod * s[..., k]
-    out[..., d] = prod
-    return out
+    _, c, u = _sine_products(angles)
+    u[..., :-1] *= c
+    return u
 
 
 def sphere_unembed(u):
@@ -51,6 +52,8 @@ def sphere_unembed(u):
     angles = np.empty(u.shape[:-1] + (d,))
     # tail norms give angles in [0, pi]; the last angle uses atan2 for full range
     tail = np.sqrt(np.cumsum(u[..., ::-1] ** 2, axis=-1))[..., ::-1]
+    # one arctan2 per angle: numpy's arctan2 over a whole (..., d-1) block
+    # does not round every entry as it does one column, and moves reports
     for k in range(d - 1):
         angles[..., k] = np.arctan2(tail[..., k + 1], u[..., k])
     last = np.arctan2(u[..., d], u[..., d - 1])
@@ -59,28 +62,20 @@ def sphere_unembed(u):
 
 
 def sphere_embed_jacobian(angles):
-    """Derivative of :func:`sphere_embed`, shape (..., d+1, d)."""
-    angles = np.asarray(angles, dtype=float)
-    d = angles.shape[-1]
-    s = np.sin(angles)
-    c = np.cos(angles)
-    J = np.zeros(angles.shape[:-1] + (d + 1, d))
-    for k in range(d + 1):
-        nsin = k if k < d else d  # u_k carries sine factors for j < nsin
-        for m in range(nsin):
-            term = np.ones(angles.shape[:-1])
-            for j in range(nsin):
-                if j != m:
-                    term = term * s[..., j]
-            term = term * c[..., m]
-            if k < d:
-                term = term * c[..., k]
-            J[..., k, m] = term
-        if k < d:
-            term = np.ones(angles.shape[:-1])
-            for j in range(k):
-                term = term * s[..., j]
-            J[..., k, k] = -term * s[..., k]
+    """Derivative of :func:`sphere_embed`, shape (..., d+1, d), [k, m] =
+    d u_k / d t_m, from the products of :func:`_sine_products`."""
+    s, c, P = _sine_products(angles)
+    d = s.shape[-1]
+    J = np.zeros(P.shape + (d,))
+    for m in range(d):
+        # below the diagonal, the sines before k but s_m, P_m s_{m+1} .. s_{k-1},
+        # times c_m, and times c_k for k < d; on it -P_m s_m = -P_{m+1}
+        col = np.multiply.accumulate(np.concatenate([P[..., m:m + 1], s[..., m + 1:]], axis=-1),
+                                     axis=-1)
+        col *= c[..., m:m + 1]
+        col[..., :-1] *= c[..., m + 1:]
+        J[..., m + 1:, m] = col
+        J[..., m, m] = -P[..., m + 1]
     return J
 
 
@@ -138,15 +133,11 @@ class DiagonalChart(Chart):
     otherwise.  Where L is the same at every point (the horospherical and
     flat-torus charts) it is one read-only row (n-1,), which broadcasts over
     the batch.  The metric and the Christoffel symbols both follow from d and
-    J; :class:`ProductChart` supplies d and J itself.  The metric reads d
-    alone, from :meth:`metric_diagonal`; the Christoffel symbols are
-    :func:`diagonal_christoffel` of :meth:`diagonal`, which a caller holding
-    d and P (a sphere-product RK4 stage) calls without evaluating a warp.
+    J; :class:`ProductChart` supplies d and J itself.  Both read
+    :meth:`diagonal`: the metric its d, the Christoffel symbols
+    :func:`diagonal_christoffel` of d and P, which a caller holding d and P
+    (a sphere-product RK4 stage) calls without evaluating a warp.
     """
-
-    def metric_diagonal(self, x):
-        """d (..., n)."""
-        return np.multiply.accumulate(self.warps(np.asarray(x, dtype=float))[0], axis=-1)
 
     def diagonal(self, x):
         """d (..., n) and P (..., n-1, n), P[m, k] = L_m d_k: J where m < k;
@@ -156,7 +147,7 @@ class DiagonalChart(Chart):
         return d, L[..., :, None] * d[..., None, :]
 
     def metric(self, x):
-        return self.metric_diagonal(x)[..., None] * np.eye(self.dim)
+        return self.diagonal(x)[0][..., None] * np.eye(self.dim)
 
     def christoffel(self, x):
         return diagonal_christoffel(*self.diagonal(x))
@@ -388,11 +379,6 @@ class ProductChart(DiagonalChart):
         P[..., : self.split - 1, : self.split] = P1
         P[..., self.split:, self.split:] = P2
         return np.concatenate([d1, d2], axis=-1), P
-
-    def metric_diagonal(self, x):
-        a, b = self._halves(x)
-        return np.concatenate([self.first.metric_diagonal(a), self.second.metric_diagonal(b)],
-                              axis=-1)
 
     def margin(self, x):
         a, b = self._halves(x)

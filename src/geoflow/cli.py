@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import closed_form_bounds
+from .bounds import checked_bound, closed_form_bounds
 from .entropy import (counting_series, mane_series, slope,
                       sphere_counting_oracle)
 from .errors import GeoflowError
@@ -71,8 +71,7 @@ def cmd_estimate(args):
     series = mane_series(model, grid, args.samples, args.seed, args.step)
     est = slope(series)
     k_max, k_min, min_ricci = model.extremal_curvatures(args.samples, args.seed)
-    bound_name = "theorem_b" if k_max > 0 else "nonpositive"
-    bound = closed_form_bounds(model.dim, k_max, k_min, min_ricci)[bound_name]
+    bound_name, bound = checked_bound(model.dim, k_max, k_min, min_ricci)
     satisfied = est.slope <= bound + SLOPE_TOLERANCE
     series_body, csv_lines = series.to_report()
     body = {
@@ -186,7 +185,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         if integrates:
             p.add_argument("--t-max", dest="t_max", type=float, default=10.0)
-            p.add_argument("--step", type=float, default=1e-3)
+            p.add_argument("--step", type=float, default=1e-3,
+                           help="largest RK4 step, cut onto each grid time")
 
     p = sub.add_parser("bound", help="curvature extremes and entropy bounds")
     manifold(p, cmd_bound, integrates=False)

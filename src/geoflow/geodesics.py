@@ -279,16 +279,19 @@ def propagate(
 
     ``states`` is a list of :class:`TangentState` (or a single one).  The grid
     must be non-negative and strictly increasing; a grid point at 0 takes no
-    step, so ``phi`` there is the identity.  ``phi[g, b]`` is the fundamental
-    solution of row b on [0, t_grid[g]], from the frame ``frames0[b]`` to the
-    transported one (``frames[b]`` at the last grid time).  A row that runs
-    out of charts, leaves its chart's reach (``Chart.reach``, checked with
-    the chart margins) or turns non-finite fails once: it is logged, its
-    reason goes to ``reason`` and its chart id, x and v to ``lost``, and it
-    is parked at the base state.  :class:`IntegrationError` is raised only
-    when every row fails.  Identical inputs produce bit-identical outputs.
+    step, so ``phi`` there is the identity; ``step`` is the largest RK4 step,
+    cut onto each grid time.  ``phi[g, b]`` is the fundamental solution of
+    row b on [0, t_grid[g]], from the frame ``frames0[b]`` to the transported
+    one (``frames[b]`` at the last grid time).  A row that runs out of
+    charts, leaves its chart's reach (``Chart.reach``, checked with the chart
+    margins) or turns non-finite fails once: it is logged, its reason goes
+    to ``reason`` and its chart id, x and v to ``lost``, and it is parked at
+    the base state.  :class:`IntegrationError` is raised only when every row
+    fails.  Identical inputs produce bit-identical outputs.
     """
     t_grid = _checked_grid(t_grid, step)
+    if accumulate_radial and not jacobi:
+        raise ValueError("accumulate_radial needs the Jacobi system")
     if isinstance(states, TangentState):
         states = [states]
     B = len(states)

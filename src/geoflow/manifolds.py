@@ -63,20 +63,23 @@ class CurvatureSpectrum:
 class CurvatureFactor:
     """One factor of a model's closed-form curvature.
 
-    ``coords`` selects the factor's chart coordinates and ``dim`` is its
-    dimension.  Every plane tangent to the factor at chart point x has
-    sectional curvature ``curvature(chart, x)``; planes spanned by vectors of
-    two different factors are flat.  ``k_min`` and ``k_max`` are the closed-form
+    ``coords`` selects the factor's ``dim`` chart coordinates.  Every plane
+    tangent to the factor at chart point x has sectional curvature
+    ``curvature(chart, x)``; planes spanned by vectors of two different
+    factors are flat.  ``k_min`` and ``k_max`` are the closed-form
     extremes of ``curvature`` over the factor.  A constant factor has no
     ``function``: its curvature is the number k_min = k_max, and the model's
     Jacobi matrices are built from that number once, not in every stage.
     """
 
     coords: slice
-    dim: int
     k_min: float
     k_max: float
     function: Callable | None = None
+
+    @property
+    def dim(self):
+        return self.coords.stop - self.coords.start
 
     @property
     def constant(self):
@@ -140,12 +143,18 @@ class ManifoldModel:
     dim: int
     charts: list
     params: dict = field(default_factory=dict)
+    # parse_manifold reads it back to params; "kind:key=value,..." by default
     spec_string: str = ""
     # closed-form curvature, one entry per factor; empty when it comes from
     # the metric jet (charts.metric_jet)
     factors: tuple = ()
     # chart-0 coordinates of a generic base point
     base_x: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not self.spec_string:
+            pairs = [f"{key}={value}" for key, value in self.params.items()]
+            self.spec_string = f"{self.kind}:" + ",".join(pairs)
 
     @property
     def homogeneous(self):
@@ -456,59 +465,53 @@ class ManifoldModel:
 # -- factories --------------------------------------------------------------------------
 
 
-def _perm_rotation(m, shift):
-    """Orthogonal matrix cyclically shifting the m ambient coordinates."""
-    Q = np.zeros((m, m))
-    for i in range(m):
-        Q[(i + shift) % m, i] = 1.0
-    return Q
+def _sphere_charts(n, radius):
+    """The n + 1 charts of S^n(radius), the pole frame of chart s shifted
+    cyclically by s; together they cover every hyperspherical singularity."""
+    m = n + 1
+    # Q[i] = e_{(i - s) % m}: rows m - s .. 2m - s - 1 of two stacked identities;
+    # np.roll(np.eye(m), s, axis=0) is the same, but adds a sixth to `bound sphere:n=5`
+    twice = np.concatenate([np.eye(m)] * 2)
+    return [_charts.SphereChart(n, radius, twice[m - s:2 * m - s]) for s in range(m)]
 
 
 def sphere(n=2, radius=1.0):
     if n < 2:
         raise ValueError("sphere dimension must be >= 2")
-    # cyclic-permutation pole frames cover every hyperspherical singularity
-    chs = [_charts.SphereChart(n, radius, _perm_rotation(n + 1, s)) for s in range(n + 1)]
-    model = ManifoldModel(
+    return ManifoldModel(
         kind="sphere",
         dim=n,
-        charts=chs,
+        charts=_sphere_charts(n, radius),
         params={"n": n, "r": radius},
-        spec_string=f"sphere:n={n},r={radius}",
-        factors=(CurvatureFactor(slice(0, n), n, 1.0 / radius**2, 1.0 / radius**2),),
+        factors=(CurvatureFactor(slice(0, n), 1.0 / radius**2, 1.0 / radius**2),),
         base_x=np.array([np.pi / 2] * (n - 1) + [0.0]),
     )
-    return model
 
 
 def flat_torus(n=2, period=_TWO_PI):
     periods = np.full(n, float(period))
-    model = ManifoldModel(
+    return ManifoldModel(
         kind="torus",
         dim=n,
         charts=[_charts.FlatTorusChart(periods)],
         params={"n": n, "l": float(period)},
-        spec_string=f"torus:n={n}",
-        factors=(CurvatureFactor(slice(0, n), n, 0.0, 0.0),),
+        factors=(CurvatureFactor(slice(0, n), 0.0, 0.0),),
         base_x=np.zeros(n),
     )
-    return model
 
 
 def hyperbolic(n=2, c=1.0):
     if c <= 0:
         raise ValueError("curvature scale c must be positive (curvature is -c)")
-    model = ManifoldModel(
+    return ManifoldModel(
         kind="hyperbolic",
         dim=n,
         # one global horospherical chart: nothing to switch
         charts=[_charts.HyperbolicChart(n, c)],
         params={"n": n, "c": c},
-        spec_string=f"hyperbolic:n={n},c={c}",
-        factors=(CurvatureFactor(slice(0, n), n, -c, -c),),
+        factors=(CurvatureFactor(slice(0, n), -c, -c),),
         base_x=np.zeros(n),
     )
-    return model
 
 
 def ellipsoid(a=1.0, b=1.0, c=2.0):
@@ -518,40 +521,35 @@ def ellipsoid(a=1.0, b=1.0, c=2.0):
         _charts.EllipsoidChart([a, b, c], axes=(0, 1, 2)),
         _charts.EllipsoidChart([a, b, c], axes=(1, 2, 0)),
     ]
-    model = ManifoldModel(
+    return ManifoldModel(
         kind="ellipsoid",
         dim=2,
         charts=chs,
         params={"a": a, "b": b, "c": c},
-        spec_string=f"ellipsoid:a={a},b={b},c={c}",
         # Gauss curvature, extreme at the ends of the longest and shortest axes
         # (not constant even on a round ellipsoid, whose k_min = k_max)
-        factors=(CurvatureFactor(slice(0, 2), 2, min(sa, sb, sc) ** 4 / abc2,
+        factors=(CurvatureFactor(slice(0, 2), min(sa, sb, sc) ** 4 / abc2,
                                  max(sa, sb, sc) ** 4 / abc2, _charts.EllipsoidChart.gauss),),
         base_x=np.array([np.pi / 2, 0.3]),
     )
-    return model
 
 
 def sphere_product(p=2, q=2, r1=1.0, r2=1.0):
     if p < 2 or q < 2:
         raise ValueError("factor dimensions must be >= 2")
-    f1 = [_charts.SphereChart(p, r1, _perm_rotation(p + 1, s)) for s in range(p + 1)]
-    f2 = [_charts.SphereChart(q, r2, _perm_rotation(q + 1, s)) for s in range(q + 1)]
+    f1, f2 = _sphere_charts(p, r1), _sphere_charts(q, r2)
     chs = [_charts.ProductChart(c1, c2) for c1 in f1 for c2 in f2]
-    model = ManifoldModel(
+    return ManifoldModel(
         kind="sphereprod",
         dim=p + q,
         charts=chs,
         params={"p": p, "q": q, "r1": r1, "r2": r2},
-        spec_string=f"sphereprod:p={p},q={q},r1={r1},r2={r2}",
-        factors=(CurvatureFactor(slice(0, p), p, 1.0 / r1**2, 1.0 / r1**2),
-                 CurvatureFactor(slice(p, p + q), q, 1.0 / r2**2, 1.0 / r2**2)),
+        factors=(CurvatureFactor(slice(0, p), 1.0 / r1**2, 1.0 / r1**2),
+                 CurvatureFactor(slice(p, p + q), 1.0 / r2**2, 1.0 / r2**2)),
         base_x=np.array(
             [np.pi / 2] * (p - 1) + [0.0] + [np.pi / 2] * (q - 1) + [0.0]
         ),
     )
-    return model
 
 
 def chart_metric(func, dim, domain=None, name="chart-metric"):

@@ -259,6 +259,17 @@ class TestClosedFormBounds:
             assert list(table) == ["theorem_b", "manning", "grossman", "nonpositive"]
             assert tuple(table.values()) == want, spec
 
+    @pytest.mark.parametrize("k_max, k_min, name", [(1.0, 0.0, "theorem_b"),
+                                                   (0.0, 0.0, "nonpositive"),
+                                                   (-1.0, -4.0, "nonpositive")])
+    def test_checked_bound(self, k_max, k_min, name):
+        # an estimate is checked against Theorem B where k_max > 0, else
+        # against the non-positive bound
+        min_ricci = 2 * k_min
+        want = bounds.closed_form_bounds(3, k_max, k_min, min_ricci)[name]
+        assert want is not None
+        assert bounds.checked_bound(3, k_max, k_min, min_ricci) == (name, want)
+
     def test_grossman_values(self):
         assert abs(bounds.grossman_counting_rate(2) - 0.8103) < 5e-5
         assert abs(bounds.grossman_counting_rate(4) - 3 * 0.8103) < 1e-3

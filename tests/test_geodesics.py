@@ -184,6 +184,22 @@ class TestGeodesicIntegration:
                 geodesics.propagate(s2, theta, grid, step=step)
             with pytest.raises(ValueError, match="finite"):
                 geodesics.propagate_jacobi(s2, grid, step=step)
+        # the radial integral reads Phi, which only the Jacobi system carries
+        with pytest.raises(ValueError, match="Jacobi"):
+            geodesics.propagate(s2, theta, [0.5], jacobi=False, accumulate_radial=True)
+
+    def test_step_is_the_largest_step(self, s2, monkeypatch):
+        # a step longer than the grid spacing is cut onto each grid time
+        widths = []
+        rk4_step = geodesics._rk4_step
+
+        def spy(rhs, at, Y, h, stages):
+            widths.append(h)
+            return rk4_step(rhs, at, Y, h, stages)
+
+        monkeypatch.setattr(geodesics, "_rk4_step", spy)
+        geodesics.propagate(s2, s2.base_state(), [0.5, 1.0], step=10.0)
+        assert widths == [0.5, 0.5]
 
     def test_empty_batch_rejected(self, s2):
         with pytest.raises(ValueError, match="at least one"):

@@ -37,6 +37,54 @@ def general_christoffel(chart, x):
     return charts._raised(chart.metric(x), d_metric(chart, x))
 
 
+def loop_sphere_embed(angles):
+    """Oracle: the hyperspherical embedding, one coordinate at a time."""
+    d = angles.shape[-1]
+    s, c = np.sin(angles), np.cos(angles)
+    out = np.empty(angles.shape[:-1] + (d + 1,))
+    prod = np.ones(angles.shape[:-1])
+    for k in range(d):
+        out[..., k] = prod * c[..., k]
+        prod = prod * s[..., k]
+    out[..., d] = prod
+    return out
+
+
+def loop_sphere_embed_jacobian(angles):
+    """Oracle: d u_k / d t_m of the embedding, one product of sines and
+    cosines per entry."""
+    d = angles.shape[-1]
+    s, c = np.sin(angles), np.cos(angles)
+    J = np.zeros(angles.shape[:-1] + (d + 1, d))
+    for k in range(d + 1):
+        for m in range(k if k < d else d):
+            term = np.ones(angles.shape[:-1])
+            for j in range(k if k < d else d):
+                if j != m:
+                    term = term * s[..., j]
+            term = term * c[..., m]
+            if k < d:
+                term = term * c[..., k]
+            J[..., k, m] = term
+        if k < d:
+            term = np.ones(angles.shape[:-1])
+            for j in range(k):
+                term = term * s[..., j]
+            J[..., k, k] = -term * s[..., k]
+    return J
+
+
+def warp_metric(chart, x):
+    """Oracle: the metric of a diagonal chart, its diagonal the running
+    product of the warps, each factor's on its own on a product chart."""
+    def diag(ch, y):
+        if isinstance(ch, charts.ProductChart):
+            return np.concatenate([diag(ch.first, y[..., :ch.split]),
+                                   diag(ch.second, y[..., ch.split:])], axis=-1)
+        return np.multiply.accumulate(ch.warps(y)[0], axis=-1)
+    return diag(chart, x)[..., None] * np.eye(chart.dim)
+
+
 def sectional(model, x, u, w, chart_id=0):
     """Oracle: the sectional curvature of the plane spanned by u, w at x,
     <R(u, w)w, u> over the Gram determinant of u, w.  The form comes from the
@@ -69,6 +117,17 @@ class TestMetric:
             # chart-0 coordinates of the degenerate ellipsoid are (polar, azimuth)
             # with the pole on the z axis, matching the sphere chart exactly
             assert np.allclose(round_e.chart(0).metric(x), s2.chart(0).metric(x), atol=1e-12)
+
+    def test_diagonal_charts_match_warp_oracle(self, s2, s4, h2, torus2, s2xs2):
+        # the metric reads d from diagonal, bit for bit the warps' product
+        for model in (s2, s4, h2, torus2, s2xs2):
+            rng = np.random.default_rng(model.dim)
+            for shape in [(), (7,), (3, 5)]:
+                X = model.base_x + rng.uniform(-1.0, 1.0, shape + (model.dim,))
+                for cid in range(len(model.charts)):
+                    chart = model.chart(cid)
+                    assert chart.metric(X).tobytes() == warp_metric(chart, X).tobytes(), \
+                        (model.spec_string, shape, cid)
 
     def test_spd_at_sampled_points(self, all_models):
         for name, model in all_models.items():
@@ -590,6 +649,23 @@ class TestParse:
         wavy = manifolds.chart_metric(lambda x: np.eye(2), 2)
         assert not wavy.isotropic and not wavy.homogeneous
 
+    def test_spec_string_rebuilds_the_params(self):
+        # every kind's spec string parses back to the model's parameters, a
+        # torus's period included
+        for spec in [*manifolds._SPECS, "torus:n=2,l=3.0", "sphere:n=3,r=0.5",
+                     "hyperbolic:n=3,c=4.0", "ellipsoid:a=1,b=1.5,c=2",
+                     "sphereprod:p=3,q=2,r1=1,r2=2"]:
+            model = manifolds.parse_manifold(spec)
+            again = manifolds.parse_manifold(model.spec_string)
+            assert again.kind == model.kind and again.params == model.params, spec
+        assert manifolds.parse_manifold("torus:n=2,l=3.0").spec_string == "torus:n=2,l=3.0"
+        flat = manifolds.chart_metric(lambda x: np.eye(2), 2, name="flat")
+        assert flat.spec_string == "chart-metric:flat"
+
+    def test_factor_dimension_is_its_coordinate_count(self, s2xs2):
+        assert manifolds.CurvatureFactor(slice(2, 5), 1.0, 1.0).dim == 3
+        assert [f.dim for f in s2xs2.factors] == [2, 2]
+
     def test_json_document(self):
         model = manifolds.parse_manifold('{"kind": "hyperbolic", "n": 2, "c": 4.0}')
         assert model.kind == "hyperbolic" and model.params["c"] == 4.0
@@ -641,6 +717,39 @@ class TestChartTransitions:
         cid, m, y, w = model.best_chart(0, x, vecs)
         assert cid == 0 and m == float(model.chart(0).margin(x))
         assert y.tobytes() == x.tobytes() and w.tobytes() == vecs.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_embedding_matches_loop_oracle(self, d):
+        # one table of sine products gives the embedding and its Jacobian,
+        # bit for bit and sign for sign the products of the loops
+        rng = np.random.default_rng(d)
+        for shape in [(d,), (5, d), (3, 4, d)]:
+            for _ in range(25):
+                t = rng.uniform(-4.0, 7.0, shape)
+                # exact zeros of the sines and cosines, of either sign
+                t.flat[rng.integers(t.size, size=2)] = rng.choice([0.0, -0.0, np.pi, np.pi / 2], 2)
+                for got, want in [(charts.sphere_embed(t), loop_sphere_embed(t)),
+                                  (charts.sphere_embed_jacobian(t), loop_sphere_embed_jacobian(t))]:
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                        np.signbit(want))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_sphere_charts_shift_the_pole_frame(self, n):
+        # chart s of S^n puts u_i on ambient axis (i + s) % (n + 1); the sphere
+        # and both factors of a sphere product take the same charts
+        m = n + 1
+        chs = manifolds._sphere_charts(n, 2.0)
+        assert len(chs) == m
+        for s, ch in enumerate(chs):
+            want = np.zeros((m, m))
+            want[(np.arange(m) + s) % m, np.arange(m)] = 1.0
+            assert ch.radius == 2.0 and np.array_equal(ch.rotation, want)
+            assert np.array_equal(manifolds.sphere(n).chart(s).rotation, want)
+        s2 = manifolds._sphere_charts(2, 1.0)
+        for j, ch in enumerate(manifolds.sphere_product(n, 2).charts):
+            assert np.array_equal(ch.first.rotation, chs[j // 3].rotation)
+            assert np.array_equal(ch.second.rotation, s2[j % 3].rotation)
 
     def test_margin_flags_poles(self, s2):
         assert s2.chart(0).margin(np.array([0.01, 0.0])) < 0.1

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from geoflow import cli, closed_form_bounds, parse_manifold
+from geoflow import checked_bound, cli, parse_manifold
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,7 +23,7 @@ def test_scripts_run(tmp_path):
         assert (tmp_path / name).stat().st_size > 0, name
     # the sweep checks its chain against the closed-form bound that applies
     model = parse_manifold("sphere:n=2")
-    want = closed_form_bounds(model.dim, *model.extremal_curvatures())["theorem_b"]
+    want = checked_bound(model.dim, *model.extremal_curvatures())[1]
     assert json.loads((tmp_path / "sw.json").read_text())["closed_form_bound"] == want
 
 
