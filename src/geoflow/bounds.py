@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DeltaTooLargeError, IntegrationError
 from .geodesics import expansion, propagate
-from .manifolds import TangentState
+from .manifolds import as_batch
 
 
 def generator_matrix(K):
@@ -92,13 +92,13 @@ def expansion_defect_constants(model, thetas, deltas=(1e-2, 5e-3, 2.5e-3)):
 
     Returns per-delta constants (max over the states) plus a flag when the
     constant exceeds 100, which marks models where the quadratic remainder is
-    badly conditioned.  All states are integrated to each delta in one batch;
-    :class:`IntegrationError` is raised if any of them fails, with the failed
-    states' last states.  The first-order expansions of
+    badly conditioned.  The states, a batch or a list, are integrated to each
+    delta in one batch; :class:`IntegrationError` is raised if any of them
+    fails, with the failed states' last states.  The first-order expansions of
     :func:`first_order_expansion` come from one batched ``curvature_operator``.
     """
-    ids, x, v = (np.array([getattr(theta, a) for theta in thetas]) for a in ("chart_id", "x", "v"))
-    lam = model.curvature_operator(TangentState(ids, x, v)).eigenvalues
+    thetas = as_batch(thetas)
+    lam = model.curvature_operator(thetas).eigenvalues
     consts = []
     for delta in deltas:
         res = propagate(model, thetas, [delta], step=_jacobi_step(delta))

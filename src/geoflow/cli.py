@@ -110,7 +110,7 @@ def cmd_count(args):
         f"  integral at T={_fmt6(float(grid[-1]))}: {_fmt6(series.metadata['integrals'][-1])}",
         f"  growth slope {_fmt6(est.slope)} +- {_fmt6(est.halfwidth)} on "
         f"[{_fmt6(est.window[0])}, {_fmt6(est.window[1])}]",
-        f"  directions {args.samples} ({series.metadata['rule']}), "
+        f"  directions {series.metadata['directions']} ({series.metadata['rule']}), "
         f"{series.metadata['failed']} failed",
     ]
     if model.kind == "sphere" and model.dim == 2 and abs(model.params["r"] - 1.0) < 1e-12:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EstimatorError
 from .geodesics import expansion, propagate, propagate_jacobi
-from .manifolds import ManifoldModel
+from .manifolds import ManifoldModel, TangentState
 
 #: default slope window is the last two thirds of the grid
 WINDOW_FRACTION = 3.0
@@ -50,13 +50,13 @@ class GrowthSeries:
         """The report ``series`` dict and the CSV lines ``t,y,<column>``.
 
         The dict holds ``t`` and ``y`` as ``repr`` strings.  A counting series
-        adds its integrals (the CSV's ``integral`` column), rule and failed
-        count; an expansion series its standard errors as strings (the
-        ``stderr`` column) and its metadata."""
+        adds its integrals (the CSV's ``integral`` column), rule, number of
+        directions and failed count; an expansion series its standard errors
+        as strings (the ``stderr`` column) and its metadata."""
         t, y, meta = self.times.tolist(), self.values.tolist(), self.metadata
         if self.method == "counting-growth":
             name, column = "integral", meta["integrals"]
-            extra = {"integrals": column, "rule": meta["rule"], "failed": meta["failed"]}
+            extra = {"integrals": column, **{k: meta[k] for k in ("rule", "directions", "failed")}}
         else:
             name, column = "stderr", self.stderr.tolist()
             extra = {"stderr": [repr(s) for s in column], "metadata": meta}
@@ -76,48 +76,38 @@ class EntropyEstimate:
     seed: int
 
     def to_json_dict(self):
-        return {
-            "method": self.method,
-            "slope": self.slope,
-            "window": [self.window[0], self.window[1]],
-            "halfwidth": self.halfwidth,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return {**vars(self), "window": list(self.window)}
 
 
 def mane_series(model: ManifoldModel, t_grid, samples, seed=0, step=1e-3):
     """Log of the sphere-bundle average of the expansion of the linearized
     flow at each grid time.
 
-    Isotropic models (space forms) have a constant integrand and are evaluated
-    at a single state; homogeneous ones pin the position and average over
-    directions; everything else samples the whole unit sphere bundle.  The
-    unnormalized Liouville measure drops out of the growth rate, so the mean
-    is taken with respect to the sampling measure directly.
+    Homogeneous models pin the position at the base point and take the rows
+    of :func:`_directions_at` there (a space form's one row); ``mode`` is its
+    rule, or ``full-bundle`` where the whole unit sphere bundle is sampled.
+    The unnormalized Liouville measure drops out of the growth rate, so the
+    mean is taken with respect to the sampling measure directly.
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
         raise ValueError("grid times must be positive")
-    if model.isotropic:
-        states = [model.base_state()]
-        mode = "isotropic-single"
+    if model.homogeneous:
+        dirs, _, mode = _directions_at(model, model.base_x, samples, seed)
+        states = TangentState(0, np.broadcast_to(model.base_x, dirs.shape), dirs)
     else:
-        states = model.sample_sphere_bundle(samples, seed)
-        mode = "homogeneous-directions" if model.homogeneous else "full-bundle"
+        states, mode = model.sample_sphere_bundle(samples, seed), "full-bundle"
     res = propagate(model, states, t_grid, step=step)
     n_failed, ok = _census(res.failed, "trajectories")
     B = int(ok.sum())
     ex = expansion(res.phi[:, ok])
     mean = np.mean(ex, axis=1)
-    values = np.log(mean)
-    stderr = np.std(ex, axis=1) / math.sqrt(B) / mean
     return GrowthSeries(
         times=t_grid,
-        values=values,
-        stderr=stderr,
+        values=np.log(mean),
+        stderr=np.std(ex, axis=1) / math.sqrt(B) / mean,
         sample_count=samples,
         seed=seed,
         method="mane-integral",
@@ -185,35 +175,35 @@ def _unit_sphere_area(n):
 
 
 def _directions_at(model, x, count, seed):
-    """Directions on the g(x)-unit sphere, x a chart-0 point, and their weights.
-
-    Dimension two uses exact uniform angles; higher dimensions use seeded
-    uniform sampling (with a split-half convergence check downstream).
+    """The rows of both estimators at the chart-0 point x, picked by the
+    model's symmetry: g(x)-unit directions (B, n), their weights on the unit
+    sphere and the rule's name.  A space form looks alike in every
+    direction: one row, the base direction e_0, weighs |S^{n-1}|
+    (``isotropic-single``).  Otherwise dimension two takes ``count`` exact
+    uniform ``angles`` and higher dimensions ``count`` seeded uniform
+    directions (``monte-carlo``, with a split-half check downstream).
     """
     n = model.dim
-    if n == 2:
-        g = model.chart(0).metric(x)
-        b1 = np.zeros(n)
-        b1[0] = 1.0
-        b1 = b1 / math.sqrt(float(b1 @ g @ b1))
-        b2 = model.orthonormal_frame(x, b1)[0]
-        beta = 2.0 * math.pi * np.arange(count) / count
-        dirs = np.outer(np.cos(beta), b1) + np.outer(np.sin(beta), b2)
-        weights = np.full(count, 2.0 * math.pi / count)
-        return dirs, weights, "angles"
-    dirs = model.unit_directions(x, count, np.random.default_rng(seed))
-    weights = np.full(count, _unit_sphere_area(n) / count)
-    return dirs, weights, "monte-carlo"
+    if n > 2 and not model.isotropic:
+        dirs = model.unit_directions(x, count, np.random.default_rng(seed))
+        return dirs, np.full(count, _unit_sphere_area(n) / count), "monte-carlo"
+    b1 = model.unit_tangent(x, np.eye(n)[0]).v
+    if model.isotropic:
+        return b1[None], np.full(1, _unit_sphere_area(n)), "isotropic-single"
+    b2 = model.orthonormal_frame(x, b1)[0]
+    beta = 2.0 * math.pi * np.arange(count) / count
+    dirs = np.outer(np.cos(beta), b1) + np.outer(np.sin(beta), b2)
+    return model.unit_tangent(x, dirs).v, np.full(count, 2.0 * math.pi / count), "angles"
 
 
 def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0):
     """Ball-averaged arc count sum_dirs int_0^T |det A_v(rho)| drho dsigma(v)
-    around the chart-0 point x, along one radial propagation per direction.
+    around the chart-0 point x, along one radial propagation per row of the
+    direction rule :func:`_directions_at`.
 
-    On a space form the Jacobi matrix is the same kappa I along every
-    direction, so one run of the Jacobi system alone
-    (:func:`~geoflow.geodesics.propagate_jacobi`) gives the radial integral
-    every direction shares."""
+    On a space form the rule's one row is a run of the Jacobi system alone
+    (:func:`~geoflow.geodesics.propagate_jacobi`): its Jacobi matrix is the
+    same kappa I along every direction."""
     T_grid = np.asarray(T_grid, dtype=float)
     if np.any(T_grid <= 0.0):
         raise ValueError("grid times must be positive")
@@ -222,30 +212,23 @@ def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0):
     x = np.asarray(x, dtype=float)
     dirs, weights, rule = _directions_at(model, x, angular_samples, seed)
     if model.isotropic:
-        _, shared = propagate_jacobi(model, T_grid, step=step)
-        radial = np.repeat(shared[:, None], len(dirs), axis=1)
-        failed = np.zeros(len(dirs), dtype=bool)
+        radial = propagate_jacobi(model, T_grid, step=step)[1][:, None]
+        failed = np.zeros(1, dtype=bool)
     else:
-        states = [model.unit_tangent(x, d) for d in dirs]
-        res = propagate(model, states, T_grid, step=step, accumulate_radial=True)
+        res = propagate(model, TangentState(0, np.broadcast_to(x, dirs.shape), dirs), T_grid,
+                        step=step, accumulate_radial=True)
         radial, failed = res.radial, res.failed
     n_failed, ok = _census(failed, "directions")
-    w = weights[ok]
     radial = radial[:, ok]
-    totals = radial @ w
+    totals = radial @ weights[ok]
     if rule == "monte-carlo":
-        halves = np.array_split(np.arange(int(ok.sum())), 2)
-        a = radial[-1, halves[0]].mean()
-        b = radial[-1, halves[1]].mean()
-        if abs(a - b) > 0.02 * max(abs(a + b) / 2.0, 1e-300):
-            warnings.warn(
-                "direction sampling not converged: split halves differ by "
-                f"{abs(a - b) / max(abs(a + b) / 2.0, 1e-300):.1%}; increase angular_samples")
-        area = _unit_sphere_area(model.dim)
-        per_dir = radial[-1]
-        stderr_last = float(area * np.std(per_dir) / math.sqrt(per_dir.size))
-        rel = stderr_last / max(totals[-1], 1e-300)
-        stderr = np.full(len(T_grid), rel)
+        a, b = (radial[-1, h].mean() for h in np.array_split(np.arange(radial.shape[1]), 2))
+        gap = abs(a - b) / max(abs(a + b) / 2.0, 1e-300)
+        if gap > 0.02:
+            warnings.warn(f"direction sampling not converged: split halves differ by {gap:.1%}; "
+                          "increase angular_samples")
+        rel = float(_unit_sphere_area(model.dim) * np.std(radial[-1]) / math.sqrt(radial.shape[1]))
+        stderr = np.full(len(T_grid), rel / max(totals[-1], 1e-300))
     else:
         stderr = np.zeros(len(T_grid))
     if np.any(totals <= 0.0):
@@ -261,6 +244,7 @@ def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0):
             "model": model.spec_string,
             "step": step,
             "rule": rule,
+            "directions": len(dirs),
             "failed": n_failed,
             "integrals": [float(v) for v in totals],
         },

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .manifolds import (MARGIN_FLOOR, ManifoldModel, TangentState, _constant_jacobi, _g_inner,
+from .manifolds import (MARGIN_FLOOR, ManifoldModel, _constant_jacobi, _g_inner, as_batch,
                         gram_schmidt)
 
 log = logging.getLogger(__name__)
@@ -277,7 +277,8 @@ def propagate(
 ):
     """Advance a batch of unit tangent states, recording at the grid times.
 
-    ``states`` is a list of :class:`TangentState` (or a single one).  The grid
+    ``states`` is a :class:`TangentState`, one or a batch, or a list of
+    them, read through :func:`~geoflow.manifolds.as_batch`.  The grid
     must be non-negative and strictly increasing; a grid point at 0 takes no
     step, so ``phi`` there is the identity; ``step`` is the largest RK4 step,
     cut onto each grid time.  ``phi[g, b]`` is the fundamental solution of
@@ -292,20 +293,16 @@ def propagate(
     t_grid = _checked_grid(t_grid, step)
     if accumulate_radial and not jacobi:
         raise ValueError("accumulate_radial needs the Jacobi system")
-    if isinstance(states, TangentState):
-        states = [states]
-    B = len(states)
-    if B == 0:
-        raise ValueError("states must hold at least one tangent state")
-    n = model.dim
+    states = as_batch(states)
+    B, n = states.v.shape
     k = n - 1
-    chart_ids = np.array([s.chart_id for s in states], dtype=int)
+    chart_ids = states.chart_id
     # evaluates every row in its own chart; rebuilt when a chart id changes
     chart = model.chart(chart_ids)
     Y = np.zeros((B, n + n * n + 4 * k * k if jacobi else 2 * n))
     X, W, Phi = _unpack(Y, n, jacobi)
-    X[:] = [s.x for s in states]
-    W[:, 0] = [s.v for s in states]
+    X[:] = states.x
+    W[:, 0] = states.v
     if jacobi:
         if frames0 is not None:
             W[:, 1:] = np.asarray(frames0, dtype=float).reshape(B, k, n)

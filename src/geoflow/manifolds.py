@@ -34,11 +34,34 @@ MARGIN_FLOOR = 0.02
 
 @dataclass
 class TangentState:
-    """A point of the unit sphere bundle: chart id, chart point, unit vector."""
+    """A point of the unit sphere bundle: chart id, chart point, unit vector;
+    or a batch, ``x`` and ``v`` (B, n) with one chart id or one per row, whose
+    rows are states: ``len`` counts them and ``states[i]`` is row i."""
 
-    chart_id: int
+    chart_id: int | np.ndarray
     x: np.ndarray
     v: np.ndarray
+
+    def __len__(self):
+        return len(self.v) if np.ndim(self.v) == 2 else 1
+
+    def __getitem__(self, i):
+        if np.ndim(self.v) < 2:
+            raise TypeError("a single tangent state has no rows")
+        return TangentState(self.chart_id if np.ndim(self.chart_id) == 0 else self.chart_id[i],
+                            self.x[i], self.v[i])
+
+
+def as_batch(states):
+    """One batch of a state, a batch or a list of states: chart ids (B,),
+    x and v (B, n)."""
+    if not isinstance(states, TangentState):
+        if len(states) == 0:
+            raise ValueError("states must hold at least one tangent state")
+        states = TangentState(*(np.array([getattr(s, a) for s in states])
+                                for a in ("chart_id", "x", "v")))
+    x, v = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (states.x, states.v))
+    return TangentState(np.array(np.broadcast_to(states.chart_id, len(v)), dtype=int), x, v)
 
 
 @dataclass
@@ -186,20 +209,16 @@ class ManifoldModel:
 
     def unit_tangent(self, x, v, chart_id=0):
         """The TangentState of v rescaled to unit length at x in the chart."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
         nrm = self.norm(x, v, chart_id)
         if not np.all(nrm > 0.0):
             raise ValueError("cannot normalize a zero tangent vector")
-        return TangentState(chart_id, x, v / nrm)
+        return TangentState(chart_id, x, v / np.asarray(nrm)[..., None])
 
     def base_state(self, direction=None):
-        """A deterministic unit tangent state at the model base point."""
-        x = self.base_x.copy()
-        if direction is None:
-            direction = np.zeros(self.dim)
-            direction[0] = 1.0
-        return self.unit_tangent(x, direction, 0)
+        """The unit tangent state of ``direction`` (e_0 by default) at the base point."""
+        return self.unit_tangent(self.base_x.copy(), np.eye(self.dim)[0] if direction is None
+                                 else direction)
 
     # -- frames ---------------------------------------------------------------------
 
@@ -359,8 +378,7 @@ class ManifoldModel:
 
     def _sampled_extremes(self, sample_count, seed):
         states = self.sample_sphere_bundle(10 * sample_count, seed)
-        X = np.stack([s.x for s in states])
-        V = np.stack([s.v for s in states])
+        X, V = states.x, states.v
         # one row per maximized objective, its weights on the spectrum: the
         # top eigenvalue, minus the bottom one and minus the trace (Ricci)
         n, top = self.dim, max(1, len(states) // 100)
@@ -399,7 +417,7 @@ class ManifoldModel:
     # -- sampling ---------------------------------------------------------------------
 
     def sample_sphere_bundle(self, count, seed=0):
-        """Seeded sample of unit tangent states.
+        """Seeded sample of ``count`` unit tangent states, as one batch in chart 0.
 
         Positions follow the Riemannian volume density sqrt(det g) over chart 0
         (pinned at the base point for homogeneous models); directions are
@@ -412,8 +430,7 @@ class ManifoldModel:
             X = np.tile(self.base_x, (count, 1))
         else:
             X = self._rejection_positions(count, rng)
-        V = self.unit_directions(X, count, rng)
-        return [TangentState(0, X[i], V[i]) for i in range(count)]
+        return TangentState(0, X, self.unit_directions(X, count, rng))
 
     def unit_directions(self, x, count, rng):
         """``count`` seeded directions uniform on the g(x)-unit sphere, (count, n);

@@ -12,13 +12,13 @@ established by the supplied data.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import ProfileValidationError
@@ -381,13 +381,14 @@ def dim4_gauss_bonnet_checks(chi, tau):
 
 def gromov_log10_c(n):
     """log10 of the universal Betti-sum constant ((n+1) 2^{M})^{100^n} with
-    M = 8^n 10^{n^2 + 4n}; the inner exponent is computed exactly."""
+    M = 8^n 10^{n^2 + 4n}; the inner exponent is computed exactly, the rest
+    in 50-digit decimal arithmetic (``inf`` past double range)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     M = 8**n * 10 ** (n * n + 4 * n)
-    with mpmath.workdps(50):
-        val = mpmath.mpf(100) ** n * (mpmath.log10(n + 1) + mpmath.mpf(M) * mpmath.log10(2))
-        return float(val)
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=50, Emax=10**8)):
+        return float(D(100) ** n * (D(n + 1).log10() + D(M) * D(2).log10()))
 
 
 def homology_dim_from_entropy(n, delta, h):

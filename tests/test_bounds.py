@@ -175,7 +175,7 @@ class TestExpansionDefect:
 
     def test_rejects_a_vector_that_is_not_unit(self, elli):
         thetas = elli.sample_sphere_bundle(3, seed=17)
-        thetas[1].v = 2.0 * thetas[1].v
+        thetas.v[1] *= 2.0
         with pytest.raises(ValueError, match="not unit"):
             bounds.expansion_defect_constants(elli, thetas)
 

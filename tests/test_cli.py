@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +192,22 @@ class TestGromov:
         row2 = doc["table"][0]
         assert row2["n"] == 2
         assert row2["log10_universal_constant"] == pytest.approx(1.9265919722e17, rel=1e-9)
+
+    def test_runs_without_mpmath(self, capsys):
+        # mpmath is a test oracle only: with it unimportable the package
+        # imports and gromov prints the same table
+        assert run(["gromov", "--format", "json"]) == 0
+        want = json.loads(capsys.readouterr().out)["table"]
+        code = ("import sys\n"
+                "sys.modules['mpmath'] = None\n"
+                "import geoflow\n"
+                "from geoflow import cli\n"
+                "sys.exit(cli.main(['gromov', '--format', 'json']))\n")
+        env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["table"] == want
 
     def test_text_mentions_comparison(self, capsys):
         assert run(["gromov", "--n-max", "5"]) == 0

@@ -230,19 +230,58 @@ def test_space_form_count_steps_one_row(monkeypatch, s2):
     assert rows == [1] * 64
 
 
-@pytest.mark.filterwarnings("ignore:direction sampling not converged")
 def test_space_form_count_matches_propagate(monkeypatch):
-    # bitwise, with re-orthonormalization out of propagate's reach: the one
-    # Jacobi row weighs in for every Monte Carlo direction of S^3
+    # bitwise, with re-orthonormalization out of propagate's reach: the
+    # rule's one row of S^3, propagated as a geodesic, is the count
     monkeypatch.setattr(geodesics, "ORTHO_EVERY", 10**9)
     s3, grid = manifolds.sphere(3), [0.5, 1.0, 1.5]
     dirs, weights, rule = entropy._directions_at(s3, s3.base_x, 16, 5)
-    assert rule == "monte-carlo"
-    res = geodesics.propagate(s3, [s3.unit_tangent(s3.base_x, d) for d in dirs], grid,
+    assert (rule, len(dirs)) == ("isotropic-single", 1)
+    res = geodesics.propagate(s3, manifolds.TangentState(0, s3.base_x[None], dirs), grid,
                               step=1e-2, accumulate_radial=True)
     series = entropy.counting_series(s3, s3.base_x, grid, angular_samples=16, step=1e-2,
                                      seed=5)
     np.testing.assert_array_equal(series.metadata["integrals"], res.radial @ weights)
+
+
+@pytest.mark.parametrize("spec", ["sphere:n=2", "sphere:n=3", "hyperbolic:n=3", "torus:n=2"])
+def test_space_form_count_is_one_row(spec):
+    # bitwise: one Jacobi row times |S^{n-1}|, whatever the direction count
+    # and the seed
+    model, grid = manifolds.parse_manifold(spec), [0.5, 1.0, 1.5]
+    _, radial = geodesics.propagate_jacobi(model, grid, step=1 / 64)
+    want = (radial * entropy._unit_sphere_area(model.dim)).tolist()
+    for samples, seed in ((2, 0), (16, 5), (48, 123)):
+        meta = entropy.counting_series(model, model.base_x, grid, angular_samples=samples,
+                                       step=1 / 64, seed=seed).metadata
+        assert meta["integrals"] == want, (samples, seed)
+        assert (meta["rule"], meta["directions"]) == ("isotropic-single", 1)
+
+
+@pytest.mark.filterwarnings("ignore:direction sampling not converged")
+@pytest.mark.parametrize("q", [2, 3])
+def test_product_rows_are_the_sampled_bundle(q, monkeypatch):
+    # bitwise: on S^2 x S^q both estimators integrate the rows of
+    # sample_sphere_bundle, which the benchmark's closed-form reference reads
+    model, grid = manifolds.sphere_product(2, q), [0.1, 0.2]
+    seen = []
+    propagate = geodesics.propagate
+
+    def spy(model, states, *args, **kwargs):
+        seen.append(manifolds.as_batch(states))
+        return propagate(model, states, *args, **kwargs)
+
+    monkeypatch.setattr(entropy, "propagate", spy)
+    mane = entropy.mane_series(model, grid, 100, seed=3, step=5e-2)
+    count = entropy.counting_series(model, model.base_x, grid, angular_samples=100,
+                                    step=5e-2, seed=3)
+    assert (mane.metadata["mode"], count.metadata["rule"]) == ("monte-carlo", "monte-carlo")
+    assert count.metadata["directions"] == 100
+    want = model.sample_sphere_bundle(100, seed=3)
+    assert len(seen) == 2
+    for got in seen:
+        assert got.chart_id.tolist() == [0] * 100
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.v, want.v)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
@@ -338,8 +377,17 @@ class TestFailedRows:
             assert cli.main(argv) == 0
             series = json.loads(capsys.readouterr().out)["series"]
             assert (series["failed"], series["rule"]) == (failed, "monte-carlo")
+            assert series["directions"] == 128
         assert cli.main(argv[:-2]) == 0
         assert "directions 128 (monte-carlo), 1 failed" in capsys.readouterr().out
+        # a space form integrates the rule's one row, whatever --samples asks
+        argv = ["count", "sphere:n=3", "--samples", "16", "--t-max", "1", "--step", "2e-2"]
+        assert cli.main(argv + ["--format", "json"]) == 0
+        series = json.loads(capsys.readouterr().out)["series"]
+        assert (series["directions"], series["rule"], series["failed"]) == (
+            1, "isotropic-single", 0)
+        assert cli.main(argv) == 0
+        assert "directions 1 (isotropic-single), 0 failed" in capsys.readouterr().out
 
 
 class TestSphereArcs:

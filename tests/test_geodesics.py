@@ -368,6 +368,23 @@ class TestJacobiPropagation:
                             got, want, err_msg=f"{model.spec_string} seed {seed} row {i}")
             assert len(charts_seen) >= min(2, len(model.charts)), model.spec_string
 
+    def test_batch_matches_the_list_of_its_rows(self, elli, s2xs2, wavy):
+        # bitwise: a batch and the list of its rows are one input; the
+        # switching models' rows start in several charts
+        grid = [0.5, 1.0]
+        for model in (elli, s2xs2, wavy):
+            states = model.sample_sphere_bundle(6, seed=11)
+            if len(model.charts) > 1:
+                X, V, ids = spread_over_charts(model, states, 3)
+                assert len(set(ids)) > 1, model.spec_string
+                states = manifolds.TangentState(ids, X, V)
+            runs = [geodesics.propagate(model, given_, grid, step=1e-2, accumulate_radial=True)
+                    for given_ in (states, list(states))]
+            for name in ("chart_ids", "x", "v", "frames0", "frames", "phi", "radial", "reason",
+                         "speed_drift", "frame_drift"):
+                np.testing.assert_array_equal(getattr(runs[0], name), getattr(runs[1], name),
+                                              err_msg=f"{model.spec_string} {name}")
+
     @pytest.mark.parametrize("spec", ["ellipsoid:a=1,b=1,c=2", "sphereprod:p=2,q=2",
                                       "hyperbolic:n=2"])
     def test_run_to_an_earlier_time_is_a_prefix(self, spec, monkeypatch):

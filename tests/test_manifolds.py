@@ -586,6 +586,29 @@ class TestSampling:
         assert model._sample_box()[1] == want
         assert rows == [13**4] * 13
 
+    def test_sample_is_one_batch_of_rows(self, elli):
+        # len, indexing and iteration give the rows; as_batch takes the
+        # batch, the list of its rows or one state
+        states = elli.sample_sphere_bundle(5, seed=2)
+        assert states.x.shape == states.v.shape == (5, 2) and len(states) == 5
+        rows = list(states)
+        assert len(rows) == 5
+        for i, row in enumerate(rows):
+            assert isinstance(row, manifolds.TangentState) and row.chart_id == 0
+            assert np.array_equal(row.x, states.x[i]) and np.array_equal(row.v, states.v[i])
+        assert np.array_equal(states[-1].v, states.v[4])
+        for given_ in (states, rows):
+            batch = manifolds.as_batch(given_)
+            assert batch.chart_id.tolist() == [0] * 5
+            assert np.array_equal(batch.x, states.x) and np.array_equal(batch.v, states.v)
+        one = manifolds.as_batch(rows[3])
+        assert one.chart_id.tolist() == [0] and one.v.shape == (1, 2) and len(rows[3]) == 1
+        assert np.array_equal(one.v[0], states.v[3])
+        with pytest.raises(TypeError):
+            rows[3][0]
+        with pytest.raises(ValueError, match="at least one"):
+            manifolds.as_batch([])
+
     def test_deterministic(self, elli):
         a = elli.sample_sphere_bundle(64, seed=5)
         b = elli.sample_sphere_bundle(64, seed=5)
@@ -611,6 +634,17 @@ class TestUnitTangent:
             return
         theta = model.unit_tangent(np.array([rho, phi]), np.array([a, b]))
         assert abs(model.norm(theta.x, theta.v) - 1.0) < 1e-10
+
+    def test_batch_divides_each_row_by_its_norm(self, s2):
+        # a batch of vectors at one point: row i is divided by its own norm,
+        # bitwise as alone, in a square batch and in one that is not
+        x = np.array([1.0, 0.3])
+        for V in ([[1.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]):
+            theta = s2.unit_tangent(x, np.array(V))
+            assert theta.v.shape == (len(V), 2)
+            np.testing.assert_allclose(s2.norm(x, theta.v), 1.0, rtol=0.0, atol=1e-15)
+            for v, row in zip(V, theta.v):
+                np.testing.assert_array_equal(row, s2.unit_tangent(x, np.array(v)).v)
 
     def test_inner_row_alone_matches_row_in_batch(self, elli3):
         # a row's g-inner product must not depend on the batch it is in
