@@ -86,8 +86,10 @@ def mane_series(model: ManifoldModel, t_grid, samples, seed=0, step=1e-3):
     Homogeneous models pin the position at the base point and take the rows
     of :func:`_directions_at` there (a space form's one row); ``mode`` is its
     rule, or ``full-bundle`` where the whole unit sphere bundle is sampled.
-    The unnormalized Liouville measure drops out of the growth rate, so the
-    mean is taken with respect to the sampling measure directly.
+    The rows go through :func:`_linearized_flow`: a sphere product's by
+    RK4's step matrix.  The unnormalized Liouville measure drops out of the
+    growth rate, so the mean is taken with respect to the sampling measure
+    directly.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
@@ -98,10 +100,13 @@ def mane_series(model: ManifoldModel, t_grid, samples, seed=0, step=1e-3):
     else:
         _check_samples(samples, 100)
         states, mode = model.sample_sphere_bundle(samples, seed), "full-bundle"
-    res = propagate(model, states, t_grid, step=step)
-    n_failed, ok = _census(res.failed, "trajectories")
+    # space forms integrate the geodesic only while bench/test_bench.py::
+    # test_tracer_restores_every_binding pins their charts.christoffel calls
+    # (ROADMAP item 7, step 1)
+    phi, _, failed = _linearized_flow(model, states, t_grid, step, geodesic=model.isotropic)
+    n_failed, ok = _census(failed, "trajectories")
     B = int(ok.sum())
-    ex = expansion(res.phi[:, ok])
+    ex = expansion(phi[:, ok])
     mean = np.mean(ex, axis=1)
     return GrowthSeries(
         times=t_grid,
@@ -118,6 +123,26 @@ def mane_series(model: ManifoldModel, t_grid, samples, seed=0, step=1e-3):
             "failed": n_failed,
         },
     )
+
+
+def _linearized_flow(model, states, t_grid, step, accumulate_radial=False, geodesic=False):
+    """Phi (G, B, 2k, 2k) of the chart-0 rows ``states`` at the grid times,
+    their radial integrals (G, B) or None, and the mask of failed rows.
+
+    On a homogeneous model (a space form or a product of them), unless
+    ``geodesic`` is set, each row is a run of the Jacobi system alone,
+    :func:`~geoflow.geodesics.propagate_jacobi`, from K at the row's point in
+    its orthonormal frame: the model is locally symmetric, so K is constant
+    in a parallel frame, and neither the expansion nor |det Phi[:k, k:]|
+    depends on the frame; no row fails.  Otherwise
+    :func:`~geoflow.geodesics.propagate` integrates geodesic, frame and Phi."""
+    if model.homogeneous and not geodesic:
+        x, v = states.x, states.v
+        K = model.curvature_frame_matrix(x, v, model.orthonormal_frame(x, v))
+        phi, radial = propagate_jacobi(K, t_grid, step=step, accumulate_radial=accumulate_radial)
+        return phi, radial, np.zeros(len(v), dtype=bool)
+    res = propagate(model, states, t_grid, step=step, accumulate_radial=accumulate_radial)
+    return res.phi, res.radial, res.failed
 
 
 def _census(failed, what):
@@ -205,27 +230,16 @@ def _directions_at(model, x, count, seed, least=2):
 def counting_series(model, x, T_grid, angular_samples=32, step=1e-3, seed=0):
     """Ball-averaged arc count sum_dirs int_0^T |det A_v(rho)| drho dsigma(v)
     around the chart-0 point x, along one radial propagation per row of the
-    direction rule :func:`_directions_at`.
-
-    On a homogeneous model (a space form or a product of them) each row is a
-    run of the Jacobi system alone, :func:`~geoflow.geodesics.propagate_jacobi`,
-    from K at x in the row's orthonormal frame: the model is locally
-    symmetric, so K is constant in a parallel frame, and |det A_v| does not
-    depend on the frame."""
+    direction rule :func:`_directions_at`, through :func:`_linearized_flow`:
+    on a homogeneous model (a space form or a product of them) by RK4's step
+    matrix."""
     T_grid = np.asarray(T_grid, dtype=float)
     if np.any(T_grid <= 0.0):
         raise ValueError("grid times must be positive")
     x = np.asarray(x, dtype=float)
     dirs, weights, rule = _directions_at(model, x, angular_samples, seed)
-    x = np.broadcast_to(x, dirs.shape)
-    if model.homogeneous:
-        K = model.curvature_frame_matrix(x, dirs, model.orthonormal_frame(x, dirs))
-        radial = propagate_jacobi(K, T_grid, step=step)[1]
-        failed = np.zeros(len(dirs), dtype=bool)
-    else:
-        res = propagate(model, TangentState(0, x, dirs), T_grid, step=step,
-                        accumulate_radial=True)
-        radial, failed = res.radial, res.failed
+    states = TangentState(0, np.broadcast_to(x, dirs.shape), dirs)
+    _, radial, failed = _linearized_flow(model, states, T_grid, step, accumulate_radial=True)
     n_failed, ok = _census(failed, "directions")
     radial = radial[:, ok]
     totals = radial @ weights[ok]

@@ -21,7 +21,8 @@ the whole batch; it is rebuilt only when a chart id changes.
 A row of :func:`propagate` fails in one place, its ``fail(rows, why)``:
 the row keeps its first reason and last state and is parked at the base
 state.  :func:`propagate_jacobi` advances Phi of a constant K by RK4's step
-matrix, over the same grid march, :func:`_march`.
+matrix, over the same grid march, :func:`_march`: the Mane average on
+sphere products and the count on every homogeneous model take it.
 
 A stage is contiguous batched products.  Gamma is symmetric in i, j, so the
 spray and the frame transport are one stacked matvec A = Gamma(., -v, .) and
@@ -387,12 +388,14 @@ def generator_matrix(K):
     return out
 
 
-def propagate_jacobi(K, t_grid, step=1e-3):
+def propagate_jacobi(K, t_grid, step=1e-3, *, accumulate_radial=False):
     """The Jacobi system Phi' = A Phi, A = [[0, I], [-K, 0]], alone, from
-    Phi = I, with its radial integral, for one constant Jacobi matrix per
-    row, K (B, k, k): a locally symmetric model (a space form or a product
-    of them) has a constant K in every parallel frame.  Returns phi
-    (G, B, 2k, 2k) and the radial integrals (G, B) at the grid times.
+    Phi = I, for one constant Jacobi matrix per row, K (B, k, k): a locally
+    symmetric model (a space form or a product of them) has a constant K in
+    every parallel frame.  Both estimators call it there, the Mane average
+    on sphere products and the count on every homogeneous model.  Returns
+    phi (G, B, 2k, 2k) at the grid times and, with ``accumulate_radial``,
+    the radial integrals (G, B), otherwise None.
 
     Each RK4 step of size h is Phi <- R(hA) Phi with RK4's step matrix
     R(z) = I + z + z^2/2 + z^3/6 + z^4/24, formed once per step size: the
@@ -425,7 +428,7 @@ def propagate_jacobi(K, t_grid, step=1e-3):
     def fail(rows, why):
         raise IntegrationError(f"the Jacobi system turned {why}")
 
-    return _march(t_grid, step, Y, Phi, advance, fail, accumulate_radial=True)
+    return _march(t_grid, step, Y, Phi, advance, fail, accumulate_radial=accumulate_radial)
 
 
 # -- expansion of a linear map -------------------------------------------------------

@@ -225,25 +225,28 @@ def test_space_form_counts_take_no_stage_geometry(monkeypatch, s2, h2, torus2, e
     assert calls == ["ellipsoid"] * 4 * 64
 
 
+def spy_on(monkeypatch, module, name, record):
+    """Replace ``module.name`` by a wrapper that passes each call's args and
+    kwargs to ``record`` before calling the original."""
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        record(args, kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
 @pytest.mark.filterwarnings("ignore:direction sampling not converged")
 def test_space_form_count_steps_one_row(monkeypatch, s2, s2xs2):
     # a homogeneous count calls neither propagate nor _rk4_step: it advances
     # Phi by the step matrix alone, one row on a space form whatever the
     # direction count, one row per direction on a sphere product
     calls, rows = [], []
-
-    def spy(module, name, record):
-        original = getattr(module, name)
-
-        def wrapped(*args, **kwargs):
-            record(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapped)
-
-    spy(entropy, "propagate", lambda args: calls.append("propagate"))
-    spy(geodesics, "_rk4_step", lambda args: calls.append("_rk4_step"))
-    spy(entropy, "propagate_jacobi", lambda args: rows.append(len(args[0])))
+    spy_on(monkeypatch, entropy, "propagate", lambda args, kwargs: calls.append("propagate"))
+    spy_on(monkeypatch, geodesics, "_rk4_step", lambda args, kwargs: calls.append("_rk4_step"))
+    spy_on(monkeypatch, entropy, "propagate_jacobi",
+           lambda args, kwargs: rows.append(len(args[0])))
     for model in (s2, s2xs2):
         entropy.counting_series(model, model.base_x, [0.5, 1.0], angular_samples=16, step=1 / 64)
     assert calls == [] and rows == [1, 16]
@@ -271,7 +274,7 @@ def test_space_form_count_is_one_row(spec):
     # and the seed
     model, grid = manifolds.parse_manifold(spec), [0.5, 1.0, 1.5]
     K = np.diag(np.full(model.dim - 1, model.factors[0].k_max))
-    _, radial = geodesics.propagate_jacobi(K[None], grid, step=1 / 64)
+    _, radial = geodesics.propagate_jacobi(K[None], grid, step=1 / 64, accumulate_radial=True)
     want = (radial[:, 0] * entropy._unit_sphere_area(model.dim)).tolist()
     for samples, seed in ((2, 0), (16, 5), (48, 123)):
         meta = entropy.counting_series(model, model.base_x, grid, angular_samples=samples,
@@ -337,8 +340,9 @@ def test_sphere_product_count_matches_the_closed_form(monkeypatch, s2xs2):
 @pytest.mark.parametrize("q", [2, 3])
 def test_product_rows_are_the_sampled_bundle(q, monkeypatch):
     # bitwise: on S^2 x S^q the rows of sample_sphere_bundle, which the
-    # benchmark's closed-form reference reads, are the states the Mane
-    # average propagates and those the count builds its Jacobi matrices at
+    # benchmark's closed-form reference reads, are the states both the Mane
+    # average and the count build their Jacobi matrices at; neither calls
+    # propagate
     model, grid = manifolds.sphere_product(2, q), [0.1, 0.2]
     seen = []
     propagate = geodesics.propagate
@@ -366,12 +370,75 @@ def test_product_rows_are_the_sampled_bundle(q, monkeypatch):
         assert np.array_equal(got.x, want.x) and np.array_equal(got.v, want.v)
 
 
+def product_expansion(model, dirs, t):
+    """Closed-form expansion (G, B) at the times t (G,) of the rows ``dirs``
+    at the base point of S^p x S^q with unit radii.  With |v_1| = cos a, K
+    in a parallel frame has the eigenvalues cos^2 a (p - 1 times),
+    sin^2 a (q - 1 times) and 0; an eigenvalue w^2 gives the block
+    [[cos wt, sinc], [-w^2 sinc, cos wt]], sinc = sin(wt) / w (t at w = 0),
+    with singular values s and 1 / s, and the expansion is the product of
+    the blocks' larger singular values."""
+    x = np.broadcast_to(model.base_x, dirs.shape)
+    first = np.zeros_like(dirs)
+    first[:, model.factors[0].coords] = dirs[:, model.factors[0].coords]
+    cos2 = model.norm(x, first) ** 2
+    t = np.asarray(t, dtype=float)[:, None]
+    out = np.ones((len(t), len(dirs)))
+    for w2, mult in ((cos2, model.factors[0].dim - 1), (1.0 - cos2, model.factors[1].dim - 1),
+                     (np.zeros_like(cos2), 1)):
+        w = np.sqrt(w2)
+        cos, sinc = np.cos(w * t), t * np.sinc(w * t / np.pi)
+        block = np.stack([np.stack([cos, sinc], -1), np.stack([-w2 * sinc, cos], -1)], -2)
+        out *= np.linalg.svd(block, compute_uv=False)[..., 0] ** mult
+    return out
+
+
+def test_sphere_product_mane_matches_the_closed_form(s2xs2):
+    # the Mane average on S^2 x S^2 at its own rows, the sampled bundle,
+    # against the closed form; tolerance, fixed before the first run: 2e-10
+    # absolute on the log mean
+    grid = cli._default_grid(1.0)
+    series = entropy.mane_series(s2xs2, grid, 100, seed=3, step=2e-2)
+    want = np.log(product_expansion(s2xs2, s2xs2.sample_sphere_bundle(100, seed=3).v,
+                                    grid).mean(axis=1))
+    assert np.abs(series.values - want).max() <= 2e-10
+
+
+@pytest.mark.parametrize("spec", ["sphereprod:p=2,q=2", "sphereprod:p=2,q=3,r1=1,r2=2"])
+def test_sphere_product_mane_matches_propagate(spec):
+    # the step matrix against propagate's geodesic, frame and Phi at the same
+    # rows, whose integration error reaches K; tolerance, fixed before the
+    # first run: 1e-8 absolute on the log mean
+    model, grid = manifolds.parse_manifold(spec), cli._default_grid(1.0)
+    series = entropy.mane_series(model, grid, 100, seed=3, step=2e-2)
+    res = geodesics.propagate(model, model.sample_sphere_bundle(100, seed=3), grid, step=2e-2)
+    want = np.log(geodesics.expansion(res.phi).mean(axis=1))
+    assert np.abs(series.values - want).max() <= 1e-8
+
+
+def test_sphere_product_mane_steps_its_rows(monkeypatch, capsys, s2xs2):
+    # a sphere product's Mane average calls neither propagate nor _rk4_step:
+    # its 100 rows go to propagate_jacobi, without the radial integral.  A
+    # space-form estimate still integrates its geodesic
+    calls, rows = [], []
+    spy_on(monkeypatch, entropy, "propagate", lambda args, kwargs: calls.append("propagate"))
+    spy_on(monkeypatch, geodesics, "_rk4_step", lambda args, kwargs: calls.append("_rk4_step"))
+    spy_on(monkeypatch, entropy, "propagate_jacobi",
+           lambda args, kwargs: rows.append((len(args[0]), kwargs["accumulate_radial"])))
+    entropy.mane_series(s2xs2, [0.5, 1.0], 100, seed=3, step=1 / 64)
+    assert calls == [] and rows == [(100, False)]
+    assert cli.main(["estimate", "hyperbolic:n=2", "--t-max", "0.1", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls[0] == "propagate" and set(calls[1:]) == {"_rk4_step"}
+    assert rows == [(100, False)]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
 class TestFailedRows:
     """Rows made non-finite are flagged by ``propagate`` and left out of both
     estimators; more than 1% of them is an error (CLI exit 3).  The poisoned
-    rows stay non-finite after parking, hence the det warnings.  A
-    homogeneous count integrates no geodesic, so the counts run on a
+    rows stay non-finite after parking, hence the det warnings.  A sphere
+    product's estimators integrate no geodesic, so both run on a
     non-constant copy of S^2 x S^2 and, through the CLI, on the ellipsoid."""
 
     GRID = np.linspace(0.2, 1.0, 5)
@@ -403,19 +470,20 @@ class TestFailedRows:
             monkeypatch.setattr(charts.EllipsoidChart, "geometry", poisoned_geometry)
         return install
 
-    def test_mane_leaves_out_failed_rows(self, s2xs2, poison, caplog):
-        states = s2xs2.sample_sphere_bundle(100, seed=3)
-        clean = geodesics.propagate(s2xs2, states, self.GRID, step=2e-2)
+    def test_mane_leaves_out_failed_rows(self, s2xs2, varying, poison, caplog):
+        model = varying(s2xs2)
+        states = model.sample_sphere_bundle(100, seed=3)
+        clean = geodesics.propagate(model, states, self.GRID, step=2e-2)
         poison([17], 100)
         with caplog.at_level("WARNING", logger=geodesics.log.name):
-            res = geodesics.propagate(s2xs2, states, self.GRID, step=2e-2)
+            res = geodesics.propagate(model, states, self.GRID, step=2e-2)
         assert np.flatnonzero(res.failed).tolist() == [17]
         # the row turns non-finite again after parking, at every grid time:
         # it fails and is logged once, and keeps its first reason
         assert [r.getMessage().split(" in chart")[0] for r in caplog.records] == [
             "trajectory 17 failed (non-finite)"]
         assert res.reason[17] == "non-finite"
-        series = entropy.mane_series(s2xs2, self.GRID, 100, seed=3, step=2e-2)
+        series = entropy.mane_series(model, self.GRID, 100, seed=3, step=2e-2)
         assert (series.metadata["evaluated"], series.metadata["failed"]) == (99, 1)
         ex = geodesics.expansion(np.delete(clean.phi, 17, axis=1))
         mean = ex.mean(axis=1)
@@ -447,7 +515,7 @@ class TestFailedRows:
     def test_more_than_one_percent_is_an_error(self, s2xs2, varying, poison):
         poison([3, 40], 100)
         with pytest.raises(EstimatorError) as err:
-            entropy.mane_series(s2xs2, self.GRID, 100, seed=3, step=2e-2)
+            entropy.mane_series(varying(s2xs2), self.GRID, 100, seed=3, step=2e-2)
         assert err.value.failure_census == {"failed": 2, "total": 100}
         poison([3, 40], 128)
         with pytest.raises(EstimatorError) as err:
@@ -457,7 +525,7 @@ class TestFailedRows:
 
     def test_cli_exit_3(self, poison, capsys):
         poison([3, 40], 100)
-        code = cli.main(["estimate", "sphereprod:p=2,q=2", "--samples", "100",
+        code = cli.main(["estimate", "ellipsoid:a=1,b=1,c=2", "--samples", "100",
                          "--t-max", "1", "--step", "2e-2"])
         assert code == 3
         assert capsys.readouterr().err.startswith("numeric failure: 2/100 trajectories failed")

@@ -436,7 +436,7 @@ class TestJacobiOnly:
         grid = np.linspace(0.4, 4.0, 5)
         full = geodesics.propagate(model, states, grid, step=1e-2, accumulate_radial=True)
         K = model.curvature_frame_matrix(states.x, states.v, full.frames0)
-        phi, radial = geodesics.propagate_jacobi(K, grid, step=1e-2)
+        phi, radial = geodesics.propagate_jacobi(K, grid, step=1e-2, accumulate_radial=True)
         np.testing.assert_allclose(phi, full.phi, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(radial, full.radial, rtol=1e-12, atol=0.0)
 
@@ -487,15 +487,29 @@ class TestJacobiOnly:
 
     def test_integrates_no_geodesic(self):
         # one Phi per row and its radial integral, from the identity at time 0
-        phi, radial = geodesics.propagate_jacobi(np.ones((1, 1, 1)), [0.0, 1.0], step=1e-2)
+        phi, radial = geodesics.propagate_jacobi(np.ones((1, 1, 1)), [0.0, 1.0], step=1e-2,
+                                                 accumulate_radial=True)
         assert phi.shape == (2, 1, 2, 2) and radial.shape == (2, 1)
         assert np.array_equal(phi[0, 0], np.eye(2)) and radial[0, 0] == 0.0
+
+    def test_radial_integral_is_optional(self, s2xs2):
+        # as in propagate: without accumulate_radial there is no radial
+        # integral, and Phi is bitwise the same
+        states = s2xs2.sample_sphere_bundle(5, seed=1)
+        K = s2xs2.curvature_frame_matrix(states.x, states.v,
+                                         s2xs2.orthonormal_frame(states.x, states.v))
+        grid = [0.3, 0.7, 1.0]
+        phi, radial = geodesics.propagate_jacobi(K, grid, step=1e-1)
+        with_radial = geodesics.propagate_jacobi(K, grid, step=1e-1, accumulate_radial=True)
+        assert radial is None and with_radial[1].shape == (3, 5)
+        assert np.array_equal(phi, with_radial[0])
 
     def test_hyperbolic_passes_the_geodesic_reach(self):
         # Phi grows like e^t / 2 and stays finite past the geodesic's reach;
         # RK4's relative error of cosh is about T h^4 / 120 = 2e-5 here
         # and the trapezoid's of the radial integral cosh T - 1 about h^2 / 12
-        phi, radial = geodesics.propagate_jacobi(-np.ones((1, 1, 1)), [400.0], step=5e-2)
+        phi, radial = geodesics.propagate_jacobi(-np.ones((1, 1, 1)), [400.0], step=5e-2,
+                                                 accumulate_radial=True)
         assert phi[0, 0, 0, 0] == pytest.approx(np.cosh(400.0), rel=1e-4)
         assert radial[0, 0] == pytest.approx(np.cosh(400.0) - 1.0, rel=1e-3)
 
@@ -504,7 +518,8 @@ class TestJacobiOnly:
         # while Phi stays finite up to 709: the run fails at the grid time,
         # without numpy's overflow warning
         with pytest.raises(IntegrationError, match="non-finite"):
-            geodesics.propagate_jacobi(-np.eye(2)[None], [300.0, 400.0], step=0.1)
+            geodesics.propagate_jacobi(-np.eye(2)[None], [300.0, 400.0], step=0.1,
+                                       accumulate_radial=True)
 
 
 class TestKernelCalls:
