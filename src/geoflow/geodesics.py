@@ -22,7 +22,9 @@ A row of :func:`propagate` fails in one place, its ``fail(rows, why)``:
 the row keeps its first reason and last state and is parked at the base
 state.  :func:`propagate_jacobi` advances Phi of a constant K by RK4's step
 matrix, over the same grid march, :func:`_march`: the Mane average on
-sphere products and the count on every homogeneous model take it.
+sphere products and the count on every homogeneous model take it.  The
+march runs the count's radial trapezoid in blocks of RADIAL_BLOCK steps,
+one batched determinant per block.
 
 A stage is contiguous batched products.  Gamma is symmetric in i, j, so the
 spray and the frame transport are one stacked matvec A = Gamma(., -v, .) and
@@ -52,6 +54,8 @@ CHECK_EVERY = 10
 CHECK_ARCLENGTH = 0.1
 #: steps between frame re-orthonormalizations
 ORTHO_EVERY = 100
+#: steps per batched det of the radial trapezoid
+RADIAL_BLOCK = 64
 #: switch charts below this margin; give up below MARGIN_FLOOR
 SWITCH_MARGIN = 0.2
 
@@ -167,9 +171,12 @@ def _march(t_grid, step, Y, Phi, advance, fail, after_step=None, accumulate_radi
     """Advance the packed state Y over the time grid: full steps of ``step``
     by ``advance(h)``, the last one before each grid time clipped onto it,
     each followed by ``after_step(nsteps)``.  With ``accumulate_radial`` the
-    trapezoid of |det Phi[:k, k:]| runs over every step.  At each grid time
-    the rows whose Y or radial integral turned non-finite go to
-    ``fail(rows, "non-finite")``, then Phi and the radial integrals are
+    trapezoid of |det Phi[:k, k:]| runs over every step, in blocks: each
+    step copies Phi[:k] and h into buffers of RADIAL_BLOCK steps, flushed
+    when full and at each grid time by one batched det and one running sum,
+    bit for bit the per-step sum acc + (h/2)(f_prev + f_cur).  At
+    each grid time the rows whose Y or radial integral turned non-finite go
+    to ``fail(rows, "non-finite")``, then Phi and the radial integrals are
     recorded.  Returns the recorded Phi (G, B, 2k, 2k), or None where Phi is
     None, and the radial integrals (G, B) or None."""
     G, B = len(t_grid), len(Y)
@@ -179,11 +186,30 @@ def _march(t_grid, step, Y, Phi, advance, fail, after_step=None, accumulate_radi
     if accumulate_radial:
         k = Phi.shape[-1] // 2
         acc = np.zeros(B)
-        f_prev = np.abs(np.linalg.det(Phi[:, :k, k:]))
+        # Phi[:k] and h of the steps since the last flush (whole rows copy
+        # faster than the block Phi[:k, k:]); f[0] is |det| at the step
+        # before them
+        top = np.empty((RADIAL_BLOCK, B, k, 2 * k))
+        hs = np.empty(RADIAL_BLOCK)
+        f = np.empty((RADIAL_BLOCK + 1, B))
+        f[0] = np.abs(np.linalg.det(Phi[:, :k, k:]))
         # |det Phi[:k, k:]| can overflow while Phi is finite (hyperbolic
         # space of dimension 3 and up).  Overflow is quiet while stepping: it
         # leaves Y or the integral non-finite, so the row fails at the grid time
         quiet = functools.partial(np.errstate, over="ignore")
+    pending = 0
+
+    def flush():
+        nonlocal acc, pending
+        if pending:
+            f[1:pending + 1] = np.abs(np.linalg.det(top[:pending, ..., k:]))
+            terms = (0.5 * hs[:pending, None]) * (f[:pending] + f[1:pending + 1])
+            terms[0] = acc + terms[0]
+            # accumulate adds in order, as the per-step sum did
+            acc = np.add.accumulate(terms, out=terms)[-1]
+            f[0] = f[pending]
+            pending = 0
+
     t = 0.0
     nsteps = 0
     for gi, target in enumerate(t_grid):
@@ -194,11 +220,15 @@ def _march(t_grid, step, Y, Phi, advance, fail, after_step=None, accumulate_radi
                 t += h
                 nsteps += 1
                 if accumulate_radial:
-                    f_cur = np.abs(np.linalg.det(Phi[:, :k, k:]))
-                    acc = acc + 0.5 * h * (f_prev + f_cur)
-                    f_prev = f_cur
+                    top[pending] = Phi[:, :k]
+                    hs[pending] = h
+                    pending += 1
+                    if pending == RADIAL_BLOCK:
+                        flush()
                 if after_step is not None:
                     after_step(nsteps)
+            if accumulate_radial:
+                flush()
         t = float(target)
         finite = np.isfinite(Y).all(axis=-1)
         if accumulate_radial:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoflow import cli
+from geoflow import cli, geodesics
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -136,6 +136,32 @@ class TestCount:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["series"]["integrals"][-1] - np.pi) / np.pi < 0.01
+
+    def test_hyperbolic_overflow_exits_3(self, capsys, monkeypatch):
+        # |det Phi[:k, k:]| = sinh(t)^2 overflows near t = 355.6, inside a
+        # block of the radial trapezoid: the count fails at the next grid
+        # time, 367.27 of linspace(40, 400, 12), with one error line
+        march, failed_at = geodesics._march, []
+
+        def spy(t_grid, step, Y, Phi, advance, fail, *args, **kwargs):
+            t = [0.0]
+
+            def timed_advance(h):
+                advance(h)
+                t[0] += h
+
+            def timed_fail(rows, why):
+                failed_at.append(t[0])
+                fail(rows, why)
+
+            return march(t_grid, step, Y, Phi, timed_advance, timed_fail, *args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "_march", spy)
+        code = run(["count", "hyperbolic:n=3", "--t-max", "400", "--step", "0.05",
+                    "--samples", "8"])
+        assert code == 3
+        assert capsys.readouterr().err == "numeric failure: the Jacobi system turned non-finite\n"
+        assert failed_at == [pytest.approx(np.linspace(40.0, 400.0, 12)[10], abs=1e-6)]
 
 
 @pytest.mark.parametrize("argv,header", [

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -514,12 +515,124 @@ class TestJacobiOnly:
         assert radial[0, 0] == pytest.approx(np.cosh(400.0) - 1.0, rel=1e-3)
 
     def test_radial_overflow_fails_the_rows(self):
-        # in dimension 3 |det Phi[:k, k:]| = sinh(t)^2 overflows near t = 355,
-        # while Phi stays finite up to 709: the run fails at the grid time,
-        # without numpy's overflow warning
-        with pytest.raises(IntegrationError, match="non-finite"):
-            geodesics.propagate_jacobi(-np.eye(2)[None], [300.0, 400.0], step=0.1,
-                                       accumulate_radial=True)
+        # in dimension 3 |det Phi[:k, k:]| = sinh(t)^2 overflows near
+        # t = 355.6, while Phi stays finite up to 709: the run fails at the
+        # first grid time after it, without numpy's overflow warning, though
+        # the overflow falls inside a block of the radial trapezoid
+        K = -np.eye(2)[None]
+        _, radial = geodesics.propagate_jacobi(K, [300.0, 350.0], step=0.1,
+                                               accumulate_radial=True)
+        assert np.all(np.isfinite(radial))
+        for grid in ([300.0, 400.0], [300.0, 350.0, 360.0]):
+            with pytest.raises(IntegrationError, match="non-finite"):
+                geodesics.propagate_jacobi(K, grid, step=0.1, accumulate_radial=True)
+
+
+def per_step_march(t_grid, step, Y, Phi, advance, fail, after_step=None,
+                   accumulate_radial=False):
+    """Oracle of ``_march`` with the radial integral: the march with one det
+    per step, each followed by acc = acc + 0.5 * h * (f_prev + f_cur)."""
+    assert accumulate_radial
+    G, B = len(t_grid), len(Y)
+    k = Phi.shape[-1] // 2
+    phi_rec, radial = np.empty((G,) + Phi.shape), np.zeros((G, B))
+    acc = np.zeros(B)
+    f_prev = np.abs(np.linalg.det(Phi[:, :k, k:]))
+    t, nsteps = 0.0, 0
+    for gi, target in enumerate(t_grid):
+        with np.errstate(over="ignore"):
+            while t < target - 1e-12:
+                h = min(step, target - t)
+                advance(h)
+                t += h
+                nsteps += 1
+                f_cur = np.abs(np.linalg.det(Phi[:, :k, k:]))
+                acc = acc + 0.5 * h * (f_prev + f_cur)
+                f_prev = f_cur
+                if after_step is not None:
+                    after_step(nsteps)
+        t = float(target)
+        finite = np.isfinite(Y).all(axis=-1) & np.isfinite(acc)
+        if not finite.all():
+            fail(np.flatnonzero(~finite), "non-finite")
+        phi_rec[gi] = Phi
+        radial[gi] = acc
+    return phi_rec, radial
+
+
+def block_grid(h):
+    """A grid of step h: a first interval of more than two RADIAL_BLOCKs of
+    steps that ends in a clipped step, an interval of one step, one of one
+    clipped step, and one of 21 steps."""
+    t0 = (2 * geodesics.RADIAL_BLOCK + 5.5) * h
+    return np.array([t0, t0 + h, t0 + 1.3 * h, t0 + 21.6 * h])
+
+
+class TestRadialBlocks:
+    """``_march`` runs the radial trapezoid in blocks of RADIAL_BLOCK steps,
+    one batched det and one running sum per block: bit for bit the
+    per-step trapezoid of :func:`per_step_march`, in buffers whose size does
+    not grow with the grid."""
+
+    @staticmethod
+    def blocked_and_per_step(run, monkeypatch):
+        blocked = run()
+        with monkeypatch.context() as m:
+            m.setattr(geodesics, "_march", per_step_march)
+            return blocked, run()
+
+    @pytest.mark.parametrize("case", ["ellipsoid-charts", "sphereprod", "parked-rows"])
+    def test_propagate_matches_the_per_step_trapezoid(self, case, elli, s2xs2, monkeypatch):
+        if case == "ellipsoid-charts":
+            X, V, ids = spread_over_charts(elli, elli.sample_sphere_bundle(12, seed=4), 4)
+            assert len(set(ids.tolist())) > 1
+            model, states, h = elli, manifolds.TangentState(ids, X, V), 1e-2
+        elif case == "sphereprod":
+            model, states, h = s2xs2, s2xs2.sample_sphere_bundle(8, seed=4), 1e-2
+        else:
+            # two rows leave the reach near t = 5, inside the first interval's
+            # second block, and are parked there; the third row stays
+            model, h = manifolds.hyperbolic(2, 4.0), 5e-2
+            states = [model.unit_tangent([165.0, 0.0], [1.0, 0.0]),
+                      model.unit_tangent([-165.0, 0.0], [-1.0, 0.0]),
+                      model.unit_tangent([0.0, 0.0], [1.0, 0.0])]
+        grid = block_grid(h)
+        blocked, per_step = self.blocked_and_per_step(
+            lambda: geodesics.propagate(model, states, grid, step=h, accumulate_radial=True),
+            monkeypatch)
+        if case == "parked-rows":
+            assert blocked.reason.tolist() == ["reach", "reach", ""]
+        for name in ("chart_ids", "x", "v", "frames", "phi", "radial", "reason",
+                     "speed_drift", "frame_drift"):
+            np.testing.assert_array_equal(getattr(blocked, name), getattr(per_step, name),
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("spec,rows", [("sphereprod:p=2,q=2", 48), ("hyperbolic:n=3", 1)])
+    def test_propagate_jacobi_matches_the_per_step_trapezoid(self, spec, rows, monkeypatch):
+        model = manifolds.parse_manifold(spec)
+        states = model.sample_sphere_bundle(rows, seed=6)
+        K = model.curvature_frame_matrix(states.x, states.v,
+                                         model.orthonormal_frame(states.x, states.v))
+        grid = block_grid(1e-2)
+        (phi, radial), (want_phi, want_radial) = self.blocked_and_per_step(
+            lambda: geodesics.propagate_jacobi(K, grid, step=1e-2, accumulate_radial=True),
+            monkeypatch)
+        np.testing.assert_array_equal(phi, want_phi)
+        np.testing.assert_array_equal(radial, want_radial)
+
+    def test_buffers_do_not_grow_with_the_interval(self, s2xs2):
+        # 2e4 steps in one interval: buffers of the whole interval would
+        # hold 2e4 x 48 x 3 x 3 doubles, about 69 MB
+        states = s2xs2.sample_sphere_bundle(48, seed=2)
+        K = s2xs2.curvature_frame_matrix(states.x, states.v,
+                                         s2xs2.orthonormal_frame(states.x, states.v))
+        tracemalloc.start()
+        try:
+            geodesics.propagate_jacobi(K, [2.0], step=1e-4, accumulate_radial=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, peak
 
 
 class TestKernelCalls:
