@@ -23,8 +23,10 @@ the row keeps its first reason and last state and is parked at the base
 state.  :func:`propagate_jacobi` advances Phi of a constant K by RK4's step
 matrix, over the same grid march, :func:`_march`: the Mane average on
 sphere products and the count on every homogeneous model take it.  The
-march runs the count's radial trapezoid in blocks of RADIAL_BLOCK steps,
-one batched determinant per block.
+march steps in runs of at most RADIAL_BLOCK equal steps, one call of the
+integrator's ``advance`` per run, and takes the count's radial trapezoid
+per run: one closed-form |det| (:func:`_abs_det`) over the run's stack of
+Phi and one running sum.
 
 A stage is contiguous batched products.  Gamma is symmetric in i, j, so the
 spray and the frame transport are one stacked matvec A = Gamma(., -v, .) and
@@ -167,16 +169,51 @@ def _checked_grid(t_grid, step):
     return t_grid
 
 
-def _march(t_grid, step, Y, Phi, advance, fail, after_step=None, accumulate_radial=False):
-    """Advance the packed state Y over the time grid: full steps of ``step``
-    by ``advance(h)``, the last one before each grid time clipped onto it,
-    each followed by ``after_step(nsteps)``.  With ``accumulate_radial`` the
-    trapezoid of |det Phi[:k, k:]| runs over every step, in blocks: each
-    step copies Phi[:k] and h into buffers of RADIAL_BLOCK steps, flushed
-    when full and at each grid time by one batched det and one running sum,
-    bit for bit the per-step sum acc + (h/2)(f_prev + f_cur).  At
-    each grid time the rows whose Y or radial integral turned non-finite go
-    to ``fail(rows, "non-finite")``, then Phi and the radial integrals are
+def _abs_det(M):
+    """|det| of a stack of k x k blocks (..., k, k): in closed form for
+    k <= 3 (the entry, ad - bc, the cofactor expansion along the first
+    row), by ``np.linalg.det`` for larger k."""
+    k = M.shape[-1]
+    if k > 3:
+        return np.abs(np.linalg.det(M))
+    rows = np.moveaxis(M, (-2, -1), (0, 1))
+    if k == 1:
+        det = rows[0, 0]
+    elif k == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return np.abs(det)
+
+
+def _runs(t, target, step):
+    """The steps from t to the grid time ``target`` as runs (h, m) of m
+    equal steps h, at most RADIAL_BLOCK a run: the float loop on t takes
+    full steps of ``step`` and clips the last one onto the grid time."""
+    run_h, m = None, 0
+    while t < target - 1e-12:
+        h = min(step, target - t)
+        t += h
+        if m and (h != run_h or m == RADIAL_BLOCK):
+            yield run_h, m
+            m = 0
+        run_h, m = h, m + 1
+    if m:
+        yield run_h, m
+
+
+def _march(t_grid, step, Y, Phi, advance, fail, accumulate_radial=False):
+    """Advance the packed state Y over the time grid: full steps of ``step``,
+    the last one before each grid time clipped onto it, by one call
+    ``advance(h, m)`` per run of :func:`_runs`; with ``accumulate_radial``
+    it returns Phi[:k] after each of the run's m steps, (m, B, k, 2k), and the
+    trapezoid of |det Phi[:k, k:]| runs over every step: per run one
+    :func:`_abs_det` of that stack and one running sum, bit for bit the
+    per-step sum acc + (h/2)(f_prev + f_cur).  At each grid time the rows
+    whose Y or radial integral turned non-finite go to
+    ``fail(rows, "non-finite")``, then Phi and the radial integrals are
     recorded.  Returns the recorded Phi (G, B, 2k, 2k), or None where Phi is
     None, and the radial integrals (G, B) or None."""
     G, B = len(t_grid), len(Y)
@@ -186,49 +223,29 @@ def _march(t_grid, step, Y, Phi, advance, fail, after_step=None, accumulate_radi
     if accumulate_radial:
         k = Phi.shape[-1] // 2
         acc = np.zeros(B)
-        # Phi[:k] and h of the steps since the last flush (whole rows copy
-        # faster than the block Phi[:k, k:]); f[0] is |det| at the step
-        # before them
-        top = np.empty((RADIAL_BLOCK, B, k, 2 * k))
-        hs = np.empty(RADIAL_BLOCK)
+        # f[0] is |det| at the step before the run
         f = np.empty((RADIAL_BLOCK + 1, B))
-        f[0] = np.abs(np.linalg.det(Phi[:, :k, k:]))
+        f[0] = _abs_det(Phi[:, :k, k:])
         # |det Phi[:k, k:]| can overflow while Phi is finite (hyperbolic
-        # space of dimension 3 and up).  Overflow is quiet while stepping: it
-        # leaves Y or the integral non-finite, so the row fails at the grid time
-        quiet = functools.partial(np.errstate, over="ignore")
-    pending = 0
-
-    def flush():
-        nonlocal acc, pending
-        if pending:
-            f[1:pending + 1] = np.abs(np.linalg.det(top[:pending, ..., k:]))
-            terms = (0.5 * hs[:pending, None]) * (f[:pending] + f[1:pending + 1])
-            terms[0] = acc + terms[0]
-            # accumulate adds in order, as the per-step sum did
-            acc = np.add.accumulate(terms, out=terms)[-1]
-            f[0] = f[pending]
-            pending = 0
+        # space of dimension 3 and up), and the closed form then meets
+        # inf - inf.  Both are quiet while stepping: they leave Y or the
+        # integral non-finite, so the row fails at the grid time
+        quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
     t = 0.0
-    nsteps = 0
     for gi, target in enumerate(t_grid):
         with quiet():
-            while t < target - 1e-12:
-                h = min(step, target - t)
-                advance(h)
-                t += h
-                nsteps += 1
-                if accumulate_radial:
-                    top[pending] = Phi[:, :k]
-                    hs[pending] = h
-                    pending += 1
-                    if pending == RADIAL_BLOCK:
-                        flush()
-                if after_step is not None:
-                    after_step(nsteps)
-            if accumulate_radial:
-                flush()
+            for h, m in _runs(t, target, step):
+                if not accumulate_radial:
+                    advance(h, m)
+                    continue
+                # no name holds the run's stack, so it is freed before the next
+                f[1:m + 1] = _abs_det(advance(h, m)[..., k:])
+                terms = (0.5 * h) * (f[:m] + f[1:m + 1])
+                terms[0] = acc + terms[0]
+                # accumulate adds in order, as the per-step sum did
+                acc = np.add.accumulate(terms, out=terms)[-1]
+                f[0] = f[m]
         t = float(target)
         finite = np.isfinite(Y).all(axis=-1)
         if accumulate_radial:
@@ -371,21 +388,28 @@ def propagate(
         # before the first periodic check; frames_init stays in the caller's chart
         check_charts()
     stages = _stage_buffers(Y, n, jacobi)
+    # Phi[:k] after each step of a run, copied before a check or a
+    # re-orthonormalization can change Phi
+    top = np.empty((RADIAL_BLOCK, B, k, 2 * k)) if accumulate_radial else None
+    nsteps = 0
 
-    def advance(h):
-        _rk4_step(model, chart, Y, h, stages)
+    def advance(h, m):
+        nonlocal frame_drift, nsteps
+        for i in range(m):
+            _rk4_step(model, chart, Y, h, stages)
+            if top is not None:
+                top[i] = Phi[:, :k]
+            nsteps += 1
+            if nsteps % check_every == 0:
+                if reach is not None:
+                    fail(np.flatnonzero(np.abs(Y[:, 0]) > reach), "reach")
+                if multi_chart:
+                    check_charts()
+            if jacobi and nsteps % ORTHO_EVERY == 0:
+                frame_drift = np.fmax(frame_drift, _reorthonormalize(chart, Y))
+        return None if top is None else top[:m]
 
-    def after_step(nsteps):
-        nonlocal frame_drift
-        if nsteps % check_every == 0:
-            if reach is not None:
-                fail(np.flatnonzero(np.abs(Y[:, 0]) > reach), "reach")
-            if multi_chart:
-                check_charts()
-        if jacobi and nsteps % ORTHO_EVERY == 0:
-            frame_drift = np.fmax(frame_drift, _reorthonormalize(chart, Y))
-
-    phi_rec, radial = _march(t_grid, step, Y, Phi, advance, fail, after_step, accumulate_radial)
+    phi_rec, radial = _march(t_grid, step, Y, Phi, advance, fail, accumulate_radial)
 
     speed_drift = np.abs(_g_inner(W[:, 0], chart.metric(X), W[:, 0]) - 1.0)
     if np.all(reason != ""):
@@ -430,9 +454,14 @@ def propagate_jacobi(K, t_grid, step=1e-3, *, accumulate_radial=False):
     Each RK4 step of size h is Phi <- R(hA) Phi with RK4's step matrix
     R(z) = I + z + z^2/2 + z^3/6 + z^4/24, formed once per step size: the
     same method, step and truncation error as :func:`propagate`, which
-    agrees up to rounding.  There is no position, velocity or frame, so no
-    chart switch, reach check or re-orthonormalization; the march over the
-    grid and the radial trapezoid are :func:`propagate`'s.
+    agrees up to rounding.  A run of m full steps is one batched product by
+    a table of the full step's powers R, R^2, ..., R^RADIAL_BLOCK, grown on
+    first use: P[:m] @ Phi gives Phi after each step for the radial
+    trapezoid, P[m-1] @ Phi alone Phi at the end of the run without it.  A
+    run from Phi = I is bit for bit the per-step product.  There is no
+    position, velocity or frame, so no chart switch, reach check or
+    re-orthonormalization; the march over the grid and the radial trapezoid
+    are :func:`propagate`'s.
     :class:`IntegrationError` is raised at the first grid time where Phi or
     its radial integral is non-finite (on hyperbolic space of dimension n
     near kappa t = 710 / (n - 1)).
@@ -440,12 +469,15 @@ def propagate_jacobi(K, t_grid, step=1e-3, *, accumulate_radial=False):
     t_grid = _checked_grid(t_grid, step)
     A = generator_matrix(K)
     B, d = A.shape[0], A.shape[-1]
+    k = d // 2
     Y = np.zeros((B, d * d))
     Phi = Y.reshape(B, d, d)
     Phi[:] = np.eye(d)
     step_matrices = {}
+    # R, R^2, ... of the full step, grown on first use to the longest run
+    powers = np.empty((0, B, d, d))
 
-    def advance(h):
+    def step_matrix(h):
         R = step_matrices.get(h)
         if R is None:
             # Horner: I + z (I + z/2 (I + z/3 (I + z/4)))
@@ -453,7 +485,28 @@ def propagate_jacobi(K, t_grid, step=1e-3, *, accumulate_radial=False):
             for j in (4.0, 3.0, 2.0, 1.0):
                 R = np.eye(d) + (z / j) @ R
             step_matrices[h] = R
-        Phi[:] = R @ Phi
+        return R
+
+    def advance(h, m):
+        nonlocal powers
+        if h == step:
+            start = len(powers)
+            if start < m:
+                powers = np.concatenate([powers, np.empty((m - start, B, d, d))])
+            P = powers
+        else:
+            # a clipped step, one per grid time: no table
+            P, start = np.empty((m, B, d, d)), 0
+        R = step_matrix(h)
+        for j in range(start, m):
+            P[j] = R if j == 0 else R @ P[j - 1]
+        P = P[:m]
+        if not accumulate_radial:
+            Phi[:] = P[-1] @ Phi
+            return None
+        run = P @ Phi
+        Phi[:] = run[-1]
+        return run[:, :, :k]
 
     def fail(rows, why):
         raise IntegrationError(f"the Jacobi system turned {why}")

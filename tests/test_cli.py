@@ -146,9 +146,10 @@ class TestCount:
         def spy(t_grid, step, Y, Phi, advance, fail, *args, **kwargs):
             t = [0.0]
 
-            def timed_advance(h):
-                advance(h)
-                t[0] += h
+            def timed_advance(h, m):
+                top = advance(h, m)
+                t[0] += m * h
+                return top
 
             def timed_fail(rows, why):
                 failed_at.append(t[0])

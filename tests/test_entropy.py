@@ -203,7 +203,7 @@ class TestCounting:
         assert abs(val - expect) / expect < 0.05
 
 
-def test_space_form_counts_take_no_stage_geometry(monkeypatch, s2, h2, torus2, elli):
+def test_homogeneous_count_takes_one_stage_geometry_call(monkeypatch, s2, h2, torus2, elli):
     # a space form's count integrates the Jacobi system alone, from the
     # constant Jacobi matrix of one stage_geometry call; the ellipsoid's
     # takes its geometry from one stage_geometry call per RK4 stage.  A
@@ -238,7 +238,7 @@ def spy_on(monkeypatch, module, name, record):
 
 
 @pytest.mark.filterwarnings("ignore:direction sampling not converged")
-def test_space_form_count_steps_one_row(monkeypatch, s2, s2xs2):
+def test_homogeneous_count_steps_only_the_jacobi_system(monkeypatch, s2, s2xs2):
     # a homogeneous count calls neither propagate nor _rk4_step: it advances
     # Phi by the step matrix alone, one row on a space form whatever the
     # direction count, one row per direction on a sphere product

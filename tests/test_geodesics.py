@@ -528,29 +528,26 @@ class TestJacobiOnly:
                 geodesics.propagate_jacobi(K, grid, step=0.1, accumulate_radial=True)
 
 
-def per_step_march(t_grid, step, Y, Phi, advance, fail, after_step=None,
-                   accumulate_radial=False):
-    """Oracle of ``_march`` with the radial integral: the march with one det
-    per step, each followed by acc = acc + 0.5 * h * (f_prev + f_cur)."""
+def per_step_march(t_grid, step, Y, Phi, advance, fail, accumulate_radial=False):
+    """Oracle of ``_march`` with the radial integral: the march with one
+    ``advance(h, 1)`` and one |det| per step, each followed by
+    acc = acc + 0.5 * h * (f_prev + f_cur)."""
     assert accumulate_radial
     G, B = len(t_grid), len(Y)
     k = Phi.shape[-1] // 2
     phi_rec, radial = np.empty((G,) + Phi.shape), np.zeros((G, B))
     acc = np.zeros(B)
-    f_prev = np.abs(np.linalg.det(Phi[:, :k, k:]))
-    t, nsteps = 0.0, 0
+    f_prev = geodesics._abs_det(Phi[:, :k, k:])
+    t = 0.0
     for gi, target in enumerate(t_grid):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             while t < target - 1e-12:
                 h = min(step, target - t)
-                advance(h)
+                top = advance(h, 1)
                 t += h
-                nsteps += 1
-                f_cur = np.abs(np.linalg.det(Phi[:, :k, k:]))
+                f_cur = geodesics._abs_det(top[0, :, :, k:])
                 acc = acc + 0.5 * h * (f_prev + f_cur)
                 f_prev = f_cur
-                if after_step is not None:
-                    after_step(nsteps)
         t = float(target)
         finite = np.isfinite(Y).all(axis=-1) & np.isfinite(acc)
         if not finite.all():
@@ -569,10 +566,11 @@ def block_grid(h):
 
 
 class TestRadialBlocks:
-    """``_march`` runs the radial trapezoid in blocks of RADIAL_BLOCK steps,
-    one batched det and one running sum per block: bit for bit the
-    per-step trapezoid of :func:`per_step_march`, in buffers whose size does
-    not grow with the grid."""
+    """``_march`` steps in runs of at most RADIAL_BLOCK steps, with one
+    batched |det| and one running sum per run: ``propagate``'s radial
+    trapezoid is bit for bit the per-step one of :func:`per_step_march`,
+    ``propagate_jacobi``'s agrees up to rounding, and the buffers do not
+    grow with the grid."""
 
     @staticmethod
     def blocked_and_per_step(run, monkeypatch):
@@ -609,6 +607,10 @@ class TestRadialBlocks:
 
     @pytest.mark.parametrize("spec,rows", [("sphereprod:p=2,q=2", 48), ("hyperbolic:n=3", 1)])
     def test_propagate_jacobi_matches_the_per_step_trapezoid(self, spec, rows, monkeypatch):
+        # a run advances Phi by powers of the full step's R, the oracle by
+        # one R @ Phi per step: they round differently.  Tolerances, fixed
+        # before the first run: phi to 1e-12 of its largest entry, the
+        # radial integrals to 1e-12 relative
         model = manifolds.parse_manifold(spec)
         states = model.sample_sphere_bundle(rows, seed=6)
         K = model.curvature_frame_matrix(states.x, states.v,
@@ -616,6 +618,21 @@ class TestRadialBlocks:
         grid = block_grid(1e-2)
         (phi, radial), (want_phi, want_radial) = self.blocked_and_per_step(
             lambda: geodesics.propagate_jacobi(K, grid, step=1e-2, accumulate_radial=True),
+            monkeypatch)
+        assert np.abs(phi - want_phi).max() <= 1e-12 * np.abs(want_phi).max()
+        np.testing.assert_allclose(radial, want_radial, rtol=1e-12, atol=0.0)
+
+    def test_a_run_from_the_identity_is_the_per_step_product(self, s2xs2, monkeypatch):
+        # one run of RADIAL_BLOCK full binary steps from Phi = I: the powers
+        # of R are the per-step products bit for bit, which keeps the bytes
+        # of sphere-product estimates
+        states = s2xs2.sample_sphere_bundle(8, seed=3)
+        K = s2xs2.curvature_frame_matrix(states.x, states.v,
+                                         s2xs2.orthonormal_frame(states.x, states.v))
+        h = 1 / 64
+        (phi, radial), (want_phi, want_radial) = self.blocked_and_per_step(
+            lambda: geodesics.propagate_jacobi(K, [geodesics.RADIAL_BLOCK * h], step=h,
+                                               accumulate_radial=True),
             monkeypatch)
         np.testing.assert_array_equal(phi, want_phi)
         np.testing.assert_array_equal(radial, want_radial)
@@ -633,6 +650,40 @@ class TestRadialBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 5e6, peak
+
+
+class TestAbsDet:
+    """``_abs_det`` takes |det| of k <= 3 blocks in closed form and of larger
+    ones by ``np.linalg.det``."""
+
+    @staticmethod
+    def stack(k, seed):
+        # 200 seeded blocks, 50 each: well conditioned; near-singular (the
+        # last row a combination of the others, moved by 1e-9); scaled by
+        # 1e6; scaled by 1e-6
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((4, 50, k, k))
+        M[1, :, -1] = ((rng.standard_normal((50, 1, k - 1)) @ M[1, :, :-1])[:, 0]
+                       + 1e-9 * rng.standard_normal((50, k)))
+        M[2] *= 1e6
+        M[3] *= 1e-6
+        return M
+
+    def test_one_by_one_is_the_entry(self):
+        M = self.stack(1, 0)
+        assert np.array_equal(geodesics._abs_det(M), np.abs(M[..., 0, 0]))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_closed_form_matches_lapack(self, k):
+        # within 1e-13 of the Hadamard bound, the product of the row norms
+        M = self.stack(k, k)
+        hadamard = np.prod(np.linalg.norm(M, axis=-1), axis=-1)
+        err = np.abs(geodesics._abs_det(M) - np.abs(np.linalg.det(M)))
+        assert np.all(err <= 1e-13 * hadamard), (err / hadamard).max()
+
+    def test_larger_blocks_go_to_lapack(self):
+        M = self.stack(4, 4)
+        assert np.array_equal(geodesics._abs_det(M), np.abs(np.linalg.det(M)))
 
 
 class TestKernelCalls:
