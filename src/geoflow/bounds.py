@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DeltaTooLargeError, IntegrationError
-from .geodesics import expansion, generator_matrix, propagate
+from .geodesics import expansion, propagate
 from .manifolds import as_batch
 
 
@@ -40,6 +40,17 @@ def _first_order(lam, delta):
             "delta too large: a first-order factor 1 + (delta/2)(1 - lambda) "
             "would not be positive")
     return np.prod(1.0 + 0.5 * delta * np.abs(1.0 - lam), axis=-1)
+
+
+def generator_matrix(K):
+    """Assemble [[0, I], [-K, 0]] from a curvature-operator matrix."""
+    K = np.asarray(K, dtype=float)
+    k = K.shape[-1]
+    out = np.zeros(K.shape[:-2] + (2 * k, 2 * k))
+    idx = np.arange(k)
+    out[..., idx, idx + k] = 1.0
+    out[..., k:, :k] = -K
+    return out
 
 
 def symmetric_sqrt(mat):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimatorError
-from .geodesics import expansion, propagate, propagate_jacobi
+from .geodesics import block_expansion, expansion, propagate, propagate_jacobi
 from .manifolds import ManifoldModel, TangentState
 
 #: default slope window is the last two thirds of the grid
@@ -87,9 +87,10 @@ def mane_series(model: ManifoldModel, t_grid, samples, seed=0, step=1e-3):
     of :func:`_directions_at` there (a space form's one row); ``mode`` is its
     rule, or ``full-bundle`` where the whole unit sphere bundle is sampled.
     The rows go through :func:`_linearized_flow`: a sphere product's by
-    RK4's step matrix.  The unnormalized Liouville measure drops out of the
-    growth rate, so the mean is taken with respect to the sampling measure
-    directly.
+    RK4's step matrix, as 2 x 2 blocks whose singular values are closed
+    form (:func:`~geoflow.geodesics.block_expansion`).  The unnormalized
+    Liouville measure drops out of the growth rate, so the mean is taken
+    with respect to the sampling measure directly.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
@@ -102,11 +103,12 @@ def mane_series(model: ManifoldModel, t_grid, samples, seed=0, step=1e-3):
         states, mode = model.sample_sphere_bundle(samples, seed), "full-bundle"
     # space forms integrate the geodesic only while bench/test_bench.py::
     # test_tracer_restores_every_binding pins their charts.christoffel calls
-    # (ROADMAP item 7, step 1)
-    phi, _, failed = _linearized_flow(model, states, t_grid, step, geodesic=model.isotropic)
+    # (ROADMAP item 7a, step 1)
+    geodesic = model.isotropic or not model.homogeneous
+    phi, _, failed = _linearized_flow(model, states, t_grid, step, geodesic=geodesic)
     n_failed, ok = _census(failed, "trajectories")
     B = int(ok.sum())
-    ex = expansion(phi[:, ok])
+    ex = (expansion if geodesic else block_expansion)(phi[:, ok])
     mean = np.mean(ex, axis=1)
     return GrowthSeries(
         times=t_grid,
@@ -126,20 +128,23 @@ def mane_series(model: ManifoldModel, t_grid, samples, seed=0, step=1e-3):
 
 
 def _linearized_flow(model, states, t_grid, step, accumulate_radial=False, geodesic=False):
-    """Phi (G, B, 2k, 2k) of the chart-0 rows ``states`` at the grid times,
-    their radial integrals (G, B) or None, and the mask of failed rows.
+    """Phi of the chart-0 rows ``states`` at the grid times, their radial
+    integrals (G, B) or None, and the mask of failed rows.
 
     On a homogeneous model (a space form or a product of them), unless
     ``geodesic`` is set, each row is a run of the Jacobi system alone,
-    :func:`~geoflow.geodesics.propagate_jacobi`, from K at the row's point in
-    its orthonormal frame: the model is locally symmetric, so K is constant
-    in a parallel frame, and neither the expansion nor |det Phi[:k, k:]|
-    depends on the frame; no row fails.  Otherwise
-    :func:`~geoflow.geodesics.propagate` integrates geodesic, frame and Phi."""
+    :func:`~geoflow.geodesics.propagate_jacobi`, from the eigenvalues of K
+    at the row's point in its orthonormal frame, and Phi comes as its 2 x 2
+    blocks (G, B, k, 2, 2) in K's eigenframe: the model is locally
+    symmetric, so K is constant in a parallel frame, and neither the
+    expansion nor |det Phi[:k, k:]| depends on the frame; no row fails.
+    Otherwise :func:`~geoflow.geodesics.propagate` integrates geodesic,
+    frame and Phi (G, B, 2k, 2k)."""
     if model.homogeneous and not geodesic:
         x, v = states.x, states.v
         K = model.curvature_frame_matrix(x, v, model.orthonormal_frame(x, v))
-        phi, radial = propagate_jacobi(K, t_grid, step=step, accumulate_radial=accumulate_radial)
+        lam = np.linalg.eigvalsh(K)
+        phi, radial = propagate_jacobi(lam, t_grid, step=step, accumulate_radial=accumulate_radial)
         return phi, radial, np.zeros(len(v), dtype=bool)
     res = propagate(model, states, t_grid, step=step, accumulate_radial=accumulate_radial)
     return res.phi, res.radial, res.failed

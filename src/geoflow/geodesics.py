@@ -22,11 +22,16 @@ A row of :func:`propagate` fails in one place, its ``fail(rows, why)``:
 the row keeps its first reason and last state and is parked at the base
 state.  :func:`propagate_jacobi` advances Phi of a constant K by RK4's step
 matrix, over the same grid march, :func:`_march`: the Mane average on
-sphere products and the count on every homogeneous model take it.  The
+sphere products and the count on every homogeneous model take it.  In K's
+eigenframe the system splits into k independent 2 x 2 systems with the
+generators [[0, 1], [-lam_i, 0]], so Phi is held as k blocks, and
+:func:`block_expansion` takes their singular values in closed form.  The
 march steps in runs of at most RADIAL_BLOCK equal steps, one call of the
-integrator's ``advance`` per run, and takes the count's radial trapezoid
-per run: one closed-form |det| (:func:`_abs_det`) over the run's stack of
-Phi and one running sum.
+integrator's ``advance`` per run, which returns |det Phi[:k, k:]| after
+each step of the run, and takes the count's radial trapezoid per run with
+one running sum.  :func:`propagate` takes that |det| with :func:`_abs_det`
+(the entry for k = 1, ``np.linalg.det`` otherwise), :func:`propagate_jacobi`
+as the product of the blocks' (0, 1) entries.
 
 A stage is contiguous batched products.  Gamma is symmetric in i, j, so the
 spray and the frame transport are one stacked matvec A = Gamma(., -v, .) and
@@ -170,22 +175,11 @@ def _checked_grid(t_grid, step):
 
 
 def _abs_det(M):
-    """|det| of a stack of k x k blocks (..., k, k): in closed form for
-    k <= 3 (the entry, ad - bc, the cofactor expansion along the first
-    row), by ``np.linalg.det`` for larger k."""
-    k = M.shape[-1]
-    if k > 3:
-        return np.abs(np.linalg.det(M))
-    rows = np.moveaxis(M, (-2, -1), (0, 1))
-    if k == 1:
-        det = rows[0, 0]
-    elif k == 2:
-        (a, b), (c, d) = rows
-        det = a * d - b * c
-    else:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return np.abs(det)
+    """|det| of a stack of k x k blocks (..., k, k): the entry itself for
+    k = 1, ``np.linalg.det`` for larger k."""
+    if M.shape[-1] == 1:
+        return np.abs(M[..., 0, 0])
+    return np.abs(np.linalg.det(M))
 
 
 def _runs(t, target, step):
@@ -208,28 +202,26 @@ def _march(t_grid, step, Y, Phi, advance, fail, accumulate_radial=False):
     """Advance the packed state Y over the time grid: full steps of ``step``,
     the last one before each grid time clipped onto it, by one call
     ``advance(h, m)`` per run of :func:`_runs`; with ``accumulate_radial``
-    it returns Phi[:k] after each of the run's m steps, (m, B, k, 2k), and the
-    trapezoid of |det Phi[:k, k:]| runs over every step: per run one
-    :func:`_abs_det` of that stack and one running sum, bit for bit the
-    per-step sum acc + (h/2)(f_prev + f_cur).  At each grid time the rows
-    whose Y or radial integral turned non-finite go to
-    ``fail(rows, "non-finite")``, then Phi and the radial integrals are
-    recorded.  Returns the recorded Phi (G, B, 2k, 2k), or None where Phi is
-    None, and the radial integrals (G, B) or None."""
+    it returns |det Phi[:k, k:]| after each of the run's m steps, (m, B), and
+    the trapezoid of it runs over every step: per run one running sum, bit
+    for bit the per-step sum acc + (h/2)(f_prev + f_cur).  At each grid
+    time the rows whose Y or radial integral turned non-finite go to
+    ``fail(rows, "non-finite")``, then Phi, in whatever layout the
+    integrator keeps it, and the radial integrals are recorded.  Returns
+    the recorded Phi (G, ...) of Phi's shape, or None where Phi is None,
+    and the radial integrals (G, B) or None."""
     G, B = len(t_grid), len(Y)
     phi_rec = None if Phi is None else np.empty((G,) + Phi.shape)
     radial = np.zeros((G, B)) if accumulate_radial else None
     quiet = contextlib.nullcontext
     if accumulate_radial:
-        k = Phi.shape[-1] // 2
         acc = np.zeros(B)
-        # f[0] is |det| at the step before the run
-        f = np.empty((RADIAL_BLOCK + 1, B))
-        f[0] = _abs_det(Phi[:, :k, k:])
+        # f[0] is |det| at the step before the run: 0 at Phi = I
+        f = np.zeros((RADIAL_BLOCK + 1, B))
         # |det Phi[:k, k:]| can overflow while Phi is finite (hyperbolic
-        # space of dimension 3 and up), and the closed form then meets
-        # inf - inf.  Both are quiet while stepping: they leave Y or the
-        # integral non-finite, so the row fails at the grid time
+        # space of dimension 3 and up), and a product of overflowed terms
+        # can meet inf - inf.  Both are quiet while stepping: they leave Y
+        # or the integral non-finite, so the row fails at the grid time
         quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
     t = 0.0
@@ -239,8 +231,7 @@ def _march(t_grid, step, Y, Phi, advance, fail, accumulate_radial=False):
                 if not accumulate_radial:
                     advance(h, m)
                     continue
-                # no name holds the run's stack, so it is freed before the next
-                f[1:m + 1] = _abs_det(advance(h, m)[..., k:])
+                f[1:m + 1] = advance(h, m)
                 terms = (0.5 * h) * (f[:m] + f[1:m + 1])
                 terms[0] = acc + terms[0]
                 # accumulate adds in order, as the per-step sum did
@@ -407,7 +398,7 @@ def propagate(
                     check_charts()
             if jacobi and nsteps % ORTHO_EVERY == 0:
                 frame_drift = np.fmax(frame_drift, _reorthonormalize(chart, Y))
-        return None if top is None else top[:m]
+        return None if top is None else _abs_det(top[:m, :, :, k:])
 
     phi_rec, radial = _march(t_grid, step, Y, Phi, advance, fail, accumulate_radial)
 
@@ -431,82 +422,76 @@ def propagate(
     )
 
 
-def generator_matrix(K):
-    """Assemble [[0, I], [-K, 0]] from a curvature-operator matrix."""
-    K = np.asarray(K, dtype=float)
-    k = K.shape[-1]
-    out = np.zeros(K.shape[:-2] + (2 * k, 2 * k))
-    idx = np.arange(k)
-    out[..., idx, idx + k] = 1.0
-    out[..., k:, :k] = -K
-    return out
-
-
-def propagate_jacobi(K, t_grid, step=1e-3, *, accumulate_radial=False):
+def propagate_jacobi(lam, t_grid, step=1e-3, *, accumulate_radial=False):
     """The Jacobi system Phi' = A Phi, A = [[0, I], [-K, 0]], alone, from
-    Phi = I, for one constant Jacobi matrix per row, K (B, k, k): a locally
-    symmetric model (a space form or a product of them) has a constant K in
-    every parallel frame.  Both estimators call it there, the Mane average
-    on sphere products and the count on every homogeneous model.  Returns
-    phi (G, B, 2k, 2k) at the grid times and, with ``accumulate_radial``,
-    the radial integrals (G, B), otherwise None.
+    Phi = I, for one constant Jacobi matrix K per row, given by its
+    eigenvalues ``lam`` (B, k): a locally symmetric model (a space form or
+    a product of them) has a constant K in every parallel frame.  Both
+    estimators call it there, the Mane average on sphere products and the
+    count on every homogeneous model.  In K's eigenframe e_1..e_k the
+    system splits into k independent 2 x 2 blocks A_i = [[0, 1],
+    [-lam_i, 0]] on the coordinates (e_i, 0), (0, e_i), and Phi is held as
+    those blocks.  Returns phi (G, B, k, 2, 2) at the grid times and, with
+    ``accumulate_radial``, the radial integrals (G, B) of
+    |det Phi[:k, k:]| = |prod_i Phi_i[0, 1]|, otherwise None.
 
-    Each RK4 step of size h is Phi <- R(hA) Phi with RK4's step matrix
-    R(z) = I + z + z^2/2 + z^3/6 + z^4/24, formed once per step size: the
-    same method, step and truncation error as :func:`propagate`, which
-    agrees up to rounding.  A run of m full steps is one batched product by
-    a table of the full step's powers R, R^2, ..., R^RADIAL_BLOCK, grown on
-    first use: P[:m] @ Phi gives Phi after each step for the radial
-    trapezoid, P[m-1] @ Phi alone Phi at the end of the run without it.  A
-    run from Phi = I is bit for bit the per-step product.  There is no
-    position, velocity or frame, so no chart switch, reach check or
-    re-orthonormalization; the march over the grid and the radial trapezoid
-    are :func:`propagate`'s.
+    Each RK4 step of size h is Phi_i <- R(h A_i) Phi_i with RK4's step
+    matrix R(z) = I + z + z^2/2 + z^3/6 + z^4/24, formed once per step
+    size; as A_i^2 = -lam_i I it is (1 + x/2 + x^2/24) I + h (1 + x/6) A_i
+    with x = -lam_i h^2.  It is the same method, step and truncation error
+    as :func:`propagate`, which agrees up to rounding.  A run of m full
+    steps is one batched product by a table of the full step's powers
+    R, R^2, ..., R^RADIAL_BLOCK, (B, k, m, 2, 2), 4k doubles per row and
+    power, grown on first use: Phi at the end of the run is P[m-1] Phi,
+    and the radial trapezoid reads the (0, 1) entries of P[:m] Phi, one
+    (2m, 2) @ (2, 2) product per block, as each block's powers are
+    contiguous.  A run from Phi = I is bit for bit the per-step product.
+    There is no position, velocity or frame, so no chart switch, reach
+    check or re-orthonormalization; the march over the grid and the radial
+    trapezoid are :func:`propagate`'s.
     :class:`IntegrationError` is raised at the first grid time where Phi or
     its radial integral is non-finite (on hyperbolic space of dimension n
     near kappa t = 710 / (n - 1)).
     """
     t_grid = _checked_grid(t_grid, step)
-    A = generator_matrix(K)
-    B, d = A.shape[0], A.shape[-1]
-    k = d // 2
-    Y = np.zeros((B, d * d))
-    Phi = Y.reshape(B, d, d)
-    Phi[:] = np.eye(d)
+    lam = np.asarray(lam, dtype=float)
+    B, k = lam.shape
+    Y = np.zeros((B, 4 * k))
+    Phi = Y.reshape(B, k, 2, 2)
+    Phi[:] = np.eye(2)
     step_matrices = {}
-    # R, R^2, ... of the full step, grown on first use to the longest run
-    powers = np.empty((0, B, d, d))
+    # R, R^2, ... of the full step along axis 2, grown on first use to the
+    # longest run
+    powers = np.empty((B, k, 0, 2, 2))
 
     def step_matrix(h):
         R = step_matrices.get(h)
         if R is None:
-            # Horner: I + z (I + z/2 (I + z/3 (I + z/4)))
-            z, R = h * A, np.eye(d)
-            for j in (4.0, 3.0, 2.0, 1.0):
-                R = np.eye(d) + (z / j) @ R
+            x = -lam * (h * h)
+            alpha, beta = 1.0 + x * (0.5 + x / 24.0), h * (1.0 + x / 6.0)
+            R = np.stack([alpha, beta, -lam * beta, alpha], axis=-1).reshape(B, k, 2, 2)
             step_matrices[h] = R
         return R
 
     def advance(h, m):
         nonlocal powers
         if h == step:
-            start = len(powers)
+            start = powers.shape[2]
             if start < m:
-                powers = np.concatenate([powers, np.empty((m - start, B, d, d))])
+                powers = np.concatenate([powers, np.empty((B, k, m - start, 2, 2))], axis=2)
             P = powers
         else:
             # a clipped step, one per grid time: no table
-            P, start = np.empty((m, B, d, d)), 0
+            P, start = np.empty((B, k, m, 2, 2)), 0
         R = step_matrix(h)
         for j in range(start, m):
-            P[j] = R if j == 0 else R @ P[j - 1]
-        P = P[:m]
-        if not accumulate_radial:
-            Phi[:] = P[-1] @ Phi
-            return None
-        run = P @ Phi
-        Phi[:] = run[-1]
-        return run[:, :, :k]
+            P[:, :, j] = R if j == 0 else R @ P[:, :, j - 1]
+        dets = None
+        if accumulate_radial:
+            run = P[:, :, :m].reshape(B * k, 2 * m, 2) @ Phi.reshape(B * k, 2, 2)
+            dets = np.abs(np.prod(run.reshape(B, k, m, 2, 2)[..., 0, 1], axis=1)).T
+        Phi[:] = P[:, :, m - 1] @ Phi
+        return dets
 
     def fail(rows, why):
         raise IntegrationError(f"the Jacobi system turned {why}")
@@ -515,6 +500,18 @@ def propagate_jacobi(K, t_grid, step=1e-3, *, accumulate_radial=False):
 
 
 # -- expansion of a linear map -------------------------------------------------------
+
+
+def _expansion(A, singular_values):
+    """The expansion of each map of the stack A from its singular values
+    ``singular_values(A)`` (..., d), in any order: the product of the
+    singular values >= 1 where there is one, otherwise the largest.  That is
+    the largest partial product of the singular values in decreasing order.
+    Non-finite entries of A are a ValueError."""
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
+    s = np.sort(singular_values(A), axis=-1)[..., ::-1]
+    return np.max(np.cumprod(s, axis=-1), axis=-1)
 
 
 def expansion(m):
@@ -528,8 +525,20 @@ def expansion(m):
     A = np.asarray(m, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    ex = np.max(np.cumprod(np.linalg.svd(A, compute_uv=False), axis=-1), axis=-1)
+    ex = _expansion(A, functools.partial(np.linalg.svd, compute_uv=False))
     return float(ex) if A.ndim == 2 else ex
 
+
+def block_expansion(blocks):
+    """:func:`expansion` of block-diagonal maps given by their 2 x 2 blocks
+    (..., k, 2, 2), the layout of :func:`propagate_jacobi`'s Phi, as an
+    array (...).  The map has the singular values of its blocks, and
+    [[a, b], [c, d]] has s1 = (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2
+    and s2 = |ad - bc| / s1."""
+
+    def singular_values(M):
+        (a, b), (c, d) = np.moveaxis(M, (-2, -1), (0, 1))
+        s1 = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+        return np.concatenate([s1, np.abs(a * d - b * c) / s1], axis=-1)
+
+    return _expansion(np.asarray(blocks, dtype=float), singular_values)

@@ -273,8 +273,8 @@ def test_space_form_count_is_one_row(spec):
     # bitwise: one Jacobi row times |S^{n-1}|, whatever the direction count
     # and the seed
     model, grid = manifolds.parse_manifold(spec), [0.5, 1.0, 1.5]
-    K = np.diag(np.full(model.dim - 1, model.factors[0].k_max))
-    _, radial = geodesics.propagate_jacobi(K[None], grid, step=1 / 64, accumulate_radial=True)
+    lam = np.full((1, model.dim - 1), model.factors[0].k_max)
+    _, radial = geodesics.propagate_jacobi(lam, grid, step=1 / 64, accumulate_radial=True)
     want = (radial[:, 0] * entropy._unit_sphere_area(model.dim)).tolist()
     for samples, seed in ((2, 0), (16, 5), (48, 123)):
         meta = entropy.counting_series(model, model.base_x, grid, angular_samples=samples,

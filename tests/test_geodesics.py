@@ -55,6 +55,15 @@ def singular_values_jacobi(m, max_sweeps=60, tol=1e-14):
     return sv[::-1]
 
 
+def assemble(blocks, Q):
+    """Oracle layout: the 2k x 2k Phi (..., B, 2k, 2k) in the frame where
+    K = Q diag(lam) Q^T, from its 2 x 2 blocks (..., B, k, 2, 2) in K's
+    eigenframe: the quadrant (r, c) of Phi is Q diag(blocks[..., r, c]) Q^T,
+    so Phi = diag(Q, Q) P diag(Q, Q)^T with P the blocks interleaved."""
+    Qt = np.swapaxes(Q, -1, -2)
+    return np.block([[(Q * blocks[..., None, :, r, c]) @ Qt for c in (0, 1)] for r in (0, 1)])
+
+
 class TestExpansion:
     def test_identity(self):
         assert geodesics.expansion(np.eye(3)) == 1.0
@@ -183,7 +192,7 @@ class TestGeodesicIntegration:
             with pytest.raises(ValueError, match="finite"):
                 geodesics.propagate(s2, theta, grid, step=step)
             with pytest.raises(ValueError, match="finite"):
-                geodesics.propagate_jacobi(np.ones((1, 1, 1)), grid, step=step)
+                geodesics.propagate_jacobi(np.ones((1, 1)), grid, step=step)
         # the radial integral reads Phi, which only the Jacobi system carries
         with pytest.raises(ValueError, match="Jacobi"):
             geodesics.propagate(s2, theta, [0.5], jacobi=False, accumulate_radial=True)
@@ -436,9 +445,9 @@ class TestJacobiOnly:
         states = model.sample_sphere_bundle(6, seed=2)
         grid = np.linspace(0.4, 4.0, 5)
         full = geodesics.propagate(model, states, grid, step=1e-2, accumulate_radial=True)
-        K = model.curvature_frame_matrix(states.x, states.v, full.frames0)
-        phi, radial = geodesics.propagate_jacobi(K, grid, step=1e-2, accumulate_radial=True)
-        np.testing.assert_allclose(phi, full.phi, rtol=1e-12, atol=0.0)
+        lam, Q = np.linalg.eigh(model.curvature_frame_matrix(states.x, states.v, full.frames0))
+        phi, radial = geodesics.propagate_jacobi(lam, grid, step=1e-2, accumulate_radial=True)
+        np.testing.assert_allclose(assemble(phi, Q), full.phi, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(radial, full.radial, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("spec", ["sphereprod:p=2,q=2", "sphereprod:p=2,q=3,r1=1,r2=2"])
@@ -451,9 +460,9 @@ class TestJacobiOnly:
         states = model.sample_sphere_bundle(8, seed=5)
         grid = np.linspace(0.4, 4.0, 5)
         full = geodesics.propagate(model, states, grid, step=1e-2)
-        K = model.curvature_frame_matrix(states.x, states.v, full.frames0)
-        phi, _ = geodesics.propagate_jacobi(K, grid, step=1e-2)
-        assert np.abs(phi - full.phi).max() <= 1e-6 * np.abs(full.phi).max()
+        lam, Q = np.linalg.eigh(model.curvature_frame_matrix(states.x, states.v, full.frames0))
+        phi, _ = geodesics.propagate_jacobi(lam, grid, step=1e-2)
+        assert np.abs(assemble(phi, Q) - full.phi).max() <= 1e-6 * np.abs(full.phi).max()
 
     @pytest.mark.parametrize("spec", ["sphere:n=2", "sphere:n=3", "hyperbolic:n=2",
                                       "hyperbolic:n=3", "torus:n=2"])
@@ -470,10 +479,10 @@ class TestJacobiOnly:
         model = manifolds.parse_manifold(spec)
         kappa, k = model.factors[0].k_max, model.dim - 1
         states = model.sample_sphere_bundle(1, seed=3)
-        K = model.curvature_frame_matrix(states.x, states.v,
-                                         model.orthonormal_frame(states.x, states.v))
+        lam, Q = np.linalg.eigh(model.curvature_frame_matrix(
+            states.x, states.v, model.orthonormal_frame(states.x, states.v)))
         grid, h = np.array([0.5, 1.0, 2.0, 4.0]), 0.05
-        phi, _ = geodesics.propagate_jacobi(K, grid, step=h)
+        phi = assemble(geodesics.propagate_jacobi(lam, grid, step=h)[0], Q)
         c, s = {1.0: (np.cos(grid), np.sin(grid)), -1.0: (np.cosh(grid), np.sinh(grid)),
                 0.0: (np.ones_like(grid), grid)}[kappa]
         eye = np.eye(k)
@@ -488,8 +497,9 @@ class TestJacobiOnly:
 
     def test_integrates_no_geodesic(self):
         # one Phi per row and its radial integral, from the identity at time 0
-        phi, radial = geodesics.propagate_jacobi(np.ones((1, 1, 1)), [0.0, 1.0], step=1e-2,
-                                                 accumulate_radial=True)
+        blocks, radial = geodesics.propagate_jacobi(np.ones((1, 1)), [0.0, 1.0], step=1e-2,
+                                                    accumulate_radial=True)
+        phi = assemble(blocks, np.ones((1, 1, 1)))
         assert phi.shape == (2, 1, 2, 2) and radial.shape == (2, 1)
         assert np.array_equal(phi[0, 0], np.eye(2)) and radial[0, 0] == 0.0
 
@@ -497,20 +507,21 @@ class TestJacobiOnly:
         # as in propagate: without accumulate_radial there is no radial
         # integral, and Phi is bitwise the same
         states = s2xs2.sample_sphere_bundle(5, seed=1)
-        K = s2xs2.curvature_frame_matrix(states.x, states.v,
-                                         s2xs2.orthonormal_frame(states.x, states.v))
+        lam, Q = np.linalg.eigh(s2xs2.curvature_frame_matrix(
+            states.x, states.v, s2xs2.orthonormal_frame(states.x, states.v)))
         grid = [0.3, 0.7, 1.0]
-        phi, radial = geodesics.propagate_jacobi(K, grid, step=1e-1)
-        with_radial = geodesics.propagate_jacobi(K, grid, step=1e-1, accumulate_radial=True)
+        phi, radial = geodesics.propagate_jacobi(lam, grid, step=1e-1)
+        with_radial = geodesics.propagate_jacobi(lam, grid, step=1e-1, accumulate_radial=True)
         assert radial is None and with_radial[1].shape == (3, 5)
-        assert np.array_equal(phi, with_radial[0])
+        assert np.array_equal(assemble(phi, Q), assemble(with_radial[0], Q))
 
     def test_hyperbolic_passes_the_geodesic_reach(self):
         # Phi grows like e^t / 2 and stays finite past the geodesic's reach;
         # RK4's relative error of cosh is about T h^4 / 120 = 2e-5 here
         # and the trapezoid's of the radial integral cosh T - 1 about h^2 / 12
-        phi, radial = geodesics.propagate_jacobi(-np.ones((1, 1, 1)), [400.0], step=5e-2,
-                                                 accumulate_radial=True)
+        blocks, radial = geodesics.propagate_jacobi(-np.ones((1, 1)), [400.0], step=5e-2,
+                                                    accumulate_radial=True)
+        phi = assemble(blocks, np.ones((1, 1, 1)))
         assert phi[0, 0, 0, 0] == pytest.approx(np.cosh(400.0), rel=1e-4)
         assert radial[0, 0] == pytest.approx(np.cosh(400.0) - 1.0, rel=1e-3)
 
@@ -519,33 +530,32 @@ class TestJacobiOnly:
         # t = 355.6, while Phi stays finite up to 709: the run fails at the
         # first grid time after it, without numpy's overflow warning, though
         # the overflow falls inside a block of the radial trapezoid
-        K = -np.eye(2)[None]
-        _, radial = geodesics.propagate_jacobi(K, [300.0, 350.0], step=0.1,
+        lam = np.full((1, 2), -1.0)
+        _, radial = geodesics.propagate_jacobi(lam, [300.0, 350.0], step=0.1,
                                                accumulate_radial=True)
         assert np.all(np.isfinite(radial))
         for grid in ([300.0, 400.0], [300.0, 350.0, 360.0]):
             with pytest.raises(IntegrationError, match="non-finite"):
-                geodesics.propagate_jacobi(K, grid, step=0.1, accumulate_radial=True)
+                geodesics.propagate_jacobi(lam, grid, step=0.1, accumulate_radial=True)
 
 
 def per_step_march(t_grid, step, Y, Phi, advance, fail, accumulate_radial=False):
     """Oracle of ``_march`` with the radial integral: the march with one
-    ``advance(h, 1)`` and one |det| per step, each followed by
-    acc = acc + 0.5 * h * (f_prev + f_cur)."""
+    ``advance(h, 1)`` per step, which returns that step's |det Phi[:k, k:]|,
+    each followed by acc = acc + 0.5 * h * (f_prev + f_cur), from
+    f_prev = 0 at Phi = I."""
     assert accumulate_radial
     G, B = len(t_grid), len(Y)
-    k = Phi.shape[-1] // 2
     phi_rec, radial = np.empty((G,) + Phi.shape), np.zeros((G, B))
     acc = np.zeros(B)
-    f_prev = geodesics._abs_det(Phi[:, :k, k:])
+    f_prev = np.zeros(B)
     t = 0.0
     for gi, target in enumerate(t_grid):
         with np.errstate(over="ignore", invalid="ignore"):
             while t < target - 1e-12:
                 h = min(step, target - t)
-                top = advance(h, 1)
+                f_cur = advance(h, 1)[0]
                 t += h
-                f_cur = geodesics._abs_det(top[0, :, :, k:])
                 acc = acc + 0.5 * h * (f_prev + f_cur)
                 f_prev = f_cur
         t = float(target)
@@ -613,12 +623,13 @@ class TestRadialBlocks:
         # radial integrals to 1e-12 relative
         model = manifolds.parse_manifold(spec)
         states = model.sample_sphere_bundle(rows, seed=6)
-        K = model.curvature_frame_matrix(states.x, states.v,
-                                         model.orthonormal_frame(states.x, states.v))
+        lam, Q = np.linalg.eigh(model.curvature_frame_matrix(
+            states.x, states.v, model.orthonormal_frame(states.x, states.v)))
         grid = block_grid(1e-2)
         (phi, radial), (want_phi, want_radial) = self.blocked_and_per_step(
-            lambda: geodesics.propagate_jacobi(K, grid, step=1e-2, accumulate_radial=True),
+            lambda: geodesics.propagate_jacobi(lam, grid, step=1e-2, accumulate_radial=True),
             monkeypatch)
+        phi, want_phi = assemble(phi, Q), assemble(want_phi, Q)
         assert np.abs(phi - want_phi).max() <= 1e-12 * np.abs(want_phi).max()
         np.testing.assert_allclose(radial, want_radial, rtol=1e-12, atol=0.0)
 
@@ -627,25 +638,25 @@ class TestRadialBlocks:
         # of R are the per-step products bit for bit, which keeps the bytes
         # of sphere-product estimates
         states = s2xs2.sample_sphere_bundle(8, seed=3)
-        K = s2xs2.curvature_frame_matrix(states.x, states.v,
-                                         s2xs2.orthonormal_frame(states.x, states.v))
+        lam, Q = np.linalg.eigh(s2xs2.curvature_frame_matrix(
+            states.x, states.v, s2xs2.orthonormal_frame(states.x, states.v)))
         h = 1 / 64
         (phi, radial), (want_phi, want_radial) = self.blocked_and_per_step(
-            lambda: geodesics.propagate_jacobi(K, [geodesics.RADIAL_BLOCK * h], step=h,
+            lambda: geodesics.propagate_jacobi(lam, [geodesics.RADIAL_BLOCK * h], step=h,
                                                accumulate_radial=True),
             monkeypatch)
-        np.testing.assert_array_equal(phi, want_phi)
+        np.testing.assert_array_equal(assemble(phi, Q), assemble(want_phi, Q))
         np.testing.assert_array_equal(radial, want_radial)
 
     def test_buffers_do_not_grow_with_the_interval(self, s2xs2):
         # 2e4 steps in one interval: buffers of the whole interval would
         # hold 2e4 x 48 x 3 x 3 doubles, about 69 MB
         states = s2xs2.sample_sphere_bundle(48, seed=2)
-        K = s2xs2.curvature_frame_matrix(states.x, states.v,
-                                         s2xs2.orthonormal_frame(states.x, states.v))
+        lam = np.linalg.eigvalsh(s2xs2.curvature_frame_matrix(
+            states.x, states.v, s2xs2.orthonormal_frame(states.x, states.v)))
         tracemalloc.start()
         try:
-            geodesics.propagate_jacobi(K, [2.0], step=1e-4, accumulate_radial=True)
+            geodesics.propagate_jacobi(lam, [2.0], step=1e-4, accumulate_radial=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -653,7 +664,7 @@ class TestRadialBlocks:
 
 
 class TestAbsDet:
-    """``_abs_det`` takes |det| of k <= 3 blocks in closed form and of larger
+    """``_abs_det`` takes |det| of 1 x 1 blocks as the entry and of larger
     ones by ``np.linalg.det``."""
 
     @staticmethod
@@ -674,16 +685,62 @@ class TestAbsDet:
         assert np.array_equal(geodesics._abs_det(M), np.abs(M[..., 0, 0]))
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_closed_form_matches_lapack(self, k):
-        # within 1e-13 of the Hadamard bound, the product of the row norms
+    def test_small_blocks_go_to_lapack(self, k):
         M = self.stack(k, k)
-        hadamard = np.prod(np.linalg.norm(M, axis=-1), axis=-1)
-        err = np.abs(geodesics._abs_det(M) - np.abs(np.linalg.det(M)))
-        assert np.all(err <= 1e-13 * hadamard), (err / hadamard).max()
+        assert np.array_equal(geodesics._abs_det(M), np.abs(np.linalg.det(M)))
 
     def test_larger_blocks_go_to_lapack(self):
         M = self.stack(4, 4)
         assert np.array_equal(geodesics._abs_det(M), np.abs(np.linalg.det(M)))
+
+
+class TestBlockExpansion:
+    """``block_expansion`` takes each 2 x 2 block's singular values in
+    closed form: it is ``expansion`` of the assembled 2k x 2k Phi in the
+    frame of K.  Tolerance, fixed before the first run: 1e-12 relative,
+    since every singular value >= 1 here is within 40 of the largest and
+    LAPACK's and the closed form's errors are a few ulps of the largest."""
+
+    def test_sphere_product_rows_match_the_assembled_svd(self, s2xs2):
+        states = s2xs2.sample_sphere_bundle(100, seed=11)
+        lam, Q = np.linalg.eigh(s2xs2.curvature_frame_matrix(
+            states.x, states.v, s2xs2.orthonormal_frame(states.x, states.v)))
+        grid = np.linspace(1.0, 40.0, 40)
+        phi, _ = geodesics.propagate_jacobi(lam, grid, step=2e-2)
+        got = geodesics.block_expansion(phi)
+        assert got.shape == (40, 100)
+        np.testing.assert_allclose(got, geodesics.expansion(assemble(phi, Q)), rtol=1e-12,
+                                   atol=0.0)
+
+    def test_shear_block_matches_the_svd(self):
+        # lam = 0: Phi = [[1, t], [0, 1]], singular values about t and 1 / t
+        phi, _ = geodesics.propagate_jacobi(np.zeros((1, 1)), [1e3], step=5e-2)
+        got = geodesics.block_expansion(phi[0])
+        want = geodesics.expansion(assemble(phi[0], np.ones((1, 1, 1))))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert got[0] == pytest.approx(1e3, rel=1e-5)
+
+    def test_hyperbolic_block_is_its_largest_singular_value(self):
+        # lam = -1 at t = 300: Phi ~ [[cosh t, sinh t], [sinh t, cosh t]],
+        # whose true smaller singular value is about e^-t, so the expansion
+        # is the largest one.  LAPACK resolves the smaller one only to
+        # eps * e^t ~ 1e114, which makes ``expansion`` of the same matrix
+        # read e^t times that noise; the oracle is LAPACK's largest
+        # singular value, which is accurate to a few ulps
+        phi, _ = geodesics.propagate_jacobi(-np.ones((1, 1)), [300.0], step=5e-2)
+        got = geodesics.block_expansion(phi[0])
+        top = np.linalg.svd(assemble(phi[0], np.ones((1, 1, 1))), compute_uv=False)[..., 0]
+        np.testing.assert_allclose(got, top, rtol=1e-12, atol=0.0)
+        assert got[0] == pytest.approx(np.exp(300.0), rel=1e-3)
+
+    def test_rejects_non_finite_blocks(self):
+        blocks = np.tile(np.eye(2), (3, 2, 1, 1))
+        blocks[1, 0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            geodesics.block_expansion(blocks)
+        blocks[1, 0, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            geodesics.block_expansion(blocks)
 
 
 class TestKernelCalls:
